@@ -1,0 +1,58 @@
+"""Time ``restore_image`` on one synthetic image and report peak memory.
+
+    OPENBLAS_NUM_THREADS=1 python scripts/time_restore.py --config cat_a_x2 --side 96
+
+Uses the stock weights ``init_params(config, 0)`` and a seeded random RGB
+image. Prints one JSON object: the seconds of each repetition, the peak
+resident memory of the process in MiB, and with ``--hash`` the SHA-256 of the
+raw float model output, so that two checkouts can be compared for
+bit-identical outputs. Peak memory is process-wide: run each measurement in
+a fresh process.
+"""
+
+import argparse
+import hashlib
+import json
+import resource
+import time
+
+import numpy as np
+
+from crossagg.autodiff import Tensor
+from crossagg.harness import restore_image
+from crossagg.imaging import ImageU8
+from crossagg.model import cat_forward, init_params, preset_config
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--config", default="cat_a_x2", help="stock configuration name")
+    parser.add_argument("--side", type=int, default=96, help="input height and width")
+    parser.add_argument("--reps", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0, help="input image seed")
+    parser.add_argument("--hash", action="store_true", help="also hash one untimed float forward pass")
+    args = parser.parse_args()
+
+    config = preset_config(args.config)
+    store = init_params(config, 0)
+    rng = np.random.default_rng(args.seed)
+    img = ImageU8.from_array(rng.integers(0, 256, (args.side, args.side, config.in_channels), dtype=np.uint8))
+    seconds = []
+    for _ in range(args.reps):
+        t0 = time.perf_counter()
+        restore_image(store, config, img)
+        seconds.append(time.perf_counter() - t0)
+    report = {
+        "config": args.config,
+        "side": args.side,
+        "seconds": seconds,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+    if args.hash:
+        x = Tensor(img.data[None].astype(np.float64) / 255.0, dtype=store.dtype)
+        report["output_sha256"] = hashlib.sha256(cat_forward(x, store, config).data.tobytes()).hexdigest()
+    print(json.dumps(report))
+
+
+if __name__ == "__main__":
+    main()

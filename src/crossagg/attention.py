@@ -9,12 +9,19 @@ evaluated on the relative offset between the two pixels, normalized to
 [-1, 1] by the window extents. The optional locality complement adds a 3x3
 depthwise convolution of the full-resolution value map to the concatenated
 head outputs before the final projection.
+
+The per-window formula is one primitive, :func:`autodiff.window_attention`.
+It builds and normalizes the logits in place, a chunk of windows at a time
+under a fixed byte budget, so the full [windows, heads, n, n] logits exist
+only when a tape records the op or a probe asks for the weights. The chunked
+result is bit-identical to composing matmul, scale, bias, mask, softmax and
+matmul as separate ops.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -174,24 +181,20 @@ def _oriented_attention(
         pieces.append(ad.transpose(t, (0, 2, 1, 3)))  # [N*nw, heads, n, d]
     qw, kw, vw = pieces
 
-    logits = ad.mul(ad.matmul(qw, ad.transpose(kw, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
-    logits = ad.add(logits, bias)
+    mask = None
     if g.shifted:
         mask_key = ("mask", g.padded_h, g.padded_w, g.sh, g.sw, g.shift_down, g.shift_left, str(q.dtype))
         mask = cache.get(mask_key)
         if mask is None:
             mask = build_shift_mask(g, dtype=q.dtype).values
             cache[mask_key] = mask
-        nw = g.num_windows
-        logits = ad.reshape(logits, (batch, nw, heads, n, n))
-        logits = ad.add(logits, ad.reshape(mask, (1, nw, 1, n, n)))
-        logits = ad.reshape(logits, (batch * nw, heads, n, n))
-    attn = ad.softmax_lastdim(logits)
-    if probe is not None:
-        probe.setdefault("weights", {})[g.orientation] = attn.numpy()
+    scale = 1.0 / math.sqrt(d)
+    if probe is None:
+        y = ad.window_attention(qw, kw, vw, bias, mask, scale)  # [N*nw, heads, n, d]
+    else:
+        y, weights = ad.window_attention(qw, kw, vw, bias, mask, scale, weights=True)
+        probe.setdefault("weights", {})[g.orientation] = weights
         probe.setdefault("geometries", {})[g.orientation] = g
-
-    y = ad.matmul(attn, vw)  # [N*nw, heads, n, d]
     y = ad.transpose(y, (0, 2, 1, 3))
     y = ad.reshape(y, (y.shape[0], n, heads * d))
     y = merge(y, g, batch, g.padded_h, g.padded_w)
@@ -213,9 +216,13 @@ def rwin_self_attention(
 ) -> Tensor:
     """Rectangle-window self-attention over [N, H, W, C].
 
-    ``cache`` memoizes position-bias tables and shift masks per geometry; pass
-    a fresh dict whenever the parameters may have changed since the cached
-    entries were built (e.g. between training steps).
+    ``cache`` memoizes shift masks per geometry and position-bias tables per
+    window extent. A bias table is keyed on the ``uid`` of every pos-net
+    tensor and of the active tape as well, so a cache reused after the
+    weights change (e.g. across an Adam step) or under a new tape rebuilds
+    the table instead of returning stale values or a table the tape cannot
+    differentiate. ``probe``, if given, receives the attention weights and
+    the geometry of each orientation.
     """
     if x.ndim != 4:
         raise ValueError(f"attention expects rank 4 input, got {x.shape}")
@@ -233,14 +240,21 @@ def rwin_self_attention(
     k = ad.narrow(qkv, -1, c, c)
     v = ad.narrow(qkv, -1, 2 * c, c)
 
+    # A cached bias table is valid only for the pos-net tensors it was built
+    # from and the tape it was recorded on.
+    tape = ad._tape()
+    owner = (tape.uid if tape is not None else 0,) + tuple(
+        getattr(params.pos_net, f.name).uid for f in fields(params.pos_net)
+    )
     outs = []
     for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, height, width, shifted)
         bias_key = ("bias", g.sh, g.sw, str(x.dtype))
-        bias_full = cache.get(bias_key)
-        if bias_full is None:
-            bias_full = relative_position_bias(g, params.pos_net)
-            cache[bias_key] = bias_full
+        held = cache.get(bias_key)
+        if held is None or held[0] != owner:
+            held = (owner, relative_position_bias(g, params.pos_net))
+            cache[bias_key] = held
+        bias_full = held[1]
         bias = ad.narrow(bias_full, 0, oi * m_half, m_half)
         qo = ad.narrow(q, -1, oi * half, half)
         ko = ad.narrow(k, -1, oi * half, half)

@@ -33,6 +33,7 @@ __all__ = [
     "tensor",
     "matmul",
     "softmax_lastdim",
+    "window_attention",
     "layer_norm",
     "gelu",
     "relu",
@@ -180,10 +181,12 @@ class GradientTape:
     A tape is single-writer: record (by running ops inside its ``with`` block)
     and call :func:`backward` from one logical thread of control. Gradients
     are returned for watched tensors only; a watched tensor with no path to
-    the loss gets an exact zero gradient.
+    the loss gets an exact zero gradient. ``uid`` is never shared with another
+    tape or tensor, so caches of recorded values can key on it.
     """
 
     def __init__(self):
+        self.uid = next(_uid_counter)
         self._nodes: list[_Node] = []
         self._watched: dict[int, Tensor] = {}
         self._tracked: set[int] = set()
@@ -223,6 +226,12 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn):
     tape = _tape()
     if tape is not None:
         tape._record(out, inputs, backward_fn)
+
+
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` would be recorded on the active tape."""
+    tape = _tape()
+    return tape is not None and any(t.uid in tape._tracked for t in inputs)
 
 
 def backward(tape: GradientTape, loss: Tensor) -> dict[Tensor, Tensor]:
@@ -457,6 +466,85 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         y = add(y, bias)
     return y
+
+
+# Byte budget for the logits of one chunk of windows in window_attention.
+# Windows are independent, so the chunk size bounds memory without changing a
+# single output bit; 256 KiB to 4 MiB measured the same speed.
+WINDOW_CHUNK_BYTES = 1 << 20
+
+
+def window_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    bias: Tensor,
+    mask: Tensor | None,
+    scale: float,
+    weights: bool = False,
+):
+    """Attention within windows: ``softmax(scale * q k^T + bias + mask) v``.
+
+    ``q`` and ``k`` are [B, heads, n, d], ``v`` is [B, heads, n, dv], ``bias``
+    is [heads, n, n] and is shared by every window, and ``mask`` (no gradient)
+    is [nw, n, n] with window b taking ``mask[b % nw]``. The logits are built
+    and normalized in place, a chunk of windows at a time, in the same float
+    operations and order as the composed ops (matmul, mul, add, add,
+    softmax_lastdim, matmul), so the result is bit-identical to them. The
+    full [B, heads, n, n] probabilities are kept only when a tape records the
+    op or ``weights`` is set; then ``(out, probabilities)`` is returned, the
+    latter a read-only array.
+    """
+    if q.ndim != 4 or k.shape != q.shape or v.ndim != 4 or v.shape[:3] != q.shape[:3]:
+        raise ShapeError(
+            f"window_attention: q, k, v must be [B, heads, n, d], got {q.shape}, {k.shape}, {v.shape}"
+        )
+    b, heads, n, _ = q.shape
+    if bias.shape != (heads, n, n):
+        raise ShapeError(f"window_attention: bias {bias.shape} is not [heads, n, n] = {(heads, n, n)}")
+    if mask is not None and (mask.ndim != 3 or mask.shape[1:] != (n, n) or b % mask.shape[0] != 0):
+        raise ShapeError(f"window_attention: mask {mask.shape} is not [nw, {n}, {n}] with nw dividing {b}")
+    _check_same_dtype(*(t for t in (q, k, v, bias, mask) if t is not None))
+    scale = float(scale)
+    dtype = q.dtype
+    qd, kd, vd = q.data, k.data, v.data
+    out = np.empty((b, heads, n, v.shape[-1]), dtype=dtype)
+    keep = weights or _recording((q, k, v, bias))
+    step = max(1, WINDOW_CHUNK_BYTES // (heads * n * n * dtype.itemsize))
+    probs = np.empty((b, heads, n, n), dtype=dtype) if keep else None
+    scratch = None if keep else np.empty((min(step, b), heads, n, n), dtype=dtype)
+    for start in range(0, b, step):
+        stop = min(start + step, b)
+        p = probs[start:stop] if keep else scratch[: stop - start]
+        np.matmul(qd[start:stop], np.ascontiguousarray(kd[start:stop].swapaxes(-1, -2)), out=p)
+        p *= scale
+        p += bias.data
+        window = start
+        while mask is not None and window < stop:  # runs of consecutive mask windows, no copy
+            first = window % mask.shape[0]
+            run = min(stop - window, mask.shape[0] - first)
+            p[window - start : window - start + run] += mask.data[first : first + run, None]
+            window += run
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vd[start:stop], out=out[start:stop])
+    result = _freeze(out)
+
+    def bwd(g, p=probs, qd=qd, kd=kd, vd=vd, scale=scale):
+        dv = np.matmul(p.swapaxes(-1, -2), g)
+        dl = np.matmul(g, vd.swapaxes(-1, -2))
+        dl -= (dl * p).sum(axis=-1, keepdims=True)
+        dl *= p
+        dbias = dl.sum(axis=0)
+        dl *= scale
+        return (np.matmul(dl, kd), np.matmul(dl.swapaxes(-1, -2), qd), dv, dbias)
+
+    _record(result, (q, k, v, bias), bwd)
+    if not weights:
+        return result
+    probs.setflags(write=False)
+    return result, probs
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from crossagg.attention import (
     relative_position_bias,
     rwin_self_attention,
 )
-from crossagg.autodiff import Tensor
+from crossagg import autodiff as ad
+from crossagg.autodiff import GradientTape, OptimizerHyper, Tensor, adam_step, backward, init_adam_state
 from crossagg.reference import full_attention_oracle, position_bias_table
-from crossagg.windowing import HORIZONTAL, VERTICAL, WindowSpec, resolve_geometry
+from crossagg.windowing import HORIZONTAL, VERTICAL, WindowSpec, build_shift_mask, resolve_geometry
 
 from helpers import (
     assert_grads_match_fd,
@@ -349,3 +352,146 @@ def test_cache_is_reused_and_output_stable():
     assert cache.keys() == populated.keys()
     assert any(k[0] == "bias" for k in cache)
     assert any(k[0] == "mask" for k in cache)
+
+
+def _pos_net_dict(params: AttentionParams) -> dict:
+    return {f.name: getattr(params.pos_net, f.name) for f in dataclasses.fields(params.pos_net)}
+
+
+def _taped_pos_net_grads(x, params, spec, cache, probe):
+    net = _pos_net_dict(params)
+    tape = GradientTape()
+    tape.watch(net.values())
+    with tape:
+        out = rwin_self_attention(x, params, spec, shifted=True, cache=cache)
+        loss = ad.sum_all(ad.mul(out, probe))
+    grads = backward(tape, loss)
+    return out.numpy(), {name: grads[t] for name, t in net.items()}
+
+
+def test_bias_cache_follows_weight_updates_across_adam_step():
+    params = tiny_attention_params(c=4, heads=2, seed=37)
+    spec = WindowSpec.regular(2, 4)
+    x = Tensor(rand((1, 4, 8, 4), 38), dtype=np.float64)
+    probe = Tensor(rand((1, 4, 8, 4), 39, scale=1.0), dtype=np.float64)
+    cache = {}
+    _, grads = _taped_pos_net_grads(x, params, spec, cache, probe)
+    net = _pos_net_dict(params)
+    new_net, _ = adam_step(net, grads, init_adam_state(net), OptimizerHyper(learning_rate=0.1))
+    stepped = dataclasses.replace(params, pos_net=PositionBiasParams(**new_net))
+
+    out, grads = _taped_pos_net_grads(x, stepped, spec, cache, probe)
+    fresh_out, fresh_grads = _taped_pos_net_grads(x, stepped, spec, {}, probe)
+    assert np.array_equal(out, fresh_out)
+    for name, g in fresh_grads.items():
+        assert np.any(g.data != 0), name
+        assert np.array_equal(grads[name].data, g.data), name
+
+
+def test_bias_cache_built_without_tape_is_rebuilt_under_tape():
+    params = tiny_attention_params(c=4, heads=2, seed=40)
+    spec = WindowSpec.regular(2, 4)
+    x = Tensor(rand((1, 4, 8, 4), 41), dtype=np.float64)
+    probe = Tensor(rand((1, 4, 8, 4), 42, scale=1.0), dtype=np.float64)
+    cache = {}
+    rwin_self_attention(x, params, spec, shifted=True, cache=cache)
+    _, grads = _taped_pos_net_grads(x, params, spec, cache, probe)
+    _, fresh_grads = _taped_pos_net_grads(x, params, spec, {}, probe)
+    for name, g in fresh_grads.items():
+        assert np.any(g.data != 0), name
+        assert np.array_equal(grads[name].data, g.data), name
+
+
+# ---------------------------------------------------------------------------
+# window_attention: the fused, chunked primitive
+# ---------------------------------------------------------------------------
+
+
+def _composed_attention(q, k, v, bias, mask, scale):
+    """The composed op order window_attention replaces, in plain numpy."""
+    logits = np.matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2))) * scale
+    logits = logits + bias
+    if mask is not None:
+        b, heads, n, _ = logits.shape
+        nw = mask.shape[0]
+        logits = (logits.reshape(b // nw, nw, heads, n, n) + mask.reshape(1, nw, 1, n, n)).reshape(logits.shape)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
+
+
+def _window_inputs(b, heads, n, d, seed, dtype):
+    q, k, v = (rand((b, heads, n, d), seed + i, scale=1.0, dtype=dtype) for i in range(3))
+    return q, k, v, rand((heads, n, n), seed + 3, scale=1.0, dtype=dtype)
+
+
+def _chunk_windows(monkeypatch, windows, heads, n, dtype):
+    """Make window_attention evaluate ``windows`` windows per chunk."""
+    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", windows * heads * n * n * np.dtype(dtype).itemsize)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_window_attention_partial_last_chunk_is_bit_identical(monkeypatch, dtype):
+    heads, n, d, per_chunk = 2, 12, 4, 4
+    b = 2 * per_chunk + 3  # two full chunks and a partial one
+    _chunk_windows(monkeypatch, per_chunk, heads, n, dtype)
+    q, k, v, bias = _window_inputs(b, heads, n, d, 50, dtype)
+    t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
+    out = ad.window_attention(*t, None, 0.5)
+    assert out.dtype == dtype
+    assert np.array_equal(out.data, _composed_attention(q, k, v, bias, None, 0.5))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype):
+    g = resolve_geometry(WindowSpec.axial(4), HORIZONTAL, 24, 16, shifted=True)
+    nw, n, heads, d, per_chunk = g.num_windows, g.window_pixels, 2, 4, 4
+    assert nw % per_chunk != 0  # a chunk holds the last windows of image 0 and the first of image 1
+    _chunk_windows(monkeypatch, per_chunk, heads, n, dtype)
+    mask = build_shift_mask(g, dtype=dtype).values
+    q, k, v, bias = _window_inputs(2 * nw, heads, n, d, 60, dtype)
+    t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
+    scale = 1.0 / math.sqrt(d)
+    want = _composed_attention(q, k, v, bias, mask.data, scale)
+    assert np.array_equal(ad.window_attention(*t, mask, scale).data, want)
+    out, weights = ad.window_attention(*t, mask, scale, weights=True)
+    assert np.array_equal(out.data, want)
+    assert weights.shape == (2 * nw, heads, n, n)
+    assert np.allclose(weights.sum(axis=-1), 1.0)
+
+
+def test_window_attention_gradients_match_finite_differences(monkeypatch):
+    b, heads, n, d = 4, 2, 3, 2
+    _chunk_windows(monkeypatch, 1, heads, n, np.float64)
+    mask = np.zeros((2, n, n))
+    mask[1, 0, 2] = mask[1, 2, 0] = -1e9
+    mask_t = Tensor(mask, dtype=np.float64)
+    q, k, v, bias = _window_inputs(b, heads, n, d, 70, np.float64)
+    assert_grads_match_fd(
+        lambda t: ad.window_attention(t["q"], t["k"], t["v"], t["bias"], mask_t, 0.7),
+        {"q": q, "k": k, "v": v, "bias": bias},
+    )
+
+
+def test_window_attention_rejects_bad_shapes():
+    q, k, v, bias = (Tensor(a) for a in _window_inputs(4, 2, 3, 2, 80, np.float64))
+    with pytest.raises(ad.ShapeError):
+        ad.window_attention(q, k, v, Tensor(np.zeros((2, 3, 4))), None, 1.0)
+    with pytest.raises(ad.ShapeError):
+        ad.window_attention(q, k, v, bias, Tensor(np.zeros((3, 3, 3))), 1.0)
+
+
+def test_untaped_axial_attention_peaks_below_one_logits_tensor():
+    params = tiny_attention_params(c=8, heads=2, seed=90, dtype=np.float32)
+    spec = WindowSpec.axial(4)
+    x = Tensor(rand((1, 64, 64, 8), 91, scale=1.0), dtype=np.float32)
+    cache = {}
+    rwin_self_attention(x, params, spec, shifted=True, cache=cache)  # builds the cached mask and bias
+    g = resolve_geometry(spec, HORIZONTAL, 64, 64, shifted=True)
+    logits_bytes = g.num_windows * (params.heads // 2) * g.window_pixels**2 * 4
+    tracemalloc.start()
+    try:
+        rwin_self_attention(x, params, spec, shifted=True, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < logits_bytes, (peak, logits_bytes)
