@@ -30,7 +30,6 @@ from .windowing import (
     HORIZONTAL,
     MASK_VALUE,
     VERTICAL,
-    AttentionMask,
     WindowGeometry,
     WindowSpec,
     build_shift_mask,
@@ -76,7 +75,6 @@ from .imaging import (
     ssim,
 )
 from .harness import (
-    EvalRecord,
     OverfitResult,
     dihedral_inverse,
     dihedral_transform,

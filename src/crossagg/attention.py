@@ -162,7 +162,6 @@ def _oriented_attention(
     g: WindowGeometry,
     bias: Tensor,
     params: AttentionParams,
-    cache: dict,
     probe: dict | None,
 ) -> Tensor:
     batch = q.shape[0]
@@ -181,18 +180,12 @@ def _oriented_attention(
         pieces.append(ad.transpose(t, (0, 2, 1, 3)))  # [N*nw, heads, n, d]
     qw, kw, vw = pieces
 
-    mask = None
-    if g.shifted:
-        mask_key = ("mask", g.padded_h, g.padded_w, g.sh, g.sw, g.shift_down, g.shift_left, str(q.dtype))
-        mask = cache.get(mask_key)
-        if mask is None:
-            mask = build_shift_mask(g, dtype=q.dtype).values
-            cache[mask_key] = mask
+    regions = build_shift_mask(g) if g.shifted else None
     scale = 1.0 / math.sqrt(d)
     if probe is None:
-        y = ad.window_attention(qw, kw, vw, bias, mask, scale)  # [N*nw, heads, n, d]
+        y = ad.window_attention(qw, kw, vw, bias, regions, scale)  # [N*nw, heads, n, d]
     else:
-        y, weights = ad.window_attention(qw, kw, vw, bias, mask, scale, weights=True)
+        y, weights = ad.window_attention(qw, kw, vw, bias, regions, scale, weights=True)
         probe.setdefault("weights", {})[g.orientation] = weights
         probe.setdefault("geometries", {})[g.orientation] = g
     y = ad.transpose(y, (0, 2, 1, 3))
@@ -216,13 +209,12 @@ def rwin_self_attention(
 ) -> Tensor:
     """Rectangle-window self-attention over [N, H, W, C].
 
-    ``cache`` memoizes shift masks per geometry and position-bias tables per
-    window extent. A bias table is keyed on the ``uid`` of every pos-net
-    tensor and of the active tape as well, so a cache reused after the
-    weights change (e.g. across an Adam step) or under a new tape rebuilds
-    the table instead of returning stale values or a table the tape cannot
-    differentiate. ``probe``, if given, receives the attention weights and
-    the geometry of each orientation.
+    ``cache`` memoizes position-bias tables per window extent. A table is
+    keyed on the ``uid`` of every pos-net tensor and of the active tape as
+    well, so a cache reused after the weights change (e.g. across an Adam
+    step) or under a new tape rebuilds the table instead of returning stale
+    values or a table the tape cannot differentiate. ``probe``, if given,
+    receives the attention weights and the geometry of each orientation.
     """
     if x.ndim != 4:
         raise ValueError(f"attention expects rank 4 input, got {x.shape}")
@@ -259,7 +251,7 @@ def rwin_self_attention(
         qo = ad.narrow(q, -1, oi * half, half)
         ko = ad.narrow(k, -1, oi * half, half)
         vo = ad.narrow(v, -1, oi * half, half)
-        outs.append(_oriented_attention(qo, ko, vo, g, bias, params, cache, probe))
+        outs.append(_oriented_attention(qo, ko, vo, g, bias, params, probe))
 
     y = ad.concat(outs, axis=-1)
     if lcm:

@@ -11,17 +11,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientTape, OptimizerHyper, Tensor, adam_step, backward, init_adam_state
-from .imaging import ImageU8, bicubic_resize, psnr, rgb_to_y, ssim
+from .imaging import ImageU8, bicubic_resize, rgb_to_y
 from .model import ModelConfig, ParamStore, cat_forward, init_params, preset_config
 
 __all__ = [
-    "EvalRecord",
     "dihedral_transform",
     "dihedral_inverse",
     "self_ensemble_infer",
     "restore_image",
     "quantize",
-    "evaluate_pair",
     "OverfitResult",
     "overfit_target",
     "run_overfit",
@@ -91,48 +89,6 @@ def restore_image(store: ParamStore, config: ModelConfig, img: ImageU8, ensemble
         return self_ensemble_infer(forward, img)
     out = forward(img.data.astype(np.float64) / 255.0)
     return ImageU8.from_array(quantize(np.asarray(out, dtype=np.float64)))
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """One restoration evaluation result."""
-
-    input_path: str
-    reference_path: str
-    task: str
-    degradation: str  # e.g. "scale=4" or "q=10"
-    psnr_db: float
-    ssim_value: float
-    channel_mode: str
-    border_crop: int
-
-    def __post_init__(self):
-        if not -1.0 <= self.ssim_value <= 1.0:
-            raise ValueError(f"SSIM {self.ssim_value} out of [-1, 1]")
-        if self.psnr_db < 0.0:
-            raise ValueError(f"PSNR {self.psnr_db} must be nonnegative")
-
-
-def evaluate_pair(
-    reference: ImageU8,
-    test: ImageU8,
-    reference_path: str = "",
-    test_path: str = "",
-    task: str = "",
-    degradation: str = "",
-    channel_mode: str = "rgb",
-    crop: int = 0,
-) -> EvalRecord:
-    return EvalRecord(
-        input_path=test_path,
-        reference_path=reference_path,
-        task=task,
-        degradation=degradation,
-        psnr_db=psnr(reference, test, channel_mode, crop),
-        ssim_value=ssim(reference, test, channel_mode, crop),
-        channel_mode=channel_mode,
-        border_crop=crop,
-    )
 
 
 # ---------------------------------------------------------------------------

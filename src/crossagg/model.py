@@ -14,6 +14,7 @@ convolution plus a global residual from the input.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -129,19 +130,14 @@ class ModelConfig:
 class ParamStore:
     """Ordered, immutable-by-convention map of named parameter tensors.
 
-    Iteration order is lexicographic in the hierarchical names; every tensor
-    carries a trainability flag (informational; all built-in parameters are
-    trainable).
+    Iteration order is lexicographic in the hierarchical names.
     """
 
-    def __init__(self, entries: dict[str, Tensor], trainable: dict[str, bool] | None = None):
+    def __init__(self, entries: dict[str, Tensor]):
         names = sorted(entries)
         if len(names) != len(set(names)):
             raise ValueError("duplicate parameter names")
         self._entries = {name: entries[name] for name in names}
-        self._trainable = {name: True for name in names}
-        if trainable:
-            self._trainable.update({k: bool(v) for k, v in trainable.items() if k in self._entries})
 
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
@@ -161,9 +157,6 @@ class ParamStore:
     def as_dict(self) -> dict[str, Tensor]:
         return dict(self._entries)
 
-    def trainable(self, name: str) -> bool:
-        return self._trainable[name]
-
     @property
     def dtype(self):
         return next(iter(self._entries.values())).dtype
@@ -179,7 +172,7 @@ class ParamStore:
             if t.shape != merged[name].shape:
                 raise ValueError(f"shape change for '{name}': {merged[name].shape} -> {t.shape}")
             merged[name] = t
-        return ParamStore(merged, dict(self._trainable))
+        return ParamStore(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +473,11 @@ def load_weights(path: str, expected_names=None) -> ParamStore:
     entries: dict[str, Tensor] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.take(2, "name length"))
-        name = r.take(name_len, "name").decode("utf-8")
+        raw = r.take(name_len, "name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightFormatError(f"entry name {raw!r} at offset {r.off - name_len} is not UTF-8") from None
         code, rank = struct.unpack("<BB", r.take(2, f"header of '{name}'"))
         if code not in _CODE_DTYPES:
             raise WeightFormatError(f"unknown dtype code {code} for '{name}'")
@@ -488,7 +485,8 @@ def load_weights(path: str, expected_names=None) -> ParamStore:
         if any(d < 1 for d in dims):
             raise WeightFormatError(f"non-positive extent in dims {dims} of '{name}'")
         dt = _CODE_DTYPES[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dt.itemsize if rank else dt.itemsize
+        # Exact integer count: a product that wraps in int64 would read the wrong number of bytes.
+        nbytes = math.prod(dims) * dt.itemsize
         data = np.frombuffer(r.take(nbytes, f"data of '{name}'"), dtype=dt).reshape(dims)
         if name in entries:
             raise WeightFormatError(f"duplicate entry '{name}'")

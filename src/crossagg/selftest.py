@@ -41,18 +41,21 @@ from .windowing import (
     resolve_geometry,
 )
 
-__all__ = ["CHECKS", "run_selftests"]
+__all__ = ["CHECKS", "run_selftests", "tiny_attention_params", "attention_params_numpy"]
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _tiny_attention_params(c=4, heads=2, seed=0, dtype=np.float64, hidden=8):
+def tiny_attention_params(
+    c=4, heads=2, seed=0, dtype=np.float64, hidden=8, scale=0.1, lcm=True
+) -> AttentionParams:
+    """Small random attention weights, N(0, scale) per element."""
     r = _rng(seed)
 
     def t(*shape):
-        return Tensor(r.normal(0, 0.1, size=shape), dtype=dtype)
+        return Tensor(r.normal(0.0, scale, size=shape), dtype=dtype)
 
     net = PositionBiasParams(
         w1=t(2, hidden), b1=t(hidden), w2=t(hidden, hidden), b2=t(hidden), w3=t(hidden, heads), b3=t(heads)
@@ -62,21 +65,20 @@ def _tiny_attention_params(c=4, heads=2, seed=0, dtype=np.float64, hidden=8):
         qkv_bias=t(3 * c),
         proj_weight=t(c, c),
         proj_bias=t(c),
-        lcm_weight=t(3, 3, c, 1),
-        lcm_bias=t(c),
+        lcm_weight=t(3, 3, c, 1) if lcm else None,
+        lcm_bias=t(c) if lcm else None,
         pos_net=net,
         heads=heads,
     )
 
 
-def _params_as_numpy(p: AttentionParams) -> dict:
-    return {
+def attention_params_numpy(p: AttentionParams) -> dict:
+    """The weights as the plain arrays that :mod:`reference` takes."""
+    out = {
         "qkv_w": p.qkv_weight.numpy(),
         "qkv_b": p.qkv_bias.numpy(),
         "proj_w": p.proj_weight.numpy(),
         "proj_b": p.proj_bias.numpy(),
-        "lcm_w": p.lcm_weight.numpy(),
-        "lcm_b": p.lcm_bias.numpy(),
         "w1": p.pos_net.w1.numpy(),
         "b1": p.pos_net.b1.numpy(),
         "w2": p.pos_net.w2.numpy(),
@@ -84,6 +86,10 @@ def _params_as_numpy(p: AttentionParams) -> dict:
         "w3": p.pos_net.w3.numpy(),
         "b3": p.pos_net.b3.numpy(),
     }
+    if p.lcm_weight is not None:
+        out["lcm_w"] = p.lcm_weight.numpy()
+        out["lcm_b"] = p.lcm_bias.numpy()
+    return out
 
 
 def check_softmax_rows():
@@ -137,25 +143,26 @@ def check_conv_identity():
 
 def check_mask_regions():
     g = resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4, shifted=True)
-    mask = build_shift_mask(g).values.numpy()
-    assert np.array_equal(mask, mask.transpose(0, 2, 1))
-    assert np.all(np.diagonal(mask, axis1=1, axis2=2) == 0.0)
+    ids = build_shift_mask(g)
+    assert ids.shape == (g.num_windows, g.window_pixels)
+    # Top windows hold the wrapped row; the top-right one the wrapped column too.
+    assert [len(np.unique(w)) for w in ids] == [2, 4, 1, 2]
 
 
 def check_attention_bruteforce():
     for spec, shape in ((WindowSpec.regular(2, 4), (4, 8, 4)), (WindowSpec.axial(2), (6, 6, 4))):
         h, w, c = shape
-        params = _tiny_attention_params(c=c, heads=2, seed=7)
+        params = tiny_attention_params(c=c, heads=2, seed=7)
         x = _rng(8).normal(size=(h, w, c))
         got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec, lcm=True).numpy()[0]
-        want = full_attention_oracle(x, _params_as_numpy(params), spec, heads=2, lcm=True)
+        want = full_attention_oracle(x, attention_params_numpy(params), spec, heads=2, lcm=True)
         assert np.max(np.abs(got - want)) <= 1e-9, spec
 
 
 def check_shifted_attention_support():
     spec = WindowSpec.regular(2, 4)
     c = 4
-    params = _tiny_attention_params(c=c, heads=2, seed=9)
+    params = tiny_attention_params(c=c, heads=2, seed=9)
     x = Tensor(_rng(10).normal(scale=0.5, size=(1, 6, 8, c)), dtype=np.float64)
     probe: dict = {}
     rwin_self_attention(x, params, spec, shifted=True, lcm=False, probe=probe)
@@ -177,7 +184,7 @@ def check_shifted_attention_support():
 def check_gradient_small():
     spec = WindowSpec.regular(2, 2)
     c, heads = 4, 2
-    params = _tiny_attention_params(c=c, heads=heads, seed=11, hidden=6)
+    params = tiny_attention_params(c=c, heads=heads, seed=11, hidden=6)
     x = Tensor(_rng(12).normal(size=(1, 4, 4, c)), dtype=np.float64)
     probe_weights = [params.qkv_weight, params.pos_net.w3, params.lcm_bias]
     tape = GradientTape()

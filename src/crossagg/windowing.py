@@ -5,8 +5,9 @@ windows are wide (sh <= sw) and vertical windows are tall; axial windows span
 the full padded height or width, with a finite side of length sl. Between
 consecutive attention blocks the partition is moved down-left by half a
 window per finite axis ("axial shift"), realized as a cyclic roll of the
-feature map plus an additive mask that forbids attention between pixels that
-were not neighbors before the wrap.
+feature map plus a mask that forbids attention between pixels that were not
+neighbors before the wrap. The mask is stored as per-pixel region ids and
+applied inside :func:`autodiff.window_attention`.
 
 Window extents never exceed the padded feature extent: a window side larger
 than the image degrades to a full span. Non-divisible resolutions are
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _freeze, reshape, roll_spatial, transpose
+from .autodiff import MASK_VALUE, Tensor, reshape, roll_spatial, transpose
 
 __all__ = [
     "HORIZONTAL",
@@ -28,7 +29,6 @@ __all__ = [
     "MASK_VALUE",
     "WindowSpec",
     "WindowGeometry",
-    "AttentionMask",
     "resolve_geometry",
     "partition",
     "merge",
@@ -38,10 +38,6 @@ __all__ = [
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
-
-# Finite additive mask: large enough to underflow to an exact softmax zero,
-# finite so the stabilizing max subtraction never produces (-inf) - (-inf).
-MASK_VALUE = -1e9
 
 
 @dataclass(frozen=True)
@@ -111,17 +107,6 @@ class WindowGeometry:
     @property
     def shifted(self) -> bool:
         return self.shift_down != 0 or self.shift_left != 0
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    """Additive attention bias per window: 0 or MASK_VALUE, [nw, n, n]."""
-
-    values: Tensor
-
-    def __post_init__(self):
-        if self.values.ndim != 3 or self.values.shape[1] != self.values.shape[2]:
-            raise ValueError(f"mask must be [nw, n, n], got {self.values.shape}")
 
 
 def resolve_geometry(
@@ -218,8 +203,8 @@ def _region_ids(g: WindowGeometry) -> np.ndarray:
     >= W - shift_left carry content from the left edge. Pixels may attend
     only within one of the <= 4 bands these two splits induce.
     """
-    rows = (np.arange(g.padded_h) < g.shift_down).astype(np.int64)
-    cols = (np.arange(g.padded_w) >= g.padded_w - g.shift_left).astype(np.int64)
+    rows = (np.arange(g.padded_h) < g.shift_down).astype(np.int8)
+    cols = (np.arange(g.padded_w) >= g.padded_w - g.shift_left).astype(np.int8)
     return rows[:, None] * 2 + cols[None, :]
 
 
@@ -230,13 +215,8 @@ def _partition_np(a: np.ndarray, sh: int, sw: int) -> np.ndarray:
     )
 
 
-def build_shift_mask(g: WindowGeometry, dtype=np.float32) -> AttentionMask:
-    """Additive mask for a shifted geometry: entry (w, i, j) is 0 when pixels
-    i and j of window w share a pre-shift region, MASK_VALUE otherwise."""
-    n = g.window_pixels
-    if not g.shifted:
-        return AttentionMask(_freeze(np.zeros((g.num_windows, n, n), dtype=dtype)))
-    ids = _partition_np(_region_ids(g), g.sh, g.sw)
-    same = ids[:, :, None] == ids[:, None, :]
-    values = np.where(same, 0.0, MASK_VALUE).astype(dtype)
-    return AttentionMask(_freeze(values))
+def build_shift_mask(g: WindowGeometry) -> np.ndarray:
+    """Region ids of a geometry's windows, [nw, n] ints: pixels i and j of
+    window w may attend to each other iff their ids are equal. Every id is 0
+    when the geometry is unshifted."""
+    return _partition_np(_region_ids(g), g.sh, g.sw)

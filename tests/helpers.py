@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 
 from crossagg import autodiff as ad
-from crossagg.attention import AttentionParams, PositionBiasParams
+from crossagg.attention import AttentionParams
 from crossagg.autodiff import GradientTape, Tensor, backward
+from crossagg.selftest import attention_params_numpy, tiny_attention_params  # noqa: F401 - re-exported
 
 
 def repo_root() -> Path:
@@ -16,53 +17,6 @@ def repo_root() -> Path:
 
 def rand(shape, seed, scale=0.1, dtype=np.float64) -> np.ndarray:
     return np.random.default_rng(seed).normal(0.0, scale, size=shape).astype(dtype)
-
-
-def tiny_attention_params(
-    c=4, heads=2, seed=0, dtype=np.float64, hidden=8, scale=0.1, lcm=True
-) -> AttentionParams:
-    rng = np.random.default_rng(seed)
-
-    def t(*shape):
-        return Tensor(rng.normal(0.0, scale, size=shape), dtype=dtype)
-
-    net = PositionBiasParams(
-        w1=t(2, hidden),
-        b1=t(hidden),
-        w2=t(hidden, hidden),
-        b2=t(hidden),
-        w3=t(hidden, heads),
-        b3=t(heads),
-    )
-    return AttentionParams(
-        qkv_weight=t(c, 3 * c),
-        qkv_bias=t(3 * c),
-        proj_weight=t(c, c),
-        proj_bias=t(c),
-        lcm_weight=t(3, 3, c, 1) if lcm else None,
-        lcm_bias=t(c) if lcm else None,
-        pos_net=net,
-        heads=heads,
-    )
-
-
-def attention_params_numpy(p: AttentionParams) -> dict:
-    out = {
-        "qkv_w": p.qkv_weight.numpy(),
-        "qkv_b": p.qkv_bias.numpy(),
-        "proj_w": p.proj_weight.numpy(),
-        "proj_b": p.proj_bias.numpy(),
-        "w1": p.pos_net.w1.numpy(),
-        "b1": p.pos_net.b1.numpy(),
-        "w2": p.pos_net.w2.numpy(),
-        "b2": p.pos_net.b2.numpy(),
-        "w3": p.pos_net.w3.numpy(),
-        "b3": p.pos_net.b3.numpy(),
-    }
-    if p.lcm_weight is not None:
-        out["lcm_w"] = p.lcm_weight.numpy()
-        out["lcm_b"] = p.lcm_bias.numpy()
-    return out
 
 
 def eval_pos_net_numpy(p: AttentionParams, offsets: np.ndarray) -> np.ndarray:

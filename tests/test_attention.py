@@ -15,7 +15,7 @@ from crossagg.attention import (
 from crossagg import autodiff as ad
 from crossagg.autodiff import GradientTape, OptimizerHyper, Tensor, adam_step, backward, init_adam_state
 from crossagg.reference import full_attention_oracle, position_bias_table
-from crossagg.windowing import HORIZONTAL, VERTICAL, WindowSpec, build_shift_mask, resolve_geometry
+from crossagg.windowing import HORIZONTAL, MASK_VALUE, VERTICAL, WindowSpec, build_shift_mask, resolve_geometry
 
 from helpers import (
     assert_grads_match_fd,
@@ -351,7 +351,6 @@ def test_cache_is_reused_and_output_stable():
     assert np.array_equal(first, second)
     assert cache.keys() == populated.keys()
     assert any(k[0] == "bias" for k in cache)
-    assert any(k[0] == "mask" for k in cache)
 
 
 def _pos_net_dict(params: AttentionParams) -> dict:
@@ -447,13 +446,14 @@ def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype)
     nw, n, heads, d, per_chunk = g.num_windows, g.window_pixels, 2, 4, 4
     assert nw % per_chunk != 0  # a chunk holds the last windows of image 0 and the first of image 1
     _chunk_windows(monkeypatch, per_chunk, heads, n, dtype)
-    mask = build_shift_mask(g, dtype=dtype).values
+    regions = build_shift_mask(g)
+    mask = np.where(regions[:, :, None] == regions[:, None, :], 0.0, MASK_VALUE).astype(dtype)
     q, k, v, bias = _window_inputs(2 * nw, heads, n, d, 60, dtype)
     t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
     scale = 1.0 / math.sqrt(d)
-    want = _composed_attention(q, k, v, bias, mask.data, scale)
-    assert np.array_equal(ad.window_attention(*t, mask, scale).data, want)
-    out, weights = ad.window_attention(*t, mask, scale, weights=True)
+    want = _composed_attention(q, k, v, bias, mask, scale)
+    assert np.array_equal(ad.window_attention(*t, regions, scale).data, want)
+    out, weights = ad.window_attention(*t, regions, scale, weights=True)
     assert np.array_equal(out.data, want)
     assert weights.shape == (2 * nw, heads, n, n)
     assert np.allclose(weights.sum(axis=-1), 1.0)
@@ -462,12 +462,10 @@ def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype)
 def test_window_attention_gradients_match_finite_differences(monkeypatch):
     b, heads, n, d = 4, 2, 3, 2
     _chunk_windows(monkeypatch, 1, heads, n, np.float64)
-    mask = np.zeros((2, n, n))
-    mask[1, 0, 2] = mask[1, 2, 0] = -1e9
-    mask_t = Tensor(mask, dtype=np.float64)
+    regions = np.array([[0, 0, 0], [0, 1, 1]])  # window 1 masks pixel 0 from pixels 1 and 2
     q, k, v, bias = _window_inputs(b, heads, n, d, 70, np.float64)
     assert_grads_match_fd(
-        lambda t: ad.window_attention(t["q"], t["k"], t["v"], t["bias"], mask_t, 0.7),
+        lambda t: ad.window_attention(t["q"], t["k"], t["v"], t["bias"], regions, 0.7),
         {"q": q, "k": k, "v": v, "bias": bias},
     )
 
@@ -477,7 +475,7 @@ def test_window_attention_rejects_bad_shapes():
     with pytest.raises(ad.ShapeError):
         ad.window_attention(q, k, v, Tensor(np.zeros((2, 3, 4))), None, 1.0)
     with pytest.raises(ad.ShapeError):
-        ad.window_attention(q, k, v, bias, Tensor(np.zeros((3, 3, 3))), 1.0)
+        ad.window_attention(q, k, v, bias, np.zeros((3, 3), dtype=np.int64), 1.0)
 
 
 def test_untaped_axial_attention_peaks_below_one_logits_tensor():
@@ -485,7 +483,7 @@ def test_untaped_axial_attention_peaks_below_one_logits_tensor():
     spec = WindowSpec.axial(4)
     x = Tensor(rand((1, 64, 64, 8), 91, scale=1.0), dtype=np.float32)
     cache = {}
-    rwin_self_attention(x, params, spec, shifted=True, cache=cache)  # builds the cached mask and bias
+    rwin_self_attention(x, params, spec, shifted=True, cache=cache)  # builds the cached bias
     g = resolve_geometry(spec, HORIZONTAL, 64, 64, shifted=True)
     logits_bytes = g.num_windows * (params.heads // 2) * g.window_pixels**2 * 4
     tracemalloc.start()

@@ -3,10 +3,8 @@ import pytest
 
 from crossagg.autodiff import Tensor
 from crossagg.harness import (
-    EvalRecord,
     dihedral_inverse,
     dihedral_transform,
-    evaluate_pair,
     quantize,
     restore_image,
     run_overfit,
@@ -95,21 +93,6 @@ def test_metrics_invariant_under_common_dihedral_transform():
         ta, tb = dihedral_transform(a, k), dihedral_transform(b, k)
         assert psnr(ta, tb) == pytest.approx(base_p, abs=1e-9)
         assert ssim(ta, tb) == pytest.approx(base_s, abs=1e-6)
-
-
-def test_evaluate_pair_builds_record():
-    img = ImageU8.from_array(np.random.default_rng(5).integers(0, 256, (16, 16, 3), dtype=np.uint8))
-    record = evaluate_pair(img, img, reference_path="a.png", test_path="b.png", task="sr", degradation="scale=2")
-    assert record.psnr_db == 100.0
-    assert record.ssim_value == 1.0
-    assert record.reference_path == "a.png"
-
-
-def test_eval_record_validates_ranges():
-    with pytest.raises(ValueError):
-        EvalRecord("a", "b", "sr", "scale=2", psnr_db=30.0, ssim_value=1.5, channel_mode="y", border_crop=0)
-    with pytest.raises(ValueError):
-        EvalRecord("a", "b", "sr", "scale=2", psnr_db=-1.0, ssim_value=0.5, channel_mode="y", border_crop=0)
 
 
 def test_overfit_smoke_decreases_loss_deterministically():

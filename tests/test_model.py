@@ -215,7 +215,6 @@ def test_store_iteration_is_lexicographic_and_unique():
     assert names == sorted(names)
     assert len(names) == len(set(names))
     assert store.total_elements() == count_params(_tiny_config())
-    assert all(store.trainable(n) for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +316,24 @@ def test_weight_missing_entry_rejected(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(WeightFormatError, match="other.weight"):
         load_weights(str(path), expected_names=["expected.weight", "other.weight"])
+
+
+def test_weight_non_utf8_name_rejected(tmp_path):
+    blob = b"CATW" + struct.pack("<I", 1) + struct.pack("<I", 1)
+    blob += _single_entry_file("w").replace(b"w", b"\xff", 1)
+    path = tmp_path / "latin1.catw"
+    path.write_bytes(blob)
+    with pytest.raises(WeightFormatError, match="UTF-8"):
+        load_weights(str(path))
+
+
+def test_weight_dims_overflowing_int64_rejected(tmp_path):
+    # 2**31 cubed elements wrap np.prod(..., int64) to 0; the count must be exact.
+    entry = struct.pack("<H", 1) + b"w" + struct.pack("<BB", 0, 3) + struct.pack("<3I", *(2**31,) * 3)
+    path = tmp_path / "huge.catw"
+    path.write_bytes(b"CATW" + struct.pack("<I", 1) + struct.pack("<I", 1) + entry)
+    with pytest.raises(WeightFormatError, match="truncated"):
+        load_weights(str(path))
 
 
 def test_weight_bad_version_rejected(tmp_path):
