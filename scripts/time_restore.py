@@ -3,11 +3,11 @@
     OPENBLAS_NUM_THREADS=1 python scripts/time_restore.py --config cat_a_x2 --side 96
 
 Uses the stock weights ``init_params(config, 0)`` and a seeded random RGB
-image. Prints one JSON object: the seconds of each repetition, the peak
-resident memory of the process in MiB, and with ``--hash`` the SHA-256 of the
-raw float model output, so that two checkouts can be compared for
-bit-identical outputs. Peak memory is process-wide: run each measurement in
-a fresh process.
+image. Prints one JSON object: the seconds and the minor page faults of each
+repetition, the peak resident memory of the process in MiB, and with
+``--hash`` the SHA-256 of the raw float model output, so that two checkouts
+can be compared for bit-identical outputs. Peak memory is process-wide: run
+each measurement in a fresh process.
 """
 
 import argparse
@@ -38,14 +38,18 @@ def main():
     rng = np.random.default_rng(args.seed)
     img = ImageU8.from_array(rng.integers(0, 256, (args.side, args.side, config.in_channels), dtype=np.uint8))
     seconds = []
+    minflt = []
     for _ in range(args.reps):
+        faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         restore_image(store, config, img)
         seconds.append(time.perf_counter() - t0)
+        minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0)
     report = {
         "config": args.config,
         "side": args.side,
         "seconds": seconds,
+        "minflt": minflt,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if args.hash:

@@ -15,6 +15,7 @@ node.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -62,6 +63,41 @@ __all__ = [
 FLOAT_DTYPES = (np.float32, np.float64)
 
 _uid_counter = itertools.count(1)
+
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Above a stock forward pass's working set, so the op outputs freed between
+# ops stay in the heap for the next op instead of being trimmed and faulted in
+# again.
+_MALLOC_TRIM_THRESHOLD = 1 << 30
+# glibc's 64-bit ceiling for its dynamic threshold: arrays above it are still
+# mmapped and returned to the OS when freed.
+_MALLOC_MMAP_THRESHOLD = 32 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's heap-trim and mmap thresholds for this process.
+
+    With glibc's defaults (a dynamic mmap threshold, and a trim threshold that
+    follows it) the op outputs freed between ops are handed back to the OS and
+    faulted in again by the next op: about 10^5 minor faults per stock-width
+    forward pass, a count that moves with whatever allocation sits at the top
+    of the heap. Resident memory now stays at the process's peak heap use
+    instead. Without ``mallopt`` (not glibc) nothing is changed, and a
+    rejected value is ignored.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _MALLOC_TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MALLOC_MMAP_THRESHOLD)
+
+
+_pin_malloc_thresholds()
 
 
 class ShapeError(ValueError):

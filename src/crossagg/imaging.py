@@ -174,6 +174,8 @@ def _load_png(buf: bytes) -> ImageU8:
             break
     if ihdr is None or not seen_end:
         raise ImageFormatError("malformed header: missing IHDR or IEND")
+    if len(ihdr) != 13:
+        raise ImageFormatError(f"malformed header: IHDR holds {len(ihdr)} bytes, not 13")
     width, height, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", ihdr)
     if interlace != 0:
         raise ImageFormatError("interlaced PNG not supported")
@@ -228,6 +230,8 @@ def _load_pnm(buf: bytes) -> ImageU8:
     (width, height, maxval), data_at = _pnm_tokens(buf, 3)
     if maxval != 255:
         raise ImageFormatError(f"unsupported PNM maxval {maxval} (only 8-bit, maxval 255)")
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"malformed header: PNM extents {width}x{height} must be >= 1")
     need = width * height * channels
     data = buf[data_at : data_at + need]
     if len(data) != need:

@@ -1,4 +1,8 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from crossagg.autodiff import (
     init_adam_state,
 )
 
-from helpers import assert_grads_match_fd, rand
+from helpers import assert_grads_match_fd, rand, repo_root
 
 
 # ---------------------------------------------------------------------------
@@ -503,3 +507,39 @@ def test_determinism_bit_identical():
         return ad.gelu(y).numpy()
 
     assert np.array_equal(run(), run())
+
+
+# ---------------------------------------------------------------------------
+# allocator thresholds
+# ---------------------------------------------------------------------------
+
+_REPEATED_FORWARD_FAULTS = """
+import dataclasses, resource
+import numpy as np
+from crossagg.autodiff import Tensor
+from crossagg.model import cat_forward, init_params, preset_config
+config = dataclasses.replace(preset_config("cat_r_x2"), num_groups=1, blocks_per_group=2)
+store = init_params(config, 0)
+x = Tensor(np.random.default_rng(0).random((1, 32, 32, 3)), dtype=np.float32)
+cat_forward(x, store, config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cat_forward(x, store, config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_repeated_forward_reuses_freed_heap_pages():
+    # A fresh process, so that no earlier test shapes the heap. With glibc's
+    # default thresholds the second pass faults in its op outputs again
+    # (about 4k-9k minor faults for this stock-width model).
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        pytest.skip("the C library has no mallopt")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo_root() / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _REPEATED_FORWARD_FAULTS],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    assert int(out.stdout) < 100

@@ -58,6 +58,13 @@ def test_pnm_truncated_rejected(tmp_path):
         load_image(str(path))
 
 
+def test_pnm_negative_extents_rejected(tmp_path):
+    path = tmp_path / "neg.ppm"
+    path.write_bytes(b"P6\n-2 -2\n255\n" + b"\x00" * 12)
+    with pytest.raises(ImageFormatError, match="malformed header"):
+        load_image(str(path))
+
+
 def test_save_channel_extension_mismatch(tmp_path):
     rgb = ImageU8.from_array(np.zeros((2, 2, 3), dtype=np.uint8))
     with pytest.raises(ImageFormatError):
@@ -126,6 +133,15 @@ def test_png_bad_crc_rejected(tmp_path):
     path = tmp_path / "crc.png"
     path.write_bytes(bytes(blob))
     with pytest.raises(ImageFormatError, match="CRC"):
+        load_image(str(path))
+
+
+def test_png_short_ihdr_rejected(tmp_path):
+    # CRC-valid IHDR chunk of 8 bytes instead of 13
+    blob = b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", struct.pack(">II", 1, 1)) + _png_chunk(b"IEND", b"")
+    path = tmp_path / "short.png"
+    path.write_bytes(blob)
+    with pytest.raises(ImageFormatError, match="malformed header"):
         load_image(str(path))
 
 
