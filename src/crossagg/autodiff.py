@@ -304,6 +304,13 @@ def _check_same_dtype(*tensors: Tensor):
         raise ShapeError(f"mixed dtypes {sorted(d.name for d in dts)}; cast operands explicitly")
 
 
+def _check_axis(op: str, axis: int, ndim: int) -> int:
+    """Return ``axis`` as a non-negative index, rejecting one outside [-ndim, ndim)."""
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"{op}: axis {axis} out of range for rank {ndim}")
+    return axis % ndim
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
     while grad.ndim > len(shape):
@@ -617,7 +624,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` extents along ``axis`` starting at ``start``."""
-    axis = axis % x.ndim
+    axis = _check_axis("narrow", axis, x.ndim)
     if start < 0 or length < 1 or start + length > x.shape[axis]:
         raise ShapeError(f"narrow: [{start}:{start + length}) out of bounds for axis {axis} of {x.shape}")
     key = tuple(slice(None) if i != axis else slice(start, start + length) for i in range(x.ndim))
@@ -636,7 +643,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not tensors:
         raise ShapeError("concat of an empty sequence")
     _check_same_dtype(*tensors)
-    axis = axis % tensors[0].ndim
+    axis = _check_axis("concat", axis, tensors[0].ndim)
     try:
         out = _freeze(np.concatenate([t.data for t in tensors], axis=axis))
     except ValueError:
@@ -663,7 +670,7 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     idx = np.asarray(indices)
     if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("gather: indices must be a 1-D integer array")
-    axis = axis % x.ndim
+    axis = _check_axis("gather", axis, x.ndim)
     out = _freeze(np.take(x.data, idx, axis=axis))
 
     def bwd(g, idx=idx, axis=axis, shape=x.shape, dtype=x.dtype):
@@ -771,6 +778,13 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor | None = None, depthwise:
     def bwd(g, xp=xp, kd=kd, n=n, h=h, w=w, cin=cin, depthwise=depthwise, has_bias=bias is not None):
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(kd)
+        if not depthwise:
+            # Each tap is two 2-D GEMMs over all N*H*W pixels. One contiguous
+            # buffer holds the tap's input patch for the weight gradient, then
+            # its input-gradient product, so no tap allocates a temporary.
+            g2 = g.reshape(n * h * w, -1)
+            buf = np.empty((n, h, w, cin), dtype=xp.dtype)
+            cols = buf.reshape(n * h * w, cin)
         for u in range(3):
             for v in range(3):
                 patch = xp[:, u : u + h, v : v + w, :]
@@ -778,8 +792,10 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor | None = None, depthwise:
                     gk[u, v, :, 0] = (patch * g).sum(axis=(0, 1, 2))
                     gxp[:, u : u + h, v : v + w, :] += g * kd[u, v, :, 0]
                 else:
-                    gk[u, v] = np.einsum("nhwc,nhwo->co", patch, g)
-                    gxp[:, u : u + h, v : v + w, :] += g @ kd[u, v].T
+                    buf[...] = patch
+                    np.matmul(cols.T, g2, out=gk[u, v])
+                    np.matmul(g2, kd[u, v].T, out=cols)
+                    gxp[:, u : u + h, v : v + w, :] += buf
         gx = np.ascontiguousarray(gxp[:, 1 : h + 1, 1 : w + 1, :])
         if has_bias:
             return (gx, gk, g.sum(axis=(0, 1, 2)))

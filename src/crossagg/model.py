@@ -94,8 +94,13 @@ class ModelConfig:
             raise ConfigError(f"head count must be even and >= 2, got {self.num_heads}")
         if self.channels % self.num_heads != 0:
             raise ConfigError(f"channels {self.channels} not divisible by {self.num_heads} heads")
-        if self.mlp_ratio <= 0:
-            raise ConfigError("mlp_ratio must be positive")
+        if not math.isfinite(self.mlp_ratio) or self.mlp_ratio <= 0:
+            raise ConfigError(f"mlp_ratio must be positive and finite, got {self.mlp_ratio}")
+        if self.mlp_hidden < 1:
+            raise ConfigError(
+                f"mlp_ratio {self.mlp_ratio:g} gives an MLP hidden width of {self.mlp_hidden} "
+                f"for {self.channels} channels; it must be >= 1"
+            )
         if self.head_width < 1 or self.in_channels < 1 or self.out_channels < 1:
             raise ConfigError("channel counts must be positive")
         if self.window_kind == "regular":

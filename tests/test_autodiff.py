@@ -203,6 +203,62 @@ def test_conv_kernel_shape_error():
         ad.conv2d_3x3(Tensor(np.zeros((1, 2, 2, 3))), Tensor(np.zeros((5, 5, 3, 1))))
 
 
+def _conv_backward_einsum(x, k, g):
+    """The per-tap einsum conv backward that the 2-D GEMM backward replaced."""
+    n, h, w, cin = x.shape
+    xp = np.zeros((n, h + 2, w + 2, cin), dtype=x.dtype)
+    xp[:, 1 : h + 1, 1 : w + 1, :] = x
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for u in range(3):
+        for v in range(3):
+            gk[u, v] = np.einsum("nhwc,nhwo->co", xp[:, u : u + h, v : v + w, :], g)
+            gxp[:, u : u + h, v : v + w, :] += g @ k[u, v].T
+    return gxp[:, 1 : h + 1, 1 : w + 1, :], gk, g.sum(axis=(0, 1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "x_shape, cout, with_bias",
+    [
+        ((2, 3, 5, 2), 4, True),
+        ((2, 4, 3, 5), 3, False),
+        ((2, 1, 1, 3), 2, True),
+        ((2, 1, 1, 3), 2, False),
+    ],
+)
+def test_conv_backward_matches_einsum_reference(dtype, x_shape, cout, with_bias):
+    n, h, w, cin = x_shape
+    x = rand(x_shape, 42, scale=1.0, dtype=dtype)
+    k = rand((3, 3, cin, cout), 43, scale=1.0, dtype=dtype)
+    b = rand((cout,), 44, scale=1.0, dtype=dtype)
+    g = rand((n, h, w, cout), 45, scale=1.0, dtype=dtype)
+    # Both sides sum the same products in different orders. A sum of K
+    # products is within K*eps*sum|products| of exact, so the two differ by
+    # at most twice that; sum|products| is the reference run on |x|, |k|, |g|.
+    terms = max(n * h * w, 9 * cout)
+    bounds = [2 * terms * np.finfo(dtype).eps * m for m in _conv_backward_einsum(abs(x), abs(k), abs(g))]
+
+    xt, kt, bt = Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), Tensor(b, dtype=dtype)
+    inputs = [xt, kt, bt] if with_bias else [xt, kt]
+    tape = GradientTape()
+    tape.watch(inputs)
+    with tape:
+        out = ad.conv2d_3x3(xt, kt, bt if with_bias else None)
+        loss = ad.sum_all(ad.mul(out, Tensor(g, dtype=dtype)))
+    grads = backward(tape, loss)
+
+    for t, want, bound in zip(inputs, _conv_backward_einsum(x, k, g), bounds):
+        got = grads[t].numpy()
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.all(np.abs(got - want) <= bound)
+    if h == w == 1:
+        # Every off-centre tap of a 1x1 input reads only zero padding.
+        gk = grads[kt].numpy().copy()
+        gk[1, 1] = 0.0
+        assert not gk.any()
+
+
 # ---------------------------------------------------------------------------
 # pixel shuffle
 # ---------------------------------------------------------------------------
@@ -371,6 +427,10 @@ def test_grad_conv():
         lambda t: ad.conv2d_3x3(t["x"], t["k"], t["b"]),
         {"x": rand((1, 3, 4, 2), 21), "k": rand((3, 3, 2, 3), 22), "b": rand((3,), 23)},
     )
+    assert_grads_match_fd(
+        lambda t: ad.conv2d_3x3(t["x"], t["k"]),
+        {"x": rand((2, 3, 2, 2), 40), "k": rand((3, 3, 2, 3), 41)},
+    )
 
 
 def test_grad_conv_depthwise():
@@ -406,6 +466,22 @@ def test_grad_narrow_concat():
 def test_grad_gather():
     idx = np.array([0, 2, 2, 1])
     assert_grads_match_fd(lambda t: ad.gather(t["x"], idx, axis=0), {"x": rand((3, 4), 31)})
+
+
+def test_narrow_axis_out_of_range():
+    with pytest.raises(ShapeError, match="axis 4"):
+        ad.narrow(Tensor(np.zeros((2, 3, 4))), 4, 0, 1)
+
+
+def test_concat_axis_out_of_range():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="axis 3"):
+        ad.concat([x, x], axis=3)
+
+
+def test_gather_axis_out_of_range():
+    with pytest.raises(ShapeError, match="axis 5"):
+        ad.gather(Tensor(np.zeros((2, 3, 4))), np.array([0, 1]), axis=5)
 
 
 def test_grad_transpose_reshape():

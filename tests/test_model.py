@@ -390,6 +390,20 @@ def test_config_bad_mlp_ratio_rejected():
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_config_non_finite_mlp_ratio_rejected(ratio):
+    text = format_config(preset_config("tiny_sr_x2")).replace("mlp_ratio = 2", f"mlp_ratio = {ratio}")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config_text(text)
+
+
+def test_config_mlp_ratio_rounding_to_zero_hidden_rejected():
+    # 0.001 * 16 channels rounds to a hidden width of 0: an MLP with no units.
+    text = format_config(preset_config("tiny_sr_x2")).replace("mlp_ratio = 2", "mlp_ratio = 0.001")
+    with pytest.raises(ConfigError, match="hidden width of 0"):
+        parse_config_text(text)
+
+
 def test_config_bad_integer_rejected():
     text = format_config(preset_config("tiny_sr_x2")).replace("channels = 16", "channels = lots")
     with pytest.raises(ConfigError, match="integer"):
