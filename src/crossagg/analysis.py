@@ -105,6 +105,8 @@ def model_flops(config: ModelConfig, height: int, width: int) -> CostReport:
     """Per-layer cost report for a full model at a low-quality input
     resolution; super-resolution head stages are charged at the resolution
     they actually run at."""
+    if height < 1 or width < 1:
+        raise ValueError(f"input resolution must be positive, got {height}x{width}")
     c = config.channels
     hidden = config.mlp_hidden
     area = height * width

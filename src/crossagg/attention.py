@@ -6,9 +6,9 @@ The head axis is split in half: the first M/2 heads attend inside horizontal
 resolved from the same spec. Per window, attention is
 ``softmax(Q K^T / sqrt(d) + B + mask) V`` where B comes from a small network
 evaluated on the relative offset between the two pixels, normalized to
-[-1, 1] by the window extents. The optional locality complement adds a 3x3
-depthwise convolution of the full-resolution value map to the concatenated
-head outputs before the final projection.
+[-1, 1] by the window extents. When the weights carry a locality-complement
+kernel, a 3x3 depthwise convolution of the full-resolution value map is added
+to the concatenated head outputs before the final projection.
 
 The per-window formula is one primitive, :func:`autodiff.window_attention`.
 It builds and normalizes the logits in place, a chunk of windows at a time
@@ -203,12 +203,12 @@ def rwin_self_attention(
     params: AttentionParams,
     spec: WindowSpec,
     shifted: bool = False,
-    lcm: bool = True,
     cache: dict | None = None,
     probe: dict | None = None,
 ) -> Tensor:
     """Rectangle-window self-attention over [N, H, W, C].
 
+    The locality complement is applied iff ``params.lcm_weight`` is set.
     ``cache`` memoizes position-bias tables per window extent. A table is
     keyed on the ``uid`` of every pos-net tensor and of the active tape as
     well, so a cache reused after the weights change (e.g. across an Adam
@@ -254,6 +254,6 @@ def rwin_self_attention(
         outs.append(_oriented_attention(qo, ko, vo, g, bias, params, probe))
 
     y = ad.concat(outs, axis=-1)
-    if lcm:
+    if params.lcm_weight is not None:
         y = ad.add(y, locality_complement(v, params))
     return ad.linear(y, params.proj_weight, params.proj_bias)

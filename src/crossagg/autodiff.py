@@ -31,7 +31,6 @@ __all__ = [
     "GraphError",
     "OptimizerHyper",
     "AdamState",
-    "tensor",
     "matmul",
     "softmax_lastdim",
     "window_attention",
@@ -44,7 +43,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "reshape",
     "transpose",
     "narrow",
@@ -155,37 +153,8 @@ class Tensor:
         """Writable copy of the underlying data."""
         return np.array(self.data, copy=True)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data, dtype=dtype)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(data, dtype=None) -> Tensor:
-    return data if isinstance(data, Tensor) and dtype is None else Tensor(data, dtype=dtype)
 
 
 def _freeze(arr: np.ndarray) -> Tensor:
@@ -249,9 +218,6 @@ class GradientTape:
         if any(t.uid in self._tracked for t in inputs):
             self._tracked.add(out.uid)
             self._nodes.append(_Node(out.uid, tuple(t.uid for t in inputs), backward_fn))
-
-    def gradients(self, loss: Tensor) -> dict[Tensor, Tensor]:
-        return backward(self, loss)
 
 
 def _tape() -> GradientTape | None:
@@ -321,78 +287,48 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_operands(a, b):
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        _check_same_dtype(a, b)
-        return a, b, None
-    if isinstance(a, Tensor):
-        return a, None, float(b)
-    if isinstance(b, Tensor):
-        return b, None, float(a)
-    raise TypeError("at least one operand must be a Tensor")
-
-
 # ---------------------------------------------------------------------------
 # Elementwise primitives
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        _check_same_dtype(a, b)
-        try:
-            out = _freeze(a.data + b.data)
-        except ValueError:
-            raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-        _record(out, (a, b), lambda g, sa=a.shape, sb=b.shape: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-        return out
-    t, _, s = _as_operands(a, b)
-    out = _freeze(t.data + s)
-    _record(out, (t,), lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_dtype(a, b)
+    try:
+        out = _freeze(a.data + b.data)
+    except ValueError:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+    _record(out, (a, b), lambda g, sa=a.shape, sb=b.shape: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
-def sub(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        _check_same_dtype(a, b)
-        try:
-            out = _freeze(a.data - b.data)
-        except ValueError:
-            raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-        _record(out, (a, b), lambda g, sa=a.shape, sb=b.shape: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-        return out
-    if isinstance(a, Tensor):
-        out = _freeze(a.data - float(b))
-        _record(out, (a,), lambda g: (g,))
-        return out
-    t = b
-    out = _freeze(float(a) - t.data)
-    _record(out, (t,), lambda g: (-g,))
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_dtype(a, b)
+    try:
+        out = _freeze(a.data - b.data)
+    except ValueError:
+        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
+    _record(out, (a, b), lambda g, sa=a.shape, sb=b.shape: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
-def mul(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        _check_same_dtype(a, b)
-        try:
-            out = _freeze(a.data * b.data)
-        except ValueError:
-            raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-        def bwd(g, ta=a, tb=b):
-            return (_unbroadcast(g * tb.data, ta.shape), _unbroadcast(g * ta.data, tb.shape))
-
-        _record(out, (a, b), bwd)
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    """Elementwise product of two tensors, or of a tensor and a scalar."""
+    if not isinstance(b, Tensor):
+        s = float(b)
+        out = _freeze(a.data * s)
+        _record(out, (a,), lambda g, s=s: (g * s,))
         return out
-    t, _, s = _as_operands(a, b)
-    out = _freeze(t.data * s)
-    _record(out, (t,), lambda g, s=s: (g * s,))
-    return out
+    _check_same_dtype(a, b)
+    try:
+        out = _freeze(a.data * b.data)
+    except ValueError:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
 
+    def bwd(g, ta=a, tb=b):
+        return (_unbroadcast(g * tb.data, ta.shape), _unbroadcast(g * ta.data, tb.shape))
 
-def neg(x: Tensor) -> Tensor:
-    out = _freeze(-x.data)
-    _record(out, (x,), lambda g: (-g,))
+    _record(out, (a, b), bwd)
     return out
 
 
@@ -863,12 +799,12 @@ class OptimizerHyper:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass

@@ -65,12 +65,12 @@ def self_ensemble_infer(forward, img: ImageU8) -> ImageU8:
     return ImageU8.from_array(quantize(acc / NUM_DIHEDRAL))
 
 
-def _model_forward(store: ParamStore, config: ModelConfig, cache: dict):
+def _model_forward(store: ParamStore, config: ModelConfig):
     dtype = store.dtype
 
     def forward(x: np.ndarray) -> np.ndarray:
         t = Tensor(x[None], dtype=dtype)
-        return cat_forward(t, store, config, cache=cache).numpy()[0]
+        return cat_forward(t, store, config).numpy()[0]
 
     return forward
 
@@ -84,7 +84,7 @@ def restore_image(store: ParamStore, config: ModelConfig, img: ImageU8, ensemble
         raise ValueError(
             f"model expects {config.in_channels} input channels, image has {img.channels}"
         )
-    forward = _model_forward(store, config, cache={})
+    forward = _model_forward(store, config)
     if ensemble:
         return self_ensemble_infer(forward, img)
     out = forward(img.data.astype(np.float64) / 255.0)
@@ -129,6 +129,8 @@ def run_overfit(steps: int = 500, seed: int = 0, learning_rate: float = 1e-3, on
     backward path including shift masks being absent (single unshifted block)
     and the staged sub-pixel head.
     """
+    if steps < 1:
+        raise ValueError(f"overfit needs at least one step, got {steps}")
     config = preset_config("tiny_sr_x2")
     store = init_params(config, seed, dtype=np.float64)
     hr = overfit_target(32)
@@ -144,7 +146,7 @@ def run_overfit(steps: int = 500, seed: int = 0, learning_rate: float = 1e-3, on
         params = store.as_dict()
         tape.watch(params.values())
         with tape:
-            out = cat_forward(x, store, config, cache={})
+            out = cat_forward(x, store, config)
             loss = ad.mean_all(ad.abs_val(ad.sub(out, target)))
         grads_by_tensor = backward(tape, loss)
         grads = {name: grads_by_tensor[t] for name, t in params.items()}

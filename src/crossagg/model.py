@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -316,7 +316,6 @@ class BlockParams:
     fc1_bias: Tensor
     fc2_weight: Tensor
     fc2_bias: Tensor
-    use_lcm: bool
 
 
 def _pos_net(store: ParamStore) -> PositionBiasParams:
@@ -351,26 +350,15 @@ def block_params(store: ParamStore, prefix: str, config: ModelConfig) -> BlockPa
         fc1_bias=store[f"{prefix}.mlp.fc1.bias"],
         fc2_weight=store[f"{prefix}.mlp.fc2.weight"],
         fc2_bias=store[f"{prefix}.mlp.fc2.bias"],
-        use_lcm=config.use_lcm,
     )
 
 
 def catb_forward(
-    x: Tensor,
-    bp: BlockParams,
-    spec: WindowSpec,
-    shifted: bool,
-    cache: dict | None = None,
-    probe: dict | None = None,
+    x: Tensor, bp: BlockParams, spec: WindowSpec, shifted: bool, cache: dict | None = None
 ) -> Tensor:
     """One attention block: attention and MLP branches, each residual."""
     attn_in = ad.layer_norm(x, bp.norm1_gamma, bp.norm1_beta)
-    x = ad.add(
-        rwin_self_attention(
-            attn_in, bp.attn, spec, shifted=shifted, lcm=bp.use_lcm, cache=cache, probe=probe
-        ),
-        x,
-    )
+    x = ad.add(rwin_self_attention(attn_in, bp.attn, spec, shifted=shifted, cache=cache), x)
     h = ad.layer_norm(x, bp.norm2_gamma, bp.norm2_beta)
     h = ad.linear(h, bp.fc1_weight, bp.fc1_bias)
     h = ad.gelu(h)
@@ -396,7 +384,7 @@ def residual_group_forward(
     return ad.add(y, x)
 
 
-def cat_forward(img: Tensor, store: ParamStore, config: ModelConfig, cache: dict | None = None) -> Tensor:
+def cat_forward(img: Tensor, store: ParamStore, config: ModelConfig) -> Tensor:
     """Full model: [N, H, W, in_channels] image in [0, 1] to restored output."""
     if config.num_groups < 1:
         raise ConfigError("a runnable model needs at least one residual group")
@@ -404,8 +392,7 @@ def cat_forward(img: Tensor, store: ParamStore, config: ModelConfig, cache: dict
         raise ConfigError(
             f"input shape {img.shape} does not match configured in_channels={config.in_channels}"
         )
-    if cache is None:
-        cache = {}
+    cache: dict = {}
     f0 = ad.conv2d_3x3(img, store["shallow.conv.weight"], store["shallow.conv.bias"])
     y = f0
     for i in range(config.num_groups):
@@ -513,36 +500,8 @@ def load_weights(path: str, expected_names=None) -> ParamStore:
 # Config text format
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "task",
-    "scale",
-    "in_channels",
-    "out_channels",
-    "channels",
-    "num_groups",
-    "blocks_per_group",
-    "num_heads",
-    "mlp_ratio",
-    "window",
-    "window_height",
-    "window_width",
-    "axial_lengths",
-    "use_lcm",
-    "head_width",
-}
-
-_INT_KEYS = {
-    "scale",
-    "in_channels",
-    "out_channels",
-    "channels",
-    "num_groups",
-    "blocks_per_group",
-    "num_heads",
-    "window_height",
-    "window_width",
-    "head_width",
-}
+# One key per ModelConfig field; the file spells ``window_kind`` as ``window``.
+_CONFIG_KEYS = {"window" if f.name == "window_kind" else f.name for f in fields(ModelConfig)}
 
 
 def parse_config_text(text: str) -> ModelConfig:

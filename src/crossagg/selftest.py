@@ -154,7 +154,7 @@ def check_attention_bruteforce():
         h, w, c = shape
         params = tiny_attention_params(c=c, heads=2, seed=7)
         x = _rng(8).normal(size=(h, w, c))
-        got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec, lcm=True).numpy()[0]
+        got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec).numpy()[0]
         want = full_attention_oracle(x, attention_params_numpy(params), spec, heads=2, lcm=True)
         assert np.max(np.abs(got - want)) <= 1e-9, spec
 
@@ -162,10 +162,10 @@ def check_attention_bruteforce():
 def check_shifted_attention_support():
     spec = WindowSpec.regular(2, 4)
     c = 4
-    params = tiny_attention_params(c=c, heads=2, seed=9)
+    params = tiny_attention_params(c=c, heads=2, seed=9, lcm=False)
     x = Tensor(_rng(10).normal(scale=0.5, size=(1, 6, 8, c)), dtype=np.float64)
     probe: dict = {}
-    rwin_self_attention(x, params, spec, shifted=True, lcm=False, probe=probe)
+    rwin_self_attention(x, params, spec, shifted=True, probe=probe)
     for orientation in (HORIZONTAL, VERTICAL):
         g = probe["geometries"][orientation]
         weights = probe["weights"][orientation]
@@ -190,7 +190,7 @@ def check_gradient_small():
     tape = GradientTape()
     tape.watch(probe_weights)
     with tape:
-        y = rwin_self_attention(x, params, spec, shifted=True, lcm=True)
+        y = rwin_self_attention(x, params, spec, shifted=True)
         loss = ad.sum_all(ad.mul(y, y))
     grads = backward(tape, loss)
 
@@ -216,7 +216,7 @@ def check_gradient_small():
             ),
             heads=heads,
         )
-        out = rwin_self_attention(x, new, spec, shifted=True, lcm=True)
+        out = rwin_self_attention(x, new, spec, shifted=True)
         return ad.sum_all(ad.mul(out, out)).item()
 
     step = 1e-4

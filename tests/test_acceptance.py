@@ -155,10 +155,10 @@ def test_criterion_4_attention_matches_bruteforce():
                 c = int(rng.choice([4, 8]))
                 lcm = bool(rep % 2)
                 params = _random_attention_params(c, 2, rng, np.float32)
+                if not lcm:
+                    params = dataclasses.replace(params, lcm_weight=None, lcm_bias=None)
                 x = rng.normal(0.0, 0.5, size=(h, w, c)).astype(np.float32)
-                got = rwin_self_attention(
-                    Tensor(x[None], dtype=np.float32), params, spec, lcm=lcm
-                ).numpy()[0]
+                got = rwin_self_attention(Tensor(x[None], dtype=np.float32), params, spec).numpy()[0]
                 want = full_attention_oracle(
                     x.astype(np.float64), attention_params_numpy(params), spec, heads=2, lcm=lcm
                 )
@@ -307,7 +307,7 @@ def test_criterion_6_full_block_gradients_match_finite_differences():
     probe = Tensor(probe_dir, dtype=np.float64)
 
     def forward(st: ParamStore) -> Tensor:
-        return catb_forward(x, block_params(st, prefix, config), spec, shifted=True, cache={})
+        return catb_forward(x, block_params(st, prefix, config), spec, shifted=True)
 
     with criterion(6, "full block gradients match central differences on every tensor", 60.0):
         tape = GradientTape()

@@ -26,6 +26,12 @@ def test_attention_flops_validates_extents():
         attention_flops(WindowSpec.regular(1, 1), 0, 4, 4)
 
 
+@pytest.mark.parametrize("height,width", [(-4, 128), (128, -1), (0, 0)])
+def test_model_flops_rejects_nonpositive_extents(height, width):
+    with pytest.raises(ValueError, match=f"got {height}x{width}"):
+        model_flops(preset_config("tiny_sr_x2"), height, width)
+
+
 # ---------------------------------------------------------------------------
 # published totals
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_zero_projections_give_broadcast_output_bias():
         heads=2,
     )
     x = Tensor(rand((1, 4, 8, c), 6), dtype=np.float64)
-    out = rwin_self_attention(x, params, WindowSpec.regular(2, 4), lcm=False).numpy()
+    out = rwin_self_attention(x, params, WindowSpec.regular(2, 4)).numpy()
     assert np.allclose(out, np.broadcast_to([1.0, -2.0, 3.0, 4.0], out.shape))
 
 
@@ -129,7 +129,7 @@ def test_uniform_attention_averages_each_window():
     qkv[:, 2 * c :] = np.eye(c)  # V = X, Q = K = 0
     params = _structured_params(c, heads, qkv, np.eye(c))
     x = rand((1, 4, 8, c), 7)
-    out = rwin_self_attention(Tensor(x, dtype=np.float64), params, WindowSpec.regular(2, 4), lcm=False).numpy()
+    out = rwin_self_attention(Tensor(x, dtype=np.float64), params, WindowSpec.regular(2, 4)).numpy()
 
     expect = np.zeros_like(x)
     for y in range(4):
@@ -153,7 +153,7 @@ def test_uniform_attention_averages_each_window():
 def test_matches_bruteforce_full_attention(spec, h, w, c):
     params = tiny_attention_params(c=c, heads=2, seed=h * 10 + w)
     x = rand((h, w, c), seed=42 + h)
-    got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec, lcm=True).numpy()[0]
+    got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec).numpy()[0]
     want = full_attention_oracle(x, attention_params_numpy(params), spec, heads=2, lcm=True)
     assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -173,10 +173,8 @@ def test_window_permutation_equivariance():
         return b
 
     spec = WindowSpec.regular(s, s)
-    base = rwin_self_attention(Tensor(x, dtype=np.float64), params, spec, lcm=False).numpy()
-    permuted = rwin_self_attention(
-        Tensor(permute_windows(x), dtype=np.float64), params, spec, lcm=False
-    ).numpy()
+    base = rwin_self_attention(Tensor(x, dtype=np.float64), params, spec).numpy()
+    permuted = rwin_self_attention(Tensor(permute_windows(x), dtype=np.float64), params, spec).numpy()
     assert np.allclose(permuted, permute_windows(base), atol=1e-12)
 
 
@@ -260,8 +258,9 @@ def test_lcm_zero_kernel_is_noop():
         heads=2,
     )
     x = Tensor(rand((1, 4, 4, c), 17), dtype=np.float64)
-    with_lcm = rwin_self_attention(x, zeroed, WindowSpec.regular(2, 2), lcm=True).numpy()
-    without = rwin_self_attention(x, zeroed, WindowSpec.regular(2, 2), lcm=False).numpy()
+    no_kernel = dataclasses.replace(zeroed, lcm_weight=None, lcm_bias=None)
+    with_lcm = rwin_self_attention(x, zeroed, WindowSpec.regular(2, 2)).numpy()
+    without = rwin_self_attention(x, no_kernel, WindowSpec.regular(2, 2)).numpy()
     assert np.array_equal(with_lcm, without)
 
 
@@ -273,8 +272,9 @@ def test_lcm_identity_kernel_adds_value_map():
     ident[1, 1, :, 0] = 1.0
     params = _structured_params(c, heads, qkv, np.eye(c), lcm=ident)
     x = rand((1, 4, 4, c), 19)
-    on = rwin_self_attention(Tensor(x, dtype=np.float64), params, WindowSpec.regular(2, 2), lcm=True).numpy()
-    off = rwin_self_attention(Tensor(x, dtype=np.float64), params, WindowSpec.regular(2, 2), lcm=False).numpy()
+    no_kernel = dataclasses.replace(params, lcm_weight=None, lcm_bias=None)
+    on = rwin_self_attention(Tensor(x, dtype=np.float64), params, WindowSpec.regular(2, 2)).numpy()
+    off = rwin_self_attention(Tensor(x, dtype=np.float64), no_kernel, WindowSpec.regular(2, 2)).numpy()
     v = x @ qkv[:, 2 * c :]  # value map, since qkv bias is zero and proj is identity
     assert np.allclose(on - off, v, atol=1e-10)
 
@@ -319,7 +319,7 @@ def test_gradients_through_shifted_attention():
             pos_net=net,
             heads=heads,
         )
-        return rwin_self_attention(t["x"], params, WindowSpec.regular(2, 4), shifted=True, lcm=True)
+        return rwin_self_attention(t["x"], params, WindowSpec.regular(2, 4), shifted=True)
 
     assert_grads_match_fd(
         build,

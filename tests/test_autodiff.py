@@ -533,7 +533,7 @@ def test_adam_opposite_gradients_keep_second_moment_positive():
     state = init_adam_state(p)
     hyper = OptimizerHyper(learning_rate=0.01)
     p1, state = adam_step(p, {"w": g}, state, hyper)
-    p2, state = adam_step(p1, {"w": ad.neg(g)}, state, hyper)
+    p2, state = adam_step(p1, {"w": Tensor(-g.data)}, state, hyper)
     assert np.all(state.v["w"].numpy() > 0.0)
 
 
@@ -549,6 +549,21 @@ def test_optimizer_hyper_validation():
         OptimizerHyper(learning_rate=0.1, beta1=1.0)
     with pytest.raises(ValueError):
         OptimizerHyper(learning_rate=-0.1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": 0.1, "eps": float("nan")},
+        {"learning_rate": 0.1, "eps": float("inf")},
+    ],
+    ids=["lr_nan", "lr_inf", "eps_nan", "eps_inf"],
+)
+def test_optimizer_hyper_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        OptimizerHyper(**kwargs)
 
 
 # ---------------------------------------------------------------------------

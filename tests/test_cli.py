@@ -149,6 +149,22 @@ def test_overfit_short_run_fails_threshold_with_curve():
     assert "step" in result.stdout and "loss" in result.stdout
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_overfit_nonpositive_steps_is_one_line_diagnosis(steps):
+    result = run_cli("overfit", "--steps", steps)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: overfit needs at least one step, got {steps}\n"
+
+
+def test_analyze_nonpositive_extent_names_the_extents():
+    config = str(repo_root() / "configs" / "tiny_sr_x2.cfg")
+    result = run_cli("analyze", "--config", config, "--height", "-4")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: input resolution must be positive, got -4x128\n"
+
+
 def test_selftest_filter_runs_subset():
     result = run_cli("selftest", "--filter", "softmax")
     assert result.returncode == 0

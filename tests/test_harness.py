@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crossagg import harness
 from crossagg.autodiff import Tensor
 from crossagg.harness import (
     dihedral_inverse,
@@ -102,3 +103,13 @@ def test_overfit_smoke_decreases_loss_deterministically():
     assert first.losses[-1] < first.losses[0]
     other_seed = run_overfit(steps=5, seed=1)
     assert other_seed.losses[0] != first.losses[0]
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_overfit_rejects_fewer_than_one_step_before_building_the_model(steps, monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built for a run with no steps")
+
+    monkeypatch.setattr(harness, "init_params", no_model)
+    with pytest.raises(ValueError, match=f"at least one step, got {steps}"):
+        run_overfit(steps=steps)
