@@ -1,27 +1,34 @@
 """Time ``restore_image`` on one synthetic image and report peak memory.
 
-    OPENBLAS_NUM_THREADS=1 python scripts/time_restore.py --config cat_a_x2 --side 96
+    PYTHONPATH=src python scripts/time_restore.py --config cat_a_x2 --side 96
 
 Uses the stock weights ``init_params(config, 0)`` and a seeded random RGB
 image. Prints one JSON object: the seconds and the minor page faults of each
-repetition, the peak resident memory of the process in MiB, and with
-``--hash`` the SHA-256 of the raw float model output, so that two checkouts
-can be compared for bit-identical outputs. Peak memory is process-wide: run
-each measurement in a fresh process.
+repetition, the peak resident memory of the process in MiB, the BLAS thread
+count, and with ``--hash`` the SHA-256 of the raw float model output, so that
+two checkouts can be compared for bit-identical outputs. The script pins
+BLAS to one thread before numpy loads: a GEMM split over more threads sums
+in another order, so hashes compare only at equal thread counts. Peak memory
+is process-wide: run each measurement in a fresh process.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import resource
 import time
 
-import numpy as np
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)  # read when numpy loads
 
-from crossagg.autodiff import Tensor
-from crossagg.harness import restore_image
-from crossagg.imaging import ImageU8
-from crossagg.model import cat_forward, init_params, preset_config
+import numpy as np  # noqa: E402
+
+from crossagg.autodiff import Tensor  # noqa: E402
+from crossagg.harness import restore_image  # noqa: E402
+from crossagg.imaging import ImageU8  # noqa: E402
+from crossagg.model import cat_forward, init_params, preset_config  # noqa: E402
 
 
 def main():
@@ -51,6 +58,7 @@ def main():
         "seconds": seconds,
         "minflt": minflt,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "blas_threads": BLAS_THREADS,
     }
     if args.hash:
         x = Tensor(img.data[None].astype(np.float64) / 255.0, dtype=store.dtype)

@@ -10,16 +10,17 @@ evaluated on the relative offset between the two pixels, normalized to
 kernel, a 3x3 depthwise convolution of the full-resolution value map is added
 to the concatenated head outputs before the final projection.
 
-The per-window formula is one primitive, :func:`autodiff.window_attention`.
-It builds and normalizes the logits in place, a chunk of windows at a time
-under a fixed byte budget, so the full [windows, heads, n, n] logits exist
-only when a tape records the op or a probe asks for the weights. The chunked
-result is bit-identical to composing matmul, scale, bias, mask, softmax and
-matmul as separate ops.
+Each orientation gathers Q, K and V from the fused qkv map and writes its
+output back through one cached map per geometry (pad, shift and partition in
+one). The per-window formula is one primitive, :func:`autodiff.window_attention`:
+it normalizes the logits in place a chunk of windows at a time, bit-identical
+to the composed ops; the full [windows, heads, n, n] logits exist only when a
+tape records the op or a probe asks for the weights.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -33,10 +34,8 @@ from .windowing import (
     WindowGeometry,
     WindowSpec,
     build_shift_mask,
-    cyclic_shift,
-    merge,
-    partition,
     resolve_geometry,
+    window_maps,
 )
 
 __all__ = [
@@ -115,9 +114,10 @@ class AttentionParams:
         return self.channels // self.heads
 
 
+@functools.lru_cache(maxsize=32)
 def _offset_table(sh: int, sw: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """All distinct relative offsets of an sh x sw window, plus the flat
-    [n*n] index mapping pixel pair (i, j) to its offset row."""
+    [n*n] index mapping pixel pair (i, j) to its offset row; cached, read-only."""
     ys, xs = np.meshgrid(np.arange(sh), np.arange(sw), indexing="ij")
     pos = np.stack([ys.ravel(), xs.ravel()], axis=1)
     delta = pos[:, None, :] - pos[None, :, :]
@@ -128,7 +128,10 @@ def _offset_table(sh: int, sw: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.stack(
         [grid_y.ravel() / max(sh - 1, 1), grid_x.ravel() / max(sw - 1, 1)], axis=1
     ).astype(dtype)
-    return offsets, index.ravel()
+    index = index.ravel()
+    for a in (offsets, index):
+        a.setflags(write=False)
+    return offsets, index
 
 
 def relative_position_bias(g: WindowGeometry, net: PositionBiasParams) -> Tensor:
@@ -155,49 +158,6 @@ def locality_complement(v: Tensor, params: AttentionParams) -> Tensor:
     return ad.conv2d_3x3(v, params.lcm_weight, params.lcm_bias, depthwise=True)
 
 
-def _oriented_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    g: WindowGeometry,
-    bias: Tensor,
-    params: AttentionParams,
-    probe: dict | None,
-) -> Tensor:
-    batch = q.shape[0]
-    heads = params.heads // 2
-    d = params.head_dim
-    n = g.window_pixels
-
-    pieces = []
-    for t in (q, k, v):
-        if g.pad_h or g.pad_w:
-            t = ad.pad_reflect_spatial(t, g.pad_h, g.pad_w)
-        if g.shifted:
-            t = cyclic_shift(t, g.shift_down, g.shift_left)
-        t = partition(t, g)  # [N*nw, n, heads*d]
-        t = ad.reshape(t, (t.shape[0], n, heads, d))
-        pieces.append(ad.transpose(t, (0, 2, 1, 3)))  # [N*nw, heads, n, d]
-    qw, kw, vw = pieces
-
-    regions = build_shift_mask(g) if g.shifted else None
-    scale = 1.0 / math.sqrt(d)
-    if probe is None:
-        y = ad.window_attention(qw, kw, vw, bias, regions, scale)  # [N*nw, heads, n, d]
-    else:
-        y, weights = ad.window_attention(qw, kw, vw, bias, regions, scale, weights=True)
-        probe.setdefault("weights", {})[g.orientation] = weights
-        probe.setdefault("geometries", {})[g.orientation] = g
-    y = ad.transpose(y, (0, 2, 1, 3))
-    y = ad.reshape(y, (y.shape[0], n, heads * d))
-    y = merge(y, g, batch, g.padded_h, g.padded_w)
-    if g.shifted:
-        y = cyclic_shift(y, -g.shift_down, -g.shift_left)
-    if g.pad_h or g.pad_w:
-        y = ad.narrow(ad.narrow(y, 1, 0, g.height), 2, 0, g.width)
-    return y
-
-
 def rwin_self_attention(
     x: Tensor,
     params: AttentionParams,
@@ -209,12 +169,13 @@ def rwin_self_attention(
     """Rectangle-window self-attention over [N, H, W, C].
 
     The locality complement is applied iff ``params.lcm_weight`` is set.
-    ``cache`` memoizes position-bias tables per window extent. A table is
-    keyed on the ``uid`` of every pos-net tensor and of the active tape as
-    well, so a cache reused after the weights change (e.g. across an Adam
-    step) or under a new tape rebuilds the table instead of returning stale
-    values or a table the tape cannot differentiate. ``probe``, if given,
-    receives the attention weights and the geometry of each orientation.
+    ``cache`` memoizes the gather maps per window geometry and the
+    position-bias tables per window extent. A table is keyed on the ``uid``
+    of every pos-net tensor and of the active tape as well, so a cache
+    reused after the weights change (e.g. across an Adam step) or under a new
+    tape rebuilds the table instead of returning stale values or a table the
+    tape cannot differentiate. ``probe``, if given, receives the attention
+    weights and the geometry of each orientation.
     """
     if x.ndim != 4:
         raise ValueError(f"attention expects rank 4 input, got {x.shape}")
@@ -223,14 +184,12 @@ def rwin_self_attention(
         raise ValueError(f"input channels {x.shape[-1]} do not match parameters ({c})")
     if cache is None:
         cache = {}
-    n_batch, height, width, _ = x.shape
-    half = c // 2
-    m_half = params.heads // 2
+    _, height, width, _ = x.shape
+    heads = params.heads // 2  # per orientation
+    d = params.head_dim
+    scale = 1.0 / math.sqrt(d)
 
     qkv = ad.linear(x, params.qkv_weight, params.qkv_bias)
-    q = ad.narrow(qkv, -1, 0, c)
-    k = ad.narrow(qkv, -1, c, c)
-    v = ad.narrow(qkv, -1, 2 * c, c)
 
     # A cached bias table is valid only for the pos-net tensors it was built
     # from and the tape it was recorded on.
@@ -246,14 +205,21 @@ def rwin_self_attention(
         if held is None or held[0] != owner:
             held = (owner, relative_position_bias(g, params.pos_net))
             cache[bias_key] = held
-        bias_full = held[1]
-        bias = ad.narrow(bias_full, 0, oi * m_half, m_half)
-        qo = ad.narrow(q, -1, oi * half, half)
-        ko = ad.narrow(k, -1, oi * half, half)
-        vo = ad.narrow(v, -1, oi * half, half)
-        outs.append(_oriented_attention(qo, ko, vo, g, bias, params, probe))
+        bias = ad.narrow(held[1], 0, oi * heads, heads)
+        if ("maps", g) not in cache:
+            cache[("maps", g)] = window_maps(g)
+        index, where = cache[("maps", g)]
+        qw, kw, vw = (ad.take_windows(qkv, index, where, t * c + oi * c // 2, heads, d) for t in range(3))
+        regions = build_shift_mask(g) if g.shifted else None
+        if probe is None:
+            y = ad.window_attention(qw, kw, vw, bias, regions, scale)  # [N*nw, heads, n, d]
+        else:
+            y, weights = ad.window_attention(qw, kw, vw, bias, regions, scale, weights=True)
+            probe.setdefault("weights", {})[orientation] = weights
+            probe.setdefault("geometries", {})[orientation] = g
+        outs.append(ad.merge_windows(y, where, height, width))
 
     y = ad.concat(outs, axis=-1)
     if params.lcm_weight is not None:
-        y = ad.add(y, locality_complement(v, params))
+        y = ad.add(y, locality_complement(ad.narrow(qkv, -1, 2 * c, c), params))
     return ad.linear(y, params.proj_weight, params.proj_bias)

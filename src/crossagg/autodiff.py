@@ -48,6 +48,8 @@ __all__ = [
     "narrow",
     "concat",
     "gather",
+    "take_windows",
+    "merge_windows",
     "pad_reflect_spatial",
     "roll_spatial",
     "sum_all",
@@ -344,18 +346,36 @@ def abs_val(x: Tensor) -> Tensor:
     return out
 
 
+# Byte budget of one chunk of window_attention's logits or of gelu's scratch.
+# Chunks are independent, so the size bounds memory without changing a single
+# output bit; 256 KiB to 4 MiB measured the same speed.
+WINDOW_CHUNK_BYTES = 1 << 20
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based GELU, elementwise: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact erf-based GELU, 0.5 * x * (1 + erf(x / sqrt(2))), in place a chunk
+    at a time; the full cdf is kept only when a tape records the op."""
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0))))
-    out = _freeze(xd * cdf)
+    keep = _recording((x,))
+    out = np.empty_like(xd)
+    step = max(1, WINDOW_CHUNK_BYTES // xd.itemsize)
+    cdf = np.empty_like(xd) if keep else np.empty(min(step, xd.size), dtype=xd.dtype)
+    for start in range(0, xd.size, step):
+        xs = xd.reshape(-1)[start : start + step]
+        c = cdf.reshape(-1)[start : start + step] if keep else cdf[: xs.size]
+        np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(xs, c, out=out.reshape(-1)[start : start + step])
+    result = _freeze(out)
 
     def bwd(g, xd=xd, cdf=cdf):
         pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
         return (g * (cdf + xd * pdf),)
 
-    _record(out, (x,), bwd)
-    return out
+    _record(result, (x,), bwd)
+    return result
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -381,11 +401,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     _check_same_dtype(x, gamma, beta)
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    buf = np.multiply(xhat, xhat)
+    var = buf.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = centered * inv
-    out = _freeze(xhat * gamma.data + beta.data)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=buf)
+    buf += beta.data
+    out = _freeze(buf)
 
     def bwd(g, xhat=xhat, inv=inv, gd=gamma.data, c=c):
         lead = tuple(range(g.ndim - 1))
@@ -430,27 +453,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map over the last dimension: x @ weight (+ bias)."""
+    """Affine map over the last dimension: x @ weight (+ bias), one GEMM into
+    a fresh buffer plus an in-place bias add (bit-identical to the composed
+    reshape, matmul, reshape and add)."""
     if weight.ndim != 2:
         raise ShapeError(f"linear: weight must be rank 2, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: input shape {x.shape} does not match weight shape {weight.shape}")
     if bias is not None and bias.shape != (weight.shape[1],):
         raise ShapeError(f"linear: bias shape {bias.shape} does not match weight shape {weight.shape}")
-    lead = x.shape[:-1]
-    flat = reshape(x, (-1, x.shape[-1])) if x.ndim != 2 else x
-    y = matmul(flat, weight)
-    if x.ndim != 2:
-        y = reshape(y, lead + (weight.shape[1],))
+    _check_same_dtype(*(t for t in (x, weight, bias) if t is not None))
+    cin, cout = weight.shape
+    out = np.empty(x.shape[:-1] + (cout,), dtype=x.dtype)
+    np.matmul(x.data.reshape(-1, cin), weight.data, out=out.reshape(-1, cout))
     if bias is not None:
-        y = add(y, bias)
-    return y
+        out += bias.data
+    result = _freeze(out)
+    inputs = (x, weight) if bias is None else (x, weight, bias)
 
+    def bwd(g, xd=x.data, wd=weight.data, has_bias=bias is not None):
+        g2 = g.reshape(-1, cout)
+        gx = np.matmul(g2, wd.swapaxes(-1, -2)).reshape(xd.shape)
+        gw = np.matmul(xd.reshape(-1, cin).swapaxes(-1, -2), g2)
+        return (gx, gw, _unbroadcast(g, (cout,))) if has_bias else (gx, gw)
 
-# Byte budget for the logits of one chunk of windows in window_attention.
-# Windows are independent, so the chunk size bounds memory without changing a
-# single output bit; 256 KiB to 4 MiB measured the same speed.
-WINDOW_CHUNK_BYTES = 1 << 20
+    _record(result, inputs, bwd)
+    return result
+
 
 # Finite additive mask: large enough to underflow to an exact softmax zero,
 # finite so the stabilizing max subtraction never produces (-inf) - (-inf).
@@ -619,9 +648,69 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     return out
 
 
+def _head_rows(slots: np.ndarray, n: int, heads: int) -> np.ndarray:
+    """Rows of slots (window * n + pixel) per head of [nw * heads * n, d]."""
+    window, pixel = np.divmod(slots, n)
+    return (window * heads * n + pixel)[..., None] + np.arange(heads) * n
+
+
+def take_windows(x: Tensor, index: np.ndarray, where: np.ndarray, start: int, heads: int, d: int) -> Tensor:
+    """Channels [start, start + heads * d) of an [N, H, W, C] map in windows
+    split into heads, [N * nw, heads, n, d], by one gather. ``index`` [nw, n]
+    is the pixel each window slot reads; ``where`` [Hp, Wp], the slot of each
+    pixel of the reflect-padded map, serves the backward (see _fold_reflected)."""
+    (nb, h, w, c), (nw, n) = x.shape, index.shape
+    if c % d or start % d or start + heads * d > c or not 0 <= index.min() <= index.max() < h * w:
+        raise ShapeError(f"take_windows: map {index.shape} or {heads} heads at {start} do not fit {x.shape}")
+    rows = index[:, None, :] * (c // d) + np.arange(start // d, start // d + heads)[:, None]
+    out = np.empty((nb * nw, heads, n, d), dtype=x.dtype)
+    np.take(x.data.reshape(nb, -1, d), rows, axis=1, out=out.reshape(nb, *rows.shape, d), mode="clip")
+    result = _freeze(out)
+
+    def bwd(g):
+        gp = np.take(g.reshape(nb, -1, d), _head_rows(where, n, heads), axis=1)
+        full = np.zeros(x.shape, dtype=g.dtype)
+        full[..., start : start + heads * d] = _fold_reflected(gp, h, w).reshape(nb, h, w, -1)
+        return (full,)
+
+    _record(result, (x,), bwd)
+    return result
+
+
+def merge_windows(y: Tensor, where: np.ndarray, height: int, width: int) -> Tensor:
+    """Inverse of :func:`take_windows`, [N * nw, heads, n, d] to [N, H, W,
+    heads * d], in one gather: each pixel reads its own copy, at slot
+    ``where[:H, :W]``. Reflected copies get no gradient."""
+    b, heads, n, d = y.shape
+    nb = b * n // where.size
+    if nb * where.size != b * n or height > where.shape[0] or width > where.shape[1]:
+        raise ShapeError(f"merge_windows: slot map {where.shape} does not fit windows {y.shape}")
+    rows = _head_rows(where[:height, :width], n, heads)
+    out = np.empty((nb, height, width, heads * d), dtype=y.dtype)
+    np.take(y.data.reshape(nb, -1, d), rows, axis=1, out=out.reshape(nb, *rows.shape, d), mode="clip")
+    result = _freeze(out)
+
+    def bwd(g):
+        gy = np.zeros((nb, b // nb * heads * n, d), dtype=g.dtype)
+        gy[:, rows] = g.reshape(nb, *rows.shape, d)
+        return (gy.reshape(y.shape),)
+
+    _record(result, (y,), bwd)
+    return result
+
+
 def _reflect_index(n: int, pad: int) -> np.ndarray:
     idx = np.arange(n + pad)
     return np.where(idx < n, idx, 2 * n - 2 - idx)
+
+
+def _fold_reflected(gp: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Folds a padded gradient [N, Hp, Wp, ...] in place onto [N, h, w, ...]:
+    the adjoint of a bottom/right reflect pad, columns first, then rows."""
+    hp, wp = gp.shape[1:3]
+    np.add.at(gp, (slice(None), slice(None), _reflect_index(w, wp - w)[w:]), gp[:, :, w:])
+    np.add.at(gp, (slice(None), _reflect_index(h, hp - h)[h:], slice(None, w)), gp[:, h:, :w])
+    return gp[:, :h, :w]
 
 
 def pad_reflect_spatial(x: Tensor, pad_h: int, pad_w: int) -> Tensor:
@@ -636,18 +725,7 @@ def pad_reflect_spatial(x: Tensor, pad_h: int, pad_w: int) -> Tensor:
     rows = _reflect_index(h, pad_h)
     cols = _reflect_index(w, pad_w)
     out = _freeze(np.ascontiguousarray(x.data[:, rows][:, :, cols]))
-
-    def bwd(g, rows=rows, cols=cols, h=h, w=w, dtype=x.dtype):
-        gh = np.moveaxis(g, 2, 0)
-        acc_w = np.zeros((w,) + gh.shape[1:], dtype=dtype)
-        np.add.at(acc_w, cols, gh)
-        gw = np.moveaxis(acc_w, 0, 2)
-        gr = np.moveaxis(gw, 1, 0)
-        acc_h = np.zeros((h,) + gr.shape[1:], dtype=dtype)
-        np.add.at(acc_h, rows, gr)
-        return (np.moveaxis(acc_h, 0, 1),)
-
-    _record(out, (x,), bwd)
+    _record(out, (x,), lambda g, h=h, w=w: (np.ascontiguousarray(_fold_reflected(g.copy(), h, w)),))
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -422,69 +423,66 @@ _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 def save_weights(store: ParamStore, path: str) -> None:
     """Little-endian container: magic, version, count, then per entry the
-    name, dtype code (0 = float32, 1 = float64), rank, dims, raw elements."""
-    chunks = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<I", len(store))]
+    name, dtype code (0 = float32, 1 = float64), rank, dims, raw elements,
+    each entry written straight from its array."""
     for name, t in store.items():
-        raw = name.encode("utf-8")
-        code = _DTYPE_CODES.get(t.dtype)
-        if code is None:
+        if t.dtype not in _DTYPE_CODES:
             raise WeightFormatError(f"unsupported dtype {t.dtype} for '{name}'")
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<BB", code, t.ndim))
-        chunks.append(struct.pack(f"<{t.ndim}I", *t.shape))
-        chunks.append(np.ascontiguousarray(t.data, dtype=_CODE_DTYPES[code]).tobytes())
     with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+        f.write(_MAGIC + struct.pack("<II", _VERSION, len(store)))
+        for name, t in store.items():
+            raw = name.encode("utf-8")
+            code = _DTYPE_CODES[t.dtype]
+            f.write(struct.pack("<H", len(raw)) + raw + struct.pack(f"<BB{t.ndim}I", code, t.ndim, *t.shape))
+            f.write(np.ascontiguousarray(t.data, dtype=_CODE_DTYPES[code]))
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.off = 0
+    """Reads a weight file in order, checking each read against the bytes left."""
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.buf):
+    def __init__(self, f):
+        self.f, self.size, self.off = f, os.fstat(f.fileno()).st_size, 0
+
+    def take(self, n: int, what: str, dtype: np.dtype | None = None):
+        if self.off + n > self.size:
             raise WeightFormatError(f"truncated weight file while reading {what} at offset {self.off}")
-        piece = self.buf[self.off : self.off + n]
         self.off += n
-        return piece
+        return self.f.read(n) if dtype is None else np.fromfile(self.f, dtype=dtype, count=n // dtype.itemsize)
 
 
 def load_weights(path: str, expected_names=None) -> ParamStore:
     """Strict load; with ``expected_names`` given, the file must contain
     exactly those entries (an unknown extra entry is rejected by name)."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    if r.take(4, "magic") != _MAGIC:
-        raise WeightFormatError("bad magic: not a weight file")
-    (version,) = struct.unpack("<I", r.take(4, "version"))
-    if version != _VERSION:
-        raise WeightFormatError(f"unsupported weight file version {version}")
-    (count,) = struct.unpack("<I", r.take(4, "entry count"))
-    entries: dict[str, Tensor] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", r.take(2, "name length"))
-        raw = r.take(name_len, "name")
-        try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise WeightFormatError(f"entry name {raw!r} at offset {r.off - name_len} is not UTF-8") from None
-        code, rank = struct.unpack("<BB", r.take(2, f"header of '{name}'"))
-        if code not in _CODE_DTYPES:
-            raise WeightFormatError(f"unknown dtype code {code} for '{name}'")
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of '{name}'"))
-        if any(d < 1 for d in dims):
-            raise WeightFormatError(f"non-positive extent in dims {dims} of '{name}'")
-        dt = _CODE_DTYPES[code]
-        # Exact integer count: a product that wraps in int64 would read the wrong number of bytes.
-        nbytes = math.prod(dims) * dt.itemsize
-        data = np.frombuffer(r.take(nbytes, f"data of '{name}'"), dtype=dt).reshape(dims)
-        if name in entries:
-            raise WeightFormatError(f"duplicate entry '{name}'")
-        entries[name] = Tensor(data, dtype=np.float32 if code == 0 else np.float64)
-    if r.off != len(r.buf):
-        raise WeightFormatError(f"{len(r.buf) - r.off} trailing bytes after last entry")
+        r = _Reader(f)
+        if r.take(4, "magic") != _MAGIC:
+            raise WeightFormatError("bad magic: not a weight file")
+        (version,) = struct.unpack("<I", r.take(4, "version"))
+        if version != _VERSION:
+            raise WeightFormatError(f"unsupported weight file version {version}")
+        (count,) = struct.unpack("<I", r.take(4, "entry count"))
+        entries: dict[str, Tensor] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", r.take(2, "name length"))
+            raw = r.take(name_len, "name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise WeightFormatError(f"entry name {raw!r} at offset {r.off - name_len} is not UTF-8") from None
+            code, rank = struct.unpack("<BB", r.take(2, f"header of '{name}'"))
+            if code not in _CODE_DTYPES:
+                raise WeightFormatError(f"unknown dtype code {code} for '{name}'")
+            dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"dims of '{name}'"))
+            if any(d < 1 for d in dims):
+                raise WeightFormatError(f"non-positive extent in dims {dims} of '{name}'")
+            dt = _CODE_DTYPES[code]
+            # Exact integer count: a product that wraps in int64 would read the wrong number of bytes.
+            data = r.take(math.prod(dims) * dt.itemsize, f"data of '{name}'", dt).reshape(dims)
+            if name in entries:
+                raise WeightFormatError(f"duplicate entry '{name}'")
+            entries[name] = ad._freeze(data.astype(dt.newbyteorder("="), copy=False))
+    if r.off != r.size:
+        raise WeightFormatError(f"{r.size - r.off} trailing bytes after last entry")
     if expected_names is not None:
         expected = set(expected_names)
         extra = sorted(set(entries) - expected)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import MASK_VALUE, Tensor, reshape, roll_spatial, transpose
+from .autodiff import MASK_VALUE, Tensor, _reflect_index, reshape, roll_spatial, transpose
 
 __all__ = [
     "HORIZONTAL",
@@ -34,6 +34,7 @@ __all__ = [
     "merge",
     "cyclic_shift",
     "build_shift_mask",
+    "window_maps",
 ]
 
 HORIZONTAL = "horizontal"
@@ -220,3 +221,20 @@ def build_shift_mask(g: WindowGeometry) -> np.ndarray:
     window w may attend to each other iff their ids are equal. Every id is 0
     when the geometry is unshifted."""
     return _partition_np(_region_ids(g), g.sh, g.sw)
+
+
+def window_maps(g: WindowGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather maps composing the reflect pad, the cyclic shift and
+    the partition: ``index`` [nw, n], the pixel each window slot reads, and
+    ``where`` [padded_h, padded_w], the slot of each padded pixel, whose
+    [:height, :width] corner is the inverse map (each pixel's own copy)."""
+    hp, wp = g.padded_h, g.padded_w
+    rows = (np.arange(hp) - g.shift_down) % hp
+    cols = (np.arange(wp) + g.shift_left) % wp
+    padded = _partition_np(rows[:, None] * wp + cols, g.sh, g.sw)
+    where = np.argsort(padded.ravel())  # the inverse permutation
+    source = _reflect_index(g.height, g.pad_h)[:, None] * g.width + _reflect_index(g.width, g.pad_w)
+    maps = source.ravel()[padded], where.reshape(hp, wp)
+    for a in maps:
+        a.setflags(write=False)
+    return maps

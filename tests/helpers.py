@@ -61,3 +61,18 @@ def assert_grads_match_fd(build, arrays: dict, step=1e-4, rtol=1e-3, atol=1e-6):
             key,
             np.max(np.abs(an - fd)),
         )
+
+
+def taped_output_and_grads(build, arrays: dict, seed=7):
+    """Output of ``build`` on tensors made from ``arrays`` (dtypes kept), and
+    the gradients of sum(output * R) for a fixed random R, as numpy arrays:
+    for bit-for-bit comparisons of two implementations of one op."""
+    tensors = {k: Tensor(v) for k, v in arrays.items()}
+    tape = GradientTape()
+    tape.watch(tensors.values())
+    with tape:
+        out = build(tensors)
+        probe = Tensor(np.random.default_rng(seed).normal(size=out.shape), dtype=out.dtype)
+        loss = ad.sum_all(ad.mul(out, probe))
+    grads = backward(tape, loss)
+    return out.numpy(), {k: grads[t].numpy() for k, t in tensors.items()}

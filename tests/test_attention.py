@@ -7,6 +7,7 @@ import pytest
 
 from crossagg.attention import (
     AttentionParams,
+    _offset_table,
     PositionBiasParams,
     locality_complement,
     relative_position_bias,
@@ -493,3 +494,11 @@ def test_untaped_axial_attention_peaks_below_one_logits_tensor():
     finally:
         tracemalloc.stop()
     assert peak < logits_bytes, (peak, logits_bytes)
+
+
+def test_offset_table_is_cached_and_read_only():
+    offsets, index = _offset_table(3, 5, np.dtype(np.float32))
+    assert _offset_table(3, 5, np.dtype(np.float32))[0] is offsets
+    assert not offsets.flags.writeable and not index.flags.writeable
+    with pytest.raises(ValueError):
+        offsets[0, 0] = 1.0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from crossagg.autodiff import (
     init_adam_state,
 )
 
-from helpers import assert_grads_match_fd, rand, repo_root
+from scipy.special import erf
+
+from helpers import assert_grads_match_fd, rand, repo_root, taped_output_and_grads
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +154,86 @@ def test_linear_zero_weight_broadcasts_bias():
 def test_linear_shape_error():
     with pytest.raises(ShapeError):
         ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+# ---------------------------------------------------------------------------
+# linear, gelu and layer_norm against the compositions they replace
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(5,), (2, 3, 5)])
+def test_linear_is_bit_identical_to_composed_ops(dtype, lead):
+    def composed(t):
+        x, w = t["x"], t["w"]
+        y = ad.reshape(ad.matmul(ad.reshape(x, (-1, x.shape[-1])), w), x.shape[:-1] + (w.shape[1],))
+        return ad.add(y, t["b"])
+
+    arrays = {
+        "x": rand(lead + (7,), 60, 1.0, dtype),
+        "w": rand((7, 6), 61, 1.0, dtype),
+        "b": rand((6,), 62, 1.0, dtype),
+    }
+    out, grads = taped_output_and_grads(lambda t: ad.linear(t["x"], t["w"], t["b"]), arrays)
+    want_out, want_grads = taped_output_and_grads(composed, arrays)
+    assert out.dtype == dtype and np.array_equal(out, want_out)
+    for k in arrays:
+        assert np.array_equal(grads[k], want_grads[k]), k
+
+
+def test_linear_records_one_tape_node():
+    x, w, b = (Tensor(rand(s, 63)) for s in ((2, 3, 4), (4, 5), (5,)))
+    tape = GradientTape()
+    tape.watch(x)
+    with tape:
+        ad.linear(x, w, b)
+    assert len(tape._nodes) == 1
+
+
+def _old_gelu(xd):
+    return xd * (0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0)))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("taped", [False, True])
+def test_gelu_chunked_is_bit_identical(monkeypatch, dtype, taped):
+    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 7 * np.dtype(dtype).itemsize)  # chunk boundaries mid-array
+    xd = rand((3, 5, 4), 64, 3.0, dtype)
+    if not taped:
+        out = ad.gelu(Tensor(xd))
+        assert out.dtype == dtype and np.array_equal(out.data, _old_gelu(xd))
+        return
+    out, grads = taped_output_and_grads(lambda t: ad.gelu(t["x"]), {"x": xd})
+    assert np.array_equal(out, _old_gelu(xd))
+    cdf = 0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0))))
+    pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
+    probe = np.random.default_rng(7).normal(size=xd.shape).astype(dtype)
+    assert np.array_equal(grads["x"], probe * (cdf + xd * pdf))
+
+
+def test_gelu_untaped_allocates_its_output_and_one_chunk():
+    x = Tensor(rand((512, 720), 65, 1.0, np.float32))
+    tracemalloc.start()
+    out = ad.gelu(x)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < out.data.nbytes + ad.WINDOW_CHUNK_BYTES + (64 << 10), peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_is_bit_identical_to_old_expression(dtype):
+    xd, gd, bd = rand((2, 3, 8), 66, 2.0, dtype), rand((8,), 67, 1.0, dtype), rand((8,), 68, 1.0, dtype)
+    build = lambda t: ad.layer_norm(t["x"], t["g"], t["b"])  # noqa: E731
+    out, grads = taped_output_and_grads(build, {"x": xd, "g": gd, "b": bd})
+    centered = xd - xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + dtype(1e-5))
+    xhat = centered * inv
+    assert out.dtype == dtype and np.array_equal(out, xhat * gd + bd)
+    g = np.random.default_rng(7).normal(size=xd.shape).astype(dtype)
+    dxhat = g * gd
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert np.array_equal(grads["x"], dx)
+    assert np.array_equal(grads["g"], (g * xhat).sum(axis=(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +531,24 @@ def test_grad_pad_reflect():
     assert_grads_match_fd(
         lambda t: ad.pad_reflect_spatial(t["x"], 2, 1), {"x": rand((1, 3, 4, 2), 28)}
     )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pad_reflect_backward_folds_like_sequential_add_at(dtype):
+    # Independent oracle: accumulate every padded column onto its source with
+    # one add.at over all columns, then every row: (own + column copy) +
+    # (row copy + corner copy) for a corner pixel.
+    h, w, ph, pw = 5, 6, 2, 3
+    x = rand((2, h, w, 3), 30, 1.0, dtype)
+    out, grads = taped_output_and_grads(lambda t: ad.pad_reflect_spatial(t["x"], ph, pw), {"x": x})
+    g = np.random.default_rng(7).normal(size=out.shape).astype(dtype)
+    cols = np.where(np.arange(w + pw) < w, np.arange(w + pw), 2 * w - 2 - np.arange(w + pw))
+    rows = np.where(np.arange(h + ph) < h, np.arange(h + ph), 2 * h - 2 - np.arange(h + ph))
+    acc_w = np.zeros((w, 2, h + ph, 3), dtype=dtype)
+    np.add.at(acc_w, cols, np.moveaxis(g, 2, 0))
+    acc_h = np.zeros((h, 2, w, 3), dtype=dtype)
+    np.add.at(acc_h, rows, np.moveaxis(np.moveaxis(acc_w, 0, 2), 1, 0))
+    assert np.array_equal(grads["x"], np.moveaxis(acc_h, 0, 1))
 
 
 def test_grad_roll():

@@ -1,4 +1,6 @@
+import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +127,24 @@ def test_axial_group_resolves_paired_orientations():
     gv = resolve_geometry(spec, VERTICAL, 16, 16)
     assert (gh.sh, gh.sw) == (2, 16)
     assert (gv.sh, gv.sw) == (16, 2)
+
+
+def test_untaped_shifted_axial_block_peak_memory():
+    # One stock-width block (C=180, axial sl=4, shifted) at 64x64: the numpy
+    # heap peaked at 41.2 MiB with the composed window layout and the MLP ops
+    # building full-size temporaries, and at 35.7 MiB with the gather maps and
+    # ops that write into buffers they own.
+    config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
+    bp = block_params(init_params(config, 0), "body.group0.block1", config)
+    x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))
+    catb_forward(x, bp, config.spec_for_group(0), shifted=True)
+    tracemalloc.start()
+    try:
+        catb_forward(x, bp, config.spec_for_group(0), shifted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 38.5 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +361,39 @@ def test_weight_bad_version_rejected(tmp_path):
     path.write_bytes(b"CATW" + struct.pack("<I", 9) + struct.pack("<I", 0))
     with pytest.raises(WeightFormatError, match="version"):
         load_weights(str(path))
+
+
+def test_weight_io_streams_each_entry(tmp_path):
+    store = ParamStore({f"w{i}": Tensor(rand((256, 512), 90 + i, 1.0, np.float32)) for i in range(4)})
+    nbytes = sum(t.data.nbytes for _, t in store.items())
+    path = str(tmp_path / "w.catw")
+    tracemalloc.start()
+    try:
+        save_weights(store, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_weights(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert save_peak < nbytes / 8, save_peak  # no copy of the entries, no joined blob
+    assert load_peak < 1.125 * nbytes, load_peak  # the loaded arrays themselves, no file copy
+    for name, t in store.items():
+        assert np.array_equal(loaded[name].data, t.data) and not loaded[name].data.flags.writeable
+
+
+def test_weight_dims_beyond_file_rejected_before_allocating(tmp_path):
+    entry = struct.pack("<H", 1) + b"w" + struct.pack("<BB", 0, 2) + struct.pack("<2I", 4096, 4096) + b"\0" * 4
+    path = tmp_path / "short.catw"
+    path.write_bytes(b"CATW" + struct.pack("<I", 1) + struct.pack("<I", 1) + entry)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightFormatError, match="truncated"):
+            load_weights(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # the 64 MiB entry was never allocated
 
 
 # ---------------------------------------------------------------------------

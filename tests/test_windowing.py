@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossagg import autodiff as ad
 from crossagg.autodiff import Tensor
 from crossagg.windowing import (
     HORIZONTAL,
@@ -13,9 +14,10 @@ from crossagg.windowing import (
     merge,
     partition,
     resolve_geometry,
+    window_maps,
 )
 
-from helpers import rand
+from helpers import assert_grads_match_fd, rand, taped_output_and_grads
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +268,96 @@ def test_mask_zero_iff_same_preshift_region(sh, sw, gh, gw):
         col_band[:, :, None] == col_band[:, None, :]
     )
     assert np.array_equal(ids[:, :, None] == ids[:, None, :], same)
+
+
+# ---------------------------------------------------------------------------
+# gather maps: pad, shift and partition as one gather
+# ---------------------------------------------------------------------------
+
+# (spec, orientation, height, width, shifted): both pads, one pad, none.
+GATHER_CASES = [
+    (WindowSpec.regular(2, 4), HORIZONTAL, 7, 10, True),
+    (WindowSpec.regular(2, 4), VERTICAL, 7, 10, True),
+    (WindowSpec.regular(2, 4), HORIZONTAL, 8, 8, False),
+    (WindowSpec.regular(2, 4), VERTICAL, 5, 6, False),
+    (WindowSpec.axial(3), HORIZONTAL, 7, 5, True),
+    (WindowSpec.axial(3), VERTICAL, 7, 5, True),
+    (WindowSpec.axial(2), VERTICAL, 6, 6, False),
+]
+
+
+def _composed_windows(x, g, start, heads, d):
+    """The ops take_windows replaces: narrow, reflect pad, cyclic shift,
+    partition and head split."""
+    t = ad.narrow(x, -1, start, heads * d)
+    if g.pad_h or g.pad_w:
+        t = ad.pad_reflect_spatial(t, g.pad_h, g.pad_w)
+    if g.shifted:
+        t = cyclic_shift(t, g.shift_down, g.shift_left)
+    t = partition(t, g)
+    return ad.transpose(ad.reshape(t, (t.shape[0], g.window_pixels, heads, d)), (0, 2, 1, 3))
+
+
+def _composed_merge(y, g, batch):
+    """The ops merge_windows replaces: head merge, merge, unshift and crop."""
+    t = ad.transpose(y, (0, 2, 1, 3))
+    t = merge(ad.reshape(t, (t.shape[0], g.window_pixels, -1)), g, batch, g.padded_h, g.padded_w)
+    if g.shifted:
+        t = cyclic_shift(t, -g.shift_down, -g.shift_left)
+    return ad.narrow(ad.narrow(t, 1, 0, g.height), 2, 0, g.width)
+
+
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_window_maps_inverse_reads_each_pixel_back(case):
+    g = resolve_geometry(*case[:4], shifted=case[4])
+    index, where = window_maps(g)
+    assert index.shape == (g.num_windows, g.window_pixels)
+    assert where.shape == (g.padded_h, g.padded_w)
+    assert np.array_equal(np.sort(where.ravel()), np.arange(where.size))
+    own = index.ravel()[where[: g.height, : g.width]]
+    assert np.array_equal(own, np.arange(g.height * g.width).reshape(g.height, g.width))
+    assert not index.flags.writeable and not where.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_take_windows_is_bit_identical_to_composed_ops(case, dtype):
+    g = resolve_geometry(*case[:4], shifted=case[4])
+    index, where = window_maps(g)
+    heads, d = 2, 3
+    arrays = {"x": rand((2, g.height, g.width, 6 * heads * d), 70, 1.0, dtype)}  # batch 2, fused q/k/v map
+    for start in (0, heads * d, 5 * heads * d):
+        fused = taped_output_and_grads(lambda t: ad.take_windows(t["x"], index, where, start, heads, d), arrays)
+        composed = taped_output_and_grads(lambda t: _composed_windows(t["x"], g, start, heads, d), arrays)
+        assert fused[0].dtype == dtype and np.array_equal(fused[0], composed[0]), start
+        assert np.array_equal(fused[1]["x"], composed[1]["x"]), start
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_merge_windows_is_bit_identical_to_composed_ops(case, dtype):
+    g = resolve_geometry(*case[:4], shifted=case[4])
+    _, where = window_maps(g)
+    arrays = {"y": rand((2 * g.num_windows, 2, g.window_pixels, 3), 71, 1.0, dtype)}
+    fused = taped_output_and_grads(lambda t: ad.merge_windows(t["y"], where, g.height, g.width), arrays)
+    composed = taped_output_and_grads(lambda t: _composed_merge(t["y"], g, 2), arrays)
+    assert fused[0].dtype == dtype and np.array_equal(fused[0], composed[0])
+    assert np.array_equal(fused[1]["y"], composed[1]["y"])
+
+
+def test_gather_map_gradients_match_finite_differences():
+    g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 3, 5, shifted=True)
+    assert g.pad_h and g.pad_w and g.shifted
+    index, where = window_maps(g)
+    assert_grads_match_fd(lambda t: ad.take_windows(t["x"], index, where, 2, 1, 2), {"x": rand((1, 3, 5, 4), 72)})
+    y = rand((g.num_windows, 1, g.window_pixels, 2), 73)
+    assert_grads_match_fd(lambda t: ad.merge_windows(t["y"], where, 3, 5), {"y": y})
+
+
+def test_take_windows_rejects_a_map_outside_the_input():
+    g = resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4)
+    index, where = window_maps(g)
+    with pytest.raises(ValueError):
+        ad.take_windows(Tensor(np.zeros((1, 2, 4, 4))), index, where, 0, 2, 2)
+    with pytest.raises(ValueError):
+        ad.take_windows(Tensor(np.zeros((1, 4, 4, 4))), index, where, 2, 2, 2)
