@@ -28,12 +28,12 @@ import numpy as np  # noqa: E402
 from crossagg.autodiff import Tensor  # noqa: E402
 from crossagg.harness import restore_image  # noqa: E402
 from crossagg.imaging import ImageU8  # noqa: E402
-from crossagg.model import cat_forward, init_params, preset_config  # noqa: E402
+from crossagg.model import PRESET_NAMES, cat_forward, init_params, preset_config  # noqa: E402
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--config", default="cat_a_x2", help="stock configuration name")
+    parser.add_argument("--config", default="cat_a_x2", choices=PRESET_NAMES, help="stock configuration name")
     parser.add_argument("--side", type=int, default=96, help="input height and width")
     parser.add_argument("--reps", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0, help="input image seed")

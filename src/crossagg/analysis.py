@@ -3,15 +3,16 @@
 Counting convention: one multiply-accumulate is one FLOP; biases, layer
 norms, softmax, and activations are not charged. This convention reproduces
 the published complexity figures for this architecture family. Attention cost
-per block follows the closed forms
+per block is 4 * H * W * C * C for the fused query/key/value projections plus
+the output projection, and padded_h * padded_w * C * n for the two window
+matmuls of each orientation, over the padded grid it tiles with windows of n
+pixels. When the windows divide the image this is the closed form
 
     regular windows:  H * W * C * (4C + 2 * sh * sw)
     axial windows:    H * W * C * (4C + sl * H + sl * W)
 
-where the 4C term covers the fused query/key/value projections plus the
-output projection, and the remainder the two window matmuls. The position
-bias network is charged once per distinct window size, mirroring the
-implementation's cache.
+The position bias network is charged once per distinct window size, mirroring
+the implementation's cache.
 """
 
 from __future__ import annotations
@@ -62,23 +63,14 @@ class CostReport:
 
 
 def attention_flops(spec: WindowSpec, channels: int, height: int, width: int) -> int:
-    """Closed-form attention cost of one block at the given resolution."""
+    """Attention cost of one block at the given resolution, with each
+    orientation's window matmuls counted over the padded grid it tiles."""
     if channels < 1 or height < 1 or width < 1:
         raise ValueError("extents must be positive")
-    area = height * width
-    if spec.kind == "regular":
-        return area * channels * (4 * channels + 2 * spec.sh * spec.sw)
-    return area * channels * (4 * channels + spec.sl * height + spec.sl * width)
-
-
-def _resolved_attention_flops(spec: WindowSpec, channels: int, height: int, width: int) -> int:
-    """Attention cost with window terms taken over the padded grids each
-    orientation actually tiles; equals :func:`attention_flops` whenever the
-    resolution divides the windows."""
     total = 4 * height * width * channels * channels
     for orientation in (HORIZONTAL, VERTICAL):
         g = resolve_geometry(spec, orientation, height, width)
-        total += 2 * g.padded_h * g.padded_w * (channels // 2) * g.window_pixels
+        total += g.padded_h * g.padded_w * channels * g.window_pixels
     return total
 
 
@@ -116,7 +108,7 @@ def model_flops(config: ModelConfig, height: int, width: int) -> CostReport:
     ]
     for i in range(config.num_groups):
         spec = config.spec_for_group(i)
-        attn = _resolved_attention_flops(spec, c, height, width)
+        attn = attention_flops(spec, c, height, width)
         rows.append(CostRow(f"group{i}.attn", n2 * (4 * c * c + 4 * c), n2 * attn))
         if config.use_lcm:
             rows.append(CostRow(f"group{i}.lcm", n2 * 10 * c, n2 * 9 * area * c))

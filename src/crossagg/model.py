@@ -17,7 +17,8 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -42,7 +43,6 @@ __all__ = [
     "load_weights",
     "parse_config",
     "parse_config_text",
-    "format_config",
     "preset_config",
     "PRESET_NAMES",
 ]
@@ -117,6 +117,16 @@ class ModelConfig:
                 raise ConfigError("axial lengths must be >= 1")
         else:
             raise ConfigError(f"unknown window kind {self.window_kind!r}")
+        unused = ("axial_lengths",) if self.window_kind == "regular" else ("window_height", "window_width")
+        if self.task == TASK_CAR:
+            unused += ("scale", "head_width")
+        for name in unused:
+            value = getattr(self, name)
+            if value != self.__dataclass_fields__[name].default:
+                raise ConfigError(
+                    f"{self.task} models with {self.window_kind} windows do not use key {name!r} "
+                    f"(set to {value!r})"
+                )
 
     @property
     def mlp_hidden(self) -> int:
@@ -498,13 +508,36 @@ def load_weights(path: str, expected_names=None) -> ParamStore:
 # Config text format
 # ---------------------------------------------------------------------------
 
-# One key per ModelConfig field; the file spells ``window_kind`` as ``window``.
-_CONFIG_KEYS = {"window" if f.name == "window_kind" else f.name for f in fields(ModelConfig)}
+# One key per ModelConfig field, in field order; the file spells ``window_kind`` as ``window``.
+_CONFIG_FIELDS = {("window" if f.name == "window_kind" else f.name): f for f in fields(ModelConfig)}
+_FIELD_TYPES = typing.get_type_hints(ModelConfig)
+# Keys a task or window kind reads although their fields have defaults.
+_REQUIRED_BY = {
+    TASK_SR: ("scale",),
+    "regular": ("window_height", "window_width"),
+    "axial": ("axial_lengths",),
+}
+
+
+def _convert(key: str, kind, value: str):
+    if kind is bool:
+        if value.lower() not in ("true", "false"):
+            raise ConfigError(f"key {key!r}: expected true or false, got {value!r}")
+        return value.lower() == "true"
+    if kind == tuple[int, ...]:
+        return tuple(_convert(key, int, p.strip()) for p in value.split(",") if p.strip())
+    try:
+        return kind(value)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}") from None
 
 
 def parse_config_text(text: str) -> ModelConfig:
-    """Parse `key = value` lines; blank lines and `#` comments are allowed,
-    unknown or repeated keys are rejected."""
+    """Parse `key = value` lines, one key per :class:`ModelConfig` field, each
+    value read as its field's type; blank lines and `#` comments are allowed,
+    unknown or repeated keys are rejected. Car models default to one input
+    and one output channel."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -514,92 +547,25 @@ def parse_config_text(text: str) -> ModelConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: repeated key {key!r}")
         raw[key] = value
 
-    def need(key: str) -> str:
-        if key not in raw:
+    required = {name for kind in (raw.get("task"), raw.get("window")) for name in _REQUIRED_BY.get(kind, ())}
+    kwargs: dict = {"in_channels": 1, "out_channels": 1} if raw.get("task") == TASK_CAR else {}
+    for key, f in _CONFIG_FIELDS.items():
+        if key in raw:
+            kwargs[f.name] = _convert(key, _FIELD_TYPES[f.name], raw[key])
+        elif f.default is MISSING or f.name in required:
             raise ConfigError(f"missing required key {key!r}")
-        return raw[key]
-
-    def as_int(key: str, value: str) -> int:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from None
-
-    task = need("task")
-    window_kind = need("window")
-    kwargs: dict = {
-        "task": task,
-        "window_kind": window_kind,
-        "channels": as_int("channels", need("channels")),
-        "num_groups": as_int("num_groups", need("num_groups")),
-        "blocks_per_group": as_int("blocks_per_group", need("blocks_per_group")),
-        "num_heads": as_int("num_heads", need("num_heads")),
-    }
-    ratio_text = need("mlp_ratio")
-    try:
-        kwargs["mlp_ratio"] = float(ratio_text)
-    except ValueError:
-        raise ConfigError(f"key 'mlp_ratio': expected a number, got {ratio_text!r}") from None
-    default_io = 3 if task == TASK_SR else 1
-    kwargs["in_channels"] = as_int("in_channels", raw["in_channels"]) if "in_channels" in raw else default_io
-    kwargs["out_channels"] = as_int("out_channels", raw["out_channels"]) if "out_channels" in raw else default_io
-    if task == TASK_SR:
-        kwargs["scale"] = as_int("scale", need("scale"))
-    elif "scale" in raw:
-        kwargs["scale"] = as_int("scale", raw["scale"])
-    if window_kind == "regular":
-        kwargs["window_height"] = as_int("window_height", need("window_height"))
-        kwargs["window_width"] = as_int("window_width", need("window_width"))
-    elif window_kind == "axial":
-        parts = [p.strip() for p in need("axial_lengths").split(",") if p.strip()]
-        kwargs["axial_lengths"] = tuple(as_int("axial_lengths", p) for p in parts)
-    if "use_lcm" in raw:
-        value = raw["use_lcm"].lower()
-        if value not in ("true", "false"):
-            raise ConfigError(f"key 'use_lcm': expected true or false, got {raw['use_lcm']!r}")
-        kwargs["use_lcm"] = value == "true"
-    if "head_width" in raw:
-        kwargs["head_width"] = as_int("head_width", raw["head_width"])
     return ModelConfig(**kwargs)
 
 
 def parse_config(path: str) -> ModelConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_config_text(f.read())
-
-
-def format_config(config: ModelConfig) -> str:
-    lines = [f"task = {config.task}"]
-    if config.task == TASK_SR:
-        lines.append(f"scale = {config.scale}")
-    lines += [
-        f"in_channels = {config.in_channels}",
-        f"out_channels = {config.out_channels}",
-        f"channels = {config.channels}",
-        f"num_groups = {config.num_groups}",
-        f"blocks_per_group = {config.blocks_per_group}",
-        f"num_heads = {config.num_heads}",
-        f"mlp_ratio = {config.mlp_ratio:g}",
-        f"window = {config.window_kind}",
-    ]
-    if config.window_kind == "regular":
-        lines += [
-            f"window_height = {config.window_height}",
-            f"window_width = {config.window_width}",
-        ]
-    else:
-        lines.append(f"axial_lengths = {','.join(str(s) for s in config.axial_lengths)}")
-    lines += [
-        f"use_lcm = {'true' if config.use_lcm else 'false'}",
-        f"head_width = {config.head_width}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +592,8 @@ def _base_sr(scale: int) -> dict:
 def preset_config(name: str) -> ModelConfig:
     """Named stock configurations (regular/axial windows, SR and artifact
     reduction, plus a tiny trainable-on-a-laptop demo model)."""
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"unknown preset {name!r}")
     if name.startswith("cat_r_x"):
         scale = int(name.removeprefix("cat_r_x"))
         return ModelConfig(window_kind="regular", window_height=4, window_width=16, **_base_sr(scale))
@@ -646,24 +614,23 @@ def preset_config(name: str) -> ModelConfig:
             axial_lengths=(2, 2, 2, 4, 4, 4),
             use_lcm=True,
         )
-    if name == "tiny_sr_x2":
-        return ModelConfig(
-            task=TASK_SR,
-            scale=2,
-            in_channels=3,
-            out_channels=3,
-            channels=16,
-            num_groups=1,
-            blocks_per_group=1,
-            num_heads=2,
-            mlp_ratio=2.0,
-            window_kind="regular",
-            window_height=2,
-            window_width=4,
-            use_lcm=True,
-            head_width=16,
-        )
-    raise ConfigError(f"unknown preset {name!r}")
+    # tiny_sr_x2
+    return ModelConfig(
+        task=TASK_SR,
+        scale=2,
+        in_channels=3,
+        out_channels=3,
+        channels=16,
+        num_groups=1,
+        blocks_per_group=1,
+        num_heads=2,
+        mlp_ratio=2.0,
+        window_kind="regular",
+        window_height=2,
+        window_width=4,
+        use_lcm=True,
+        head_width=16,
+    )
 
 
 PRESET_NAMES = (

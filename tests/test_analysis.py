@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,16 @@ from hypothesis import strategies as st
 from crossagg.analysis import CostReport, CostRow, attention_flops, model_flops, report_render
 from crossagg.model import ModelConfig, count_params, preset_config
 from crossagg.windowing import WindowSpec
+
+
+def closed_form_attention_flops(spec: WindowSpec, channels: int, height: int, width: int) -> int:
+    """Closed-form attention cost of one block at the given resolution."""
+    if channels < 1 or height < 1 or width < 1:
+        raise ValueError("extents must be positive")
+    area = height * width
+    if spec.kind == "regular":
+        return area * channels * (4 * channels + 2 * spec.sh * spec.sw)
+    return area * channels * (4 * channels + spec.sl * height + spec.sl * width)
 
 
 def test_attention_flops_regular_example():
@@ -88,10 +99,30 @@ def test_analyzer_params_equal_count_params():
 )
 @settings(max_examples=80)
 def test_axial_dominates_regular_when_window_area_larger(c, sl, h, w, sh, sw):
-    axial = attention_flops(WindowSpec.axial(sl), c, h, w)
-    regular = attention_flops(WindowSpec.regular(sh, sw), c, h, w)
+    axial = closed_form_attention_flops(WindowSpec.axial(sl), c, h, w)
+    regular = closed_form_attention_flops(WindowSpec.regular(sh, sw), c, h, w)
     if sl * (h + w) > 2 * sh * sw:
         assert axial >= regular
+
+
+@given(
+    st.integers(1, 64),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+@settings(max_examples=80)
+def test_attention_flops_equals_closed_form_when_windows_divide(c, a, b, m, n):
+    # Both orientations' windows (a x b and b x a, or a rows and a columns)
+    # tile the image without padding.
+    side = math.lcm(a, b)
+    regular = WindowSpec.regular(a, b)
+    assert attention_flops(regular, c, side * m, side * n) == closed_form_attention_flops(
+        regular, c, side * m, side * n
+    )
+    axial = WindowSpec.axial(a)
+    assert attention_flops(axial, c, a * m, a * n) == closed_form_attention_flops(axial, c, a * m, a * n)
 
 
 def test_body_flops_scale_linearly_in_area():

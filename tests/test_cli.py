@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossagg.imaging import ImageU8, load_image, save_image
-from crossagg.model import format_config, init_params, preset_config, save_weights
+from crossagg.model import init_params, preset_config, save_weights
 
 from helpers import repo_root
 
@@ -106,7 +106,8 @@ def test_infer_x4_config_quadruples_resolution(tmp_path, demo_png):
         **{**preset_config("tiny_sr_x2").__dict__, "scale": 4}
     )
     config_path = tmp_path / "tiny_x4.cfg"
-    config_path.write_text(format_config(config))
+    x2_text = (repo_root() / "configs" / "tiny_sr_x2.cfg").read_text()
+    config_path.write_text(x2_text.replace("scale = 2", "scale = 4"))
     weights = tmp_path / "tiny_x4.catw"
     save_weights(init_params(config, seed=0), str(weights))
     out_path = tmp_path / "big.png"

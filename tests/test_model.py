@@ -9,13 +9,13 @@ from crossagg.autodiff import Tensor
 from crossagg.model import (
     ConfigError,
     ModelConfig,
+    PRESET_NAMES,
     ParamStore,
     WeightFormatError,
     block_params,
     cat_forward,
     catb_forward,
     count_params,
-    format_config,
     init_params,
     load_weights,
     parameter_schema,
@@ -168,7 +168,7 @@ def test_sr_x3_output_shape():
 
 
 def test_car_zero_weights_is_global_identity():
-    config = _tiny_config(task="car", scale=1, in_channels=1, out_channels=1)
+    config = _tiny_config(task="car", scale=1, in_channels=1, out_channels=1, head_width=64)
     store = _zero_store(config)
     x = Tensor(np.random.default_rng(5).uniform(0, 1, (1, 8, 8, 1)).astype(np.float32))
     out = cat_forward(x, store, config)
@@ -257,7 +257,8 @@ def test_published_scale_parameter_count(name):
 
 
 def test_count_matches_materialized_store_exactly():
-    for config in (_tiny_config(), _tiny_config(task="car", scale=1, in_channels=1, out_channels=1)):
+    car = _tiny_config(task="car", scale=1, in_channels=1, out_channels=1, head_width=64)
+    for config in (_tiny_config(), car):
         assert count_params(config) == init_params(config, seed=0).total_elements()
 
 
@@ -401,16 +402,56 @@ def test_weight_dims_beyond_file_rejected_before_allocating(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_config_text_roundtrip_all_presets():
-    for name in ("cat_r_x2", "cat_r_x4", "cat_a_x4", "cat_a_car", "tiny_sr_x2"):
-        config = preset_config(name)
-        assert parse_config_text(format_config(config)) == config
+def _config_file_text(name: str) -> str:
+    return (repo_root() / "configs" / f"{name}.cfg").read_text()
 
 
 def test_config_files_match_presets():
-    for name in ("cat_r_x4", "cat_a_x4", "cat_a_x2", "tiny_sr_x2"):
-        parsed = parse_config(str(repo_root() / "configs" / f"{name}.cfg"))
-        assert parsed == preset_config(name)
+    assert sorted(p.stem for p in (repo_root() / "configs").glob("*.cfg")) == sorted(PRESET_NAMES)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_config_file_parses_to_its_preset(name):
+    assert parse_config(str(repo_root() / "configs" / f"{name}.cfg")) == preset_config(name)
+
+
+@pytest.mark.parametrize(
+    "name,line",
+    [
+        ("cat_r_x2", "axial_lengths = 9,9"),
+        ("cat_a_x2", "window_height = 8"),
+        ("cat_a_x2", "window_width = 8"),
+        ("cat_a_car", "scale = 4"),
+        ("cat_a_car", "head_width = 32"),
+    ],
+)
+def test_config_key_the_model_does_not_use_rejected(name, line):
+    key = line.split()[0]
+    kept = [row for row in _config_file_text(name).splitlines() if not row.startswith(key)]
+    text = "\n".join([*kept, line])
+    with pytest.raises(ConfigError, match=f"do not use key '{key}'"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "name,field,value",
+    [
+        ("cat_r_x2", "axial_lengths", (9, 9)),
+        ("cat_a_x2", "window_height", 8),
+        ("cat_a_x2", "window_width", 8),
+        ("cat_a_car", "scale", 4),
+        ("cat_a_car", "head_width", 32),
+    ],
+)
+def test_model_config_rejects_a_field_the_model_does_not_use(name, field, value):
+    with pytest.raises(ConfigError, match=f"do not use key '{field}'"):
+        dataclasses.replace(preset_config(name), **{field: value})
+
+
+@pytest.mark.parametrize("name", ["cat_r_xfoo", "cat_a_x", "cat_r_x5"])
+def test_unknown_preset_rejected(name):
+    with pytest.raises(ConfigError, match=f"unknown preset {name!r}"):
+        preset_config(name)
 
 
 def test_config_unknown_key_rejected():
@@ -419,7 +460,7 @@ def test_config_unknown_key_rejected():
 
 
 def test_config_repeated_key_rejected():
-    text = format_config(preset_config("tiny_sr_x2")) + "channels = 16\n"
+    text = _config_file_text("tiny_sr_x2") + "channels = 16\n"
     with pytest.raises(ConfigError, match="repeated"):
         parse_config_text(text)
 
@@ -429,42 +470,62 @@ def test_config_missing_required_key():
         parse_config_text("task = sr\nscale = 2\nwindow = regular\n")
 
 
+@pytest.mark.parametrize(
+    "name,key",
+    [("tiny_sr_x2", "scale"), ("tiny_sr_x2", "window_height"), ("cat_a_x2", "axial_lengths")],
+)
+def test_config_key_required_by_task_or_window_kind(name, key):
+    text = "\n".join(row for row in _config_file_text(name).splitlines() if not row.startswith(key))
+    with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+        parse_config_text(text)
+
+
+def test_config_use_lcm_false_is_the_ablation():
+    text = _config_file_text("cat_r_x2").replace("use_lcm = true", "use_lcm = False")
+    assert parse_config_text(text) == dataclasses.replace(preset_config("cat_r_x2"), use_lcm=False)
+
+
+def test_config_car_defaults_to_one_channel():
+    text = "\n".join(row for row in _config_file_text("cat_a_car").splitlines() if "_channels" not in row)
+    assert parse_config_text(text) == preset_config("cat_a_car")
+
+
 def test_config_missing_mlp_ratio_reported_as_missing():
     text = "\n".join(
-        line for line in format_config(preset_config("tiny_sr_x2")).splitlines() if "mlp_ratio" not in line
+        line for line in _config_file_text("tiny_sr_x2").splitlines() if "mlp_ratio" not in line
     )
     with pytest.raises(ConfigError, match="missing required key 'mlp_ratio'"):
         parse_config_text(text)
 
 
 def test_config_bad_mlp_ratio_rejected():
-    text = format_config(preset_config("tiny_sr_x2")).replace("mlp_ratio = 2", "mlp_ratio = soup")
+    text = _config_file_text("tiny_sr_x2").replace("mlp_ratio = 2", "mlp_ratio = soup")
     with pytest.raises(ConfigError, match="number"):
         parse_config_text(text)
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf"])
 def test_config_non_finite_mlp_ratio_rejected(ratio):
-    text = format_config(preset_config("tiny_sr_x2")).replace("mlp_ratio = 2", f"mlp_ratio = {ratio}")
+    text = _config_file_text("tiny_sr_x2").replace("mlp_ratio = 2", f"mlp_ratio = {ratio}")
     with pytest.raises(ConfigError, match="finite"):
         parse_config_text(text)
 
 
 def test_config_mlp_ratio_rounding_to_zero_hidden_rejected():
     # 0.001 * 16 channels rounds to a hidden width of 0: an MLP with no units.
-    text = format_config(preset_config("tiny_sr_x2")).replace("mlp_ratio = 2", "mlp_ratio = 0.001")
+    text = _config_file_text("tiny_sr_x2").replace("mlp_ratio = 2", "mlp_ratio = 0.001")
     with pytest.raises(ConfigError, match="hidden width of 0"):
         parse_config_text(text)
 
 
 def test_config_bad_integer_rejected():
-    text = format_config(preset_config("tiny_sr_x2")).replace("channels = 16", "channels = lots")
+    text = _config_file_text("tiny_sr_x2").replace("channels = 16", "channels = lots")
     with pytest.raises(ConfigError, match="integer"):
         parse_config_text(text)
 
 
 def test_config_comments_and_blanks_allowed():
-    text = "# a comment\n\n" + format_config(preset_config("tiny_sr_x2"))
+    text = "# a comment\n\n" + _config_file_text("tiny_sr_x2")
     assert parse_config_text(text) == preset_config("tiny_sr_x2")
 
 
