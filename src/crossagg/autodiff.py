@@ -351,22 +351,65 @@ def abs_val(x: Tensor) -> Tensor:
 # output bit; 256 KiB to 4 MiB measured the same speed.
 WINDOW_CHUNK_BYTES = 1 << 20
 
+# float32 erf(x / sqrt(2)) = K u N(s) / D(s) with u = x clipped to +-4 sqrt(2)
+# and s = u * u: the odd/even [-4, 4] rational of Eigen's float32 erf, with
+# 1/sqrt(2) folded in and N, D monic (degrees 6 and 4). The coefficients are a
+# minimax fit of the relative error, rounded to float32 one at a time with the
+# rest refitted; its value at the clip is exactly +-1, so the cdf beyond it is
+# exactly 0 or 1 (the true erf is within 1.6e-8 of +-1 there). Evaluated in
+# float32 it stays within 7 ulp and 4.2e-7 of the exact erf (24M samples of
+# erf's argument over [-6, 6]).
+_ERF_CLIP = np.float32(4.0 * math.sqrt(2.0))
+_ERF_NUM = np.array(  # s^0 ... s^5
+    [3.7787144e09, 3.467785e08, 4.313446e07, 1.6701101e06, 30822.852, -203.25487], dtype=np.float32
+)
+_ERF_DEN = np.array([15672.249, 4050.2917, 462.1857, 29.300085], dtype=np.float32)  # s^0 ... s^3
+_ERF_HALF_K = np.float32(3.309232624815195e-06 / 2)
+
+
+def _half_erf_f32(x: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray) -> None:
+    """erf(x / sqrt(2)) / 2 of float32 ``x`` into ``out``, in place through the
+    scratch arrays ``s`` and ``p`` (all of x's size): 23 passes, no temporaries."""
+    np.clip(x, -_ERF_CLIP, _ERF_CLIP, out=out)
+    np.multiply(out, out, out=s)
+    np.add(s, _ERF_NUM[-1], out=p)
+    for a in _ERF_NUM[-2::-1]:
+        p *= s
+        p += a
+    p *= out
+    np.add(s, _ERF_DEN[-1], out=out)
+    for b in _ERF_DEN[-2::-1]:
+        out *= s
+        out += b
+    np.divide(p, out, out=out)
+    out *= _ERF_HALF_K
+
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based GELU, 0.5 * x * (1 + erf(x / sqrt(2))), in place a chunk
-    at a time; the full cdf is kept only when a tape records the op."""
+    """Exact erf-based GELU, x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))), in
+    place a chunk at a time; the full cdf is kept only when a tape records the
+    op. float64 takes scipy's erf, float32 the rational of ``_half_erf_f32``."""
     xd = x.data
     keep = _recording((x,))
+    f32 = xd.dtype == np.float32
     out = np.empty_like(xd)
-    step = max(1, WINDOW_CHUNK_BYTES // xd.itemsize)
-    cdf = np.empty_like(xd) if keep else np.empty(min(step, xd.size), dtype=xd.dtype)
+    # In float32 the chunk's cdf and the erf's two scratch arrays share the
+    # budget: the erf's passes then run in L2, about 15% faster than a budget each.
+    step = max(1, WINDOW_CHUNK_BYTES // ((3 if f32 else 1) * xd.itemsize))
+    n = min(step, xd.size)
+    cdf = np.empty_like(xd) if keep else np.empty(n, dtype=xd.dtype)
+    scratch = np.empty((2, n), dtype=xd.dtype) if f32 else None
     for start in range(0, xd.size, step):
         xs = xd.reshape(-1)[start : start + step]
         c = cdf.reshape(-1)[start : start + step] if keep else cdf[: xs.size]
-        np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
-        erf(c, out=c)
-        c += 1.0
-        c *= 0.5
+        if f32:
+            _half_erf_f32(xs, c, *scratch[:, : xs.size])
+            c += 0.5
+        else:
+            np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
+            erf(c, out=c)
+            c += 1.0
+            c *= 0.5
         np.multiply(xs, c, out=out.reshape(-1)[start : start + step])
     result = _freeze(out)
 
@@ -636,6 +679,8 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("gather: indices must be a 1-D integer array")
     axis = _check_axis("gather", axis, x.ndim)
+    if idx.size and not (0 <= idx.min() and idx.max() < x.shape[axis]):
+        raise ShapeError(f"gather: indices must lie in [0, {x.shape[axis]}) along axis {axis}")
     out = _freeze(np.take(x.data, idx, axis=axis))
 
     def bwd(g, idx=idx, axis=axis, shape=x.shape, dtype=x.dtype):
@@ -859,6 +904,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def mean_all(x: Tensor) -> Tensor:
+    if x.size == 0:
+        raise ShapeError("mean_all: an empty tensor has no mean")
     return mul(sum_all(x), 1.0 / x.size)
 
 

@@ -1,6 +1,8 @@
 """Shared test utilities: small random parameter sets, numpy views of them,
-and a finite-difference gradient checker."""
+a finite-difference gradient checker, and the float32-against-float64 drift
+of a model forward."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import numpy as np
 from crossagg import autodiff as ad
 from crossagg.attention import AttentionParams
 from crossagg.autodiff import GradientTape, Tensor, backward
+from crossagg.model import ParamStore, cat_forward, init_params, preset_config
 from crossagg.selftest import attention_params_numpy, tiny_attention_params  # noqa: F401 - re-exported
 
 
@@ -76,3 +79,36 @@ def taped_output_and_grads(build, arrays: dict, seed=7):
         loss = ad.sum_all(ad.mul(out, probe))
     grads = backward(tape, loss)
     return out.numpy(), {k: grads[t].numpy() for k, t in tensors.items()}
+
+
+def forward_drift(config_name: str, side: int, jitter: float = 0.0) -> dict:
+    """Run the preset ``config_name`` forward on one seed-0 side x side image in
+    float32 and in float64 from the same weights, and report the drift.
+
+    The float32 weights are ``init_params(config, 0)``, plus N(0, ``jitter``)
+    noise when ``jitter`` is nonzero; the float64 weights and image are exact
+    copies of the float32 ones, so the drift is float32 arithmetic alone. The
+    drift of an output element is |y32 - y64| / max|y64|. The float64 output's
+    SHA-256 depends on the BLAS thread count.
+    """
+    config = preset_config(config_name)
+    rng = np.random.default_rng(0)
+    img = (rng.integers(0, 256, (1, side, side, config.in_channels)) / 255.0).astype(np.float32)
+    store32 = init_params(config, 0)
+    if jitter:
+        store32 = ParamStore(
+            {name: Tensor(t.data + rng.normal(0.0, jitter, t.shape).astype(np.float32)) for name, t in store32.items()}
+        )
+    store64 = ParamStore({name: Tensor(t.data, dtype=np.float64) for name, t in store32.items()})
+    y32 = cat_forward(Tensor(img), store32, config).data
+    y64 = cat_forward(Tensor(img, dtype=np.float64), store64, config).data
+    drift = np.abs(y32 - y64) / np.abs(y64).max()
+    return {
+        "config": config_name,
+        "side": side,
+        "jitter": jitter,
+        "max_drift": float(drift.max()),
+        "median_drift": float(np.median(drift)),
+        "max_abs_float64": float(np.abs(y64).max()),
+        "float64_sha256": hashlib.sha256(y64.tobytes()).hexdigest(),
+    }

@@ -194,21 +194,83 @@ def _old_gelu(xd):
     return xd * (0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0)))))
 
 
+def _rational_half_erf(x):
+    """erf(x / sqrt(2)) / 2 by the float32 rational of ``ad._half_erf_f32``,
+    written out of place over the whole array."""
+    u = np.clip(x, -ad._ERF_CLIP, ad._ERF_CLIP)
+    s = u * u
+    p = s + ad._ERF_NUM[-1]
+    for a in ad._ERF_NUM[-2::-1]:
+        p = p * s + a
+    q = s + ad._ERF_DEN[-1]
+    for b in ad._ERF_DEN[-2::-1]:
+        q = q * s + b
+    return (p * u) / q * ad._ERF_HALF_K
+
+
+def _whole_array_cdf(xd):
+    """The cdf gelu computes, over the whole array: scipy's erf in float64, the
+    float32 rational in float32."""
+    if xd.dtype == np.float32:
+        return np.float32(0.5) + _rational_half_erf(xd)
+    return 0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0))))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("taped", [False, True])
 def test_gelu_chunked_is_bit_identical(monkeypatch, dtype, taped):
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 7 * np.dtype(dtype).itemsize)  # chunk boundaries mid-array
     xd = rand((3, 5, 4), 64, 3.0, dtype)
+    want = _old_gelu(xd) if dtype == np.float64 else xd * _whole_array_cdf(xd)
     if not taped:
         out = ad.gelu(Tensor(xd))
-        assert out.dtype == dtype and np.array_equal(out.data, _old_gelu(xd))
+        assert out.dtype == dtype and np.array_equal(out.data, want)
         return
     out, grads = taped_output_and_grads(lambda t: ad.gelu(t["x"]), {"x": xd})
-    assert np.array_equal(out, _old_gelu(xd))
-    cdf = 0.5 * (1.0 + erf(xd / np.sqrt(xd.dtype.type(2.0))))
+    assert np.array_equal(out, want)
+    cdf = _whole_array_cdf(xd)
     pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
     probe = np.random.default_rng(7).normal(size=xd.shape).astype(dtype)
     assert np.array_equal(grads["x"], probe * (cdf + xd * pdf))
+
+
+def _erf_f32(x):
+    """erf(x / sqrt(2)) of float32 ``x`` by ``ad._half_erf_f32``, in float64."""
+    half = np.empty_like(x)
+    ad._half_erf_f32(x, half, np.empty_like(x), np.empty_like(x))
+    return 2.0 * half.astype(np.float64)
+
+
+def test_float32_erf_accuracy_on_a_dense_grid():
+    x = (np.linspace(-6.0, 6.0, 4_000_001) * math.sqrt(2.0)).astype(np.float32)
+    exact = erf(x.astype(np.float64) / math.sqrt(2.0))
+    err = np.abs(_erf_f32(x) - exact)
+    ulp = np.spacing(np.abs(exact).astype(np.float32)).astype(np.float64)
+    assert err.max() <= 4.5e-7, err.max()
+    assert (err / ulp).max() <= 7.0, (err / ulp).max()
+
+
+def test_float32_erf_special_values():
+    tiny = np.float32(np.finfo(np.float32).smallest_subnormal)
+    clip = ad._ERF_CLIP
+    zeros = _erf_f32(np.array([0.0, -0.0], dtype=np.float32))
+    assert np.array_equal(zeros, [0.0, 0.0]) and np.array_equal(np.signbit(zeros), [False, True])
+    assert np.isnan(_erf_f32(np.array([np.nan], dtype=np.float32))).all()
+    subnormal = np.array([tiny, 7 * tiny, 1e-39, -tiny, -1e-39], dtype=np.float32)
+    got = _erf_f32(subnormal)
+    assert np.array_equal(np.signbit(got), np.signbit(subnormal))
+    assert np.abs(got - erf(subnormal.astype(np.float64) / math.sqrt(2.0))).max() <= 2 * float(tiny)
+    # At and beyond the clip erf is exactly +-1, so gelu is exactly x or -0 there.
+    beyond = np.array(
+        [clip, np.nextafter(clip, np.float32(np.inf)), 1e30, np.finfo(np.float32).max, np.inf], dtype=np.float32
+    )
+    assert np.array_equal(_erf_f32(beyond), np.ones(beyond.size))
+    assert np.array_equal(_erf_f32(-beyond), -np.ones(beyond.size))
+    assert np.array_equal(ad.gelu(Tensor(beyond)).data, beyond)
+    neg = ad.gelu(Tensor(-beyond[:-1])).data
+    assert np.array_equal(neg, np.zeros(neg.size)) and np.signbit(neg).all()
+    inside = np.nextafter(clip, np.float32(0))
+    assert abs(_erf_f32(np.array([inside]))[0] - erf(float(inside) / math.sqrt(2.0))) <= 4.5e-7
 
 
 def test_gelu_untaped_allocates_its_output_and_one_chunk():
@@ -583,6 +645,17 @@ def test_concat_axis_out_of_range():
 def test_gather_axis_out_of_range():
     with pytest.raises(ShapeError, match="axis 5"):
         ad.gather(Tensor(np.zeros((2, 3, 4))), np.array([0, 1]), axis=5)
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_gather_index_out_of_range(index):
+    with pytest.raises(ShapeError, match=r"\[0, 3\) along axis 1"):
+        ad.gather(Tensor(np.zeros((2, 3, 4))), np.array([0, index]), axis=1)
+
+
+def test_mean_all_of_empty_tensor():
+    with pytest.raises(ShapeError, match="empty"):
+        ad.mean_all(Tensor(np.zeros((2, 0))))
 
 
 def test_grad_transpose_reshape():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import struct
 import tracemalloc
 
@@ -27,7 +28,7 @@ from crossagg.model import (
 )
 from crossagg.windowing import HORIZONTAL, VERTICAL, resolve_geometry
 
-from helpers import rand, repo_root
+from helpers import forward_drift, rand, repo_root
 
 
 def _tiny_config(**overrides):
@@ -552,3 +553,15 @@ def test_config_scale_validation():
 def test_config_odd_heads_rejected():
     with pytest.raises(ConfigError, match="head count"):
         _tiny_config(num_heads=3, channels=9)
+
+
+def test_float32_forward_drift_stays_within_twice_the_recorded():
+    # cat_r_x2 runs shifted windows, the LCM and the MLP; a float32 forward that
+    # loses precision (a float16 temporary, a cancelling reorder) fails this.
+    case = next(
+        c
+        for c in json.loads((repo_root() / "BENCH_drift.json").read_text())["cases"]
+        if (c["config"], c["side"], c["jitter"]) == ("cat_r_x2", 32, 0.02)
+    )
+    got = forward_drift("cat_r_x2", 32, jitter=0.02)
+    assert got["max_drift"] <= 2 * case["change"]["max_drift"], got  # False for a NaN drift too
