@@ -8,7 +8,7 @@ resolved from the same spec. Per window, attention is
 evaluated on the relative offset between the two pixels, normalized to
 [-1, 1] by the window extents. When the weights carry a locality-complement
 kernel, a 3x3 depthwise convolution of the full-resolution value map is added
-to the concatenated head outputs before the final projection.
+to the merged head outputs before the final projection.
 
 Each orientation gathers Q, K and V from the fused qkv map and writes its
 output back through one cached map per geometry (pad, shift and partition in
@@ -197,7 +197,10 @@ def rwin_self_attention(
     owner = (tape.uid if tape is not None else 0,) + tuple(
         getattr(params.pos_net, f.name).uid for f in fields(params.pos_net)
     )
-    outs = []
+    # Untaped, each orientation's Q, K and V windows are freed when
+    # window_attention returns, the window outputs once they are merged, and
+    # the fused qkv map once V is taken for the locality complement.
+    ys, wheres = [], []
     for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, height, width, shifted)
         bias_key = ("bias", g.sh, g.sw, str(x.dtype))
@@ -209,17 +212,21 @@ def rwin_self_attention(
         if ("maps", g) not in cache:
             cache[("maps", g)] = window_maps(g)
         index, where = cache[("maps", g)]
-        qw, kw, vw = (ad.take_windows(qkv, index, where, t * c + oi * c // 2, heads, d) for t in range(3))
+        windows = (ad.take_windows(qkv, index, where, t * c + oi * c // 2, heads, d) for t in range(3))
         regions = build_shift_mask(g) if g.shifted else None
         if probe is None:
-            y = ad.window_attention(qw, kw, vw, bias, regions, scale)  # [N*nw, heads, n, d]
+            ys.append(ad.window_attention(*windows, bias, regions, scale))  # [N*nw, heads, n, d]
         else:
-            y, weights = ad.window_attention(qw, kw, vw, bias, regions, scale, weights=True)
+            y, weights = ad.window_attention(*windows, bias, regions, scale, weights=True)
+            ys.append(y)
             probe.setdefault("weights", {})[orientation] = weights
             probe.setdefault("geometries", {})[orientation] = g
-        outs.append(ad.merge_windows(y, where, height, width))
+        wheres.append(where)
 
-    y = ad.concat(outs, axis=-1)
+    y = ad.merge_windows(ys, wheres, height, width)
+    del ys
     if params.lcm_weight is not None:
-        y = ad.add(y, locality_complement(ad.narrow(qkv, -1, 2 * c, c), params))
+        v = ad.narrow(qkv, -1, 2 * c, c)
+        del qkv
+        y = ad.add(y, locality_complement(v, params))
     return ad.linear(y, params.proj_weight, params.proj_bias)

@@ -46,7 +46,6 @@ __all__ = [
     "reshape",
     "transpose",
     "narrow",
-    "concat",
     "gather",
     "take_windows",
     "merge_windows",
@@ -385,20 +384,17 @@ def _half_erf_f32(x: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray) 
     out *= _ERF_HALF_K
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based GELU, x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))), in
-    place a chunk at a time; the full cdf is kept only when a tape records the
-    op. float64 takes scipy's erf, float32 the rational of ``_half_erf_f32``."""
-    xd = x.data
-    keep = _recording((x,))
+def _gelu_into(xd: np.ndarray, out: np.ndarray, keep: bool) -> np.ndarray:
+    """GELU of ``xd`` into ``out`` (which may be ``xd`` itself), a chunk at a
+    time; returns the cdf, of xd's size if ``keep`` and one chunk's otherwise."""
     f32 = xd.dtype == np.float32
-    out = np.empty_like(xd)
     # In float32 the chunk's cdf and the erf's two scratch arrays share the
     # budget: the erf's passes then run in L2, about 15% faster than a budget each.
     step = max(1, WINDOW_CHUNK_BYTES // ((3 if f32 else 1) * xd.itemsize))
     n = min(step, xd.size)
     cdf = np.empty_like(xd) if keep else np.empty(n, dtype=xd.dtype)
     scratch = np.empty((2, n), dtype=xd.dtype) if f32 else None
+    lowest = -np.finfo(xd.dtype).max
     for start in range(0, xd.size, step):
         xs = xd.reshape(-1)[start : start + step]
         c = cdf.reshape(-1)[start : start + step] if keep else cdf[: xs.size]
@@ -410,14 +406,39 @@ def gelu(x: Tensor) -> Tensor:
             erf(c, out=c)
             c += 1.0
             c *= 0.5
-        np.multiply(xs, c, out=out.reshape(-1)[start : start + step])
+        # x * cdf, with -inf raised to the lowest finite value so that it
+        # gives -0 and not -inf * 0 = NaN; finite x and NaN pass unchanged.
+        o = out.reshape(-1)[start : start + step]
+        np.maximum(xs, lowest, out=o)
+        o *= c
+    return cdf
+
+
+def _gelu_grad(g: np.ndarray, xd: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """g * gelu'(x) = g * (cdf + x * pdf). The pdf is exactly 0 beyond |x| = 40
+    in both dtypes (exp(-800) underflows), so x clipped there gives the same
+    x * pdf for every finite x, and 0, not inf * 0 = NaN, at x = +-inf. The
+    products and sums are those of the expression, in place in one buffer."""
+    xc = np.clip(xd, -40.0, 40.0)
+    out = -0.5 * xc
+    out *= xc
+    np.exp(out, out=out)
+    out *= xd.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
+    out *= xc
+    out += cdf
+    out *= g
+    return out
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact erf-based GELU, x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))), in
+    place a chunk at a time; the full cdf is kept only when a tape records the
+    op. float64 takes scipy's erf, float32 the rational of ``_half_erf_f32``.
+    gelu(-inf) is -0, and the gradient there 0."""
+    out = np.empty_like(x.data)
+    cdf = _gelu_into(x.data, out, _recording((x,)))
     result = _freeze(out)
-
-    def bwd(g, xd=xd, cdf=cdf):
-        pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
-        return (g * (cdf + xd * pdf),)
-
-    _record(result, (x,), bwd)
+    _record(result, (x,), lambda g, xd=x.data, cdf=cdf: (_gelu_grad(g, xd, cdf),))
     return result
 
 
@@ -495,10 +516,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, gelu: bool = False) -> Tensor:
     """Affine map over the last dimension: x @ weight (+ bias), one GEMM into
     a fresh buffer plus an in-place bias add (bit-identical to the composed
-    reshape, matmul, reshape and add)."""
+    reshape, matmul, reshape and add). With ``gelu`` the output is
+    GELU(x @ weight + bias), applied in the GEMM's buffer a chunk at a time
+    (bit-identical to :func:`gelu` of the affine map); the pre-activation and
+    the cdf are kept only when a tape records the op."""
     if weight.ndim != 2:
         raise ShapeError(f"linear: weight must be rank 2, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
@@ -507,14 +531,23 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: bias shape {bias.shape} does not match weight shape {weight.shape}")
     _check_same_dtype(*(t for t in (x, weight, bias) if t is not None))
     cin, cout = weight.shape
+    inputs = (x, weight) if bias is None else (x, weight, bias)
     out = np.empty(x.shape[:-1] + (cout,), dtype=x.dtype)
     np.matmul(x.data.reshape(-1, cin), weight.data, out=out.reshape(-1, cout))
     if bias is not None:
         out += bias.data
+    pre = cdf = None  # the backward keeps them only for GELU
+    if gelu:
+        keep = _recording(inputs)
+        pre = out
+        if keep:
+            out = np.empty_like(pre)
+        cdf = _gelu_into(pre, out, keep)
     result = _freeze(out)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g, xd=x.data, wd=weight.data, has_bias=bias is not None):
+        if gelu:
+            g = _gelu_grad(g, pre, cdf)
         g2 = g.reshape(-1, cout)
         gx = np.matmul(g2, wd.swapaxes(-1, -2)).reshape(xd.shape)
         gw = np.matmul(xd.reshape(-1, cin).swapaxes(-1, -2), g2)
@@ -647,32 +680,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return out
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat of an empty sequence")
-    _check_same_dtype(*tensors)
-    axis = _check_axis("concat", axis, tensors[0].ndim)
-    try:
-        out = _freeze(np.concatenate([t.data for t in tensors], axis=axis))
-    except ValueError:
-        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}") from None
-    sizes = [t.shape[axis] for t in tensors]
-
-    def bwd(g, sizes=sizes, axis=axis):
-        pieces = []
-        off = 0
-        for s in sizes:
-            key = tuple(
-                slice(None) if i != axis else slice(off, off + s) for i in range(g.ndim)
-            )
-            pieces.append(np.ascontiguousarray(g[key]))
-            off += s
-        return pieces
-
-    _record(out, tuple(tensors), bwd)
-    return out
-
-
 def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     """Select rows along ``axis`` by a 1-D integer index array (with repeats)."""
     idx = np.asarray(indices)
@@ -722,25 +729,39 @@ def take_windows(x: Tensor, index: np.ndarray, where: np.ndarray, start: int, he
     return result
 
 
-def merge_windows(y: Tensor, where: np.ndarray, height: int, width: int) -> Tensor:
-    """Inverse of :func:`take_windows`, [N * nw, heads, n, d] to [N, H, W,
-    heads * d], in one gather: each pixel reads its own copy, at slot
+def merge_windows(ys: Sequence[Tensor], wheres: Sequence[np.ndarray], height: int, width: int) -> Tensor:
+    """Inverse of :func:`take_windows` for one or more window sets, each
+    [N * nw, heads, n, d] with its slot map, into consecutive channel ranges of
+    one [N, H, W, sum of heads * d] map: each pixel reads its own copy, at slot
     ``where[:H, :W]``. Reflected copies get no gradient."""
-    b, heads, n, d = y.shape
-    nb = b * n // where.size
-    if nb * where.size != b * n or height > where.shape[0] or width > where.shape[1]:
-        raise ShapeError(f"merge_windows: slot map {where.shape} does not fit windows {y.shape}")
-    rows = _head_rows(where[:height, :width], n, heads)
-    out = np.empty((nb, height, width, heads * d), dtype=y.dtype)
-    np.take(y.data.reshape(nb, -1, d), rows, axis=1, out=out.reshape(nb, *rows.shape, d), mode="clip")
+    if len(ys) != len(wheres) or not ys:
+        raise ShapeError(f"merge_windows: {len(ys)} window sets for {len(wheres)} slot maps")
+    _check_same_dtype(*ys)
+    nb = ys[0].shape[0] * ys[0].shape[2] // wheres[0].size
+    parts = []
+    for y, where in zip(ys, wheres):
+        b, heads, n, d = y.shape
+        if b * n != nb * where.size or height > where.shape[0] or width > where.shape[1]:
+            raise ShapeError(f"merge_windows: slot map {where.shape} does not fit windows {y.shape} of {nb} images")
+        parts.append((y.shape, _head_rows(where[:height, :width], n, heads)))
+    bounds = np.cumsum([0] + [shape[1] * shape[3] for shape, _ in parts])
+    out = np.empty((nb, height, width, bounds[-1]), dtype=ys[0].dtype)
+    for y, (shape, rows), lo, hi in zip(ys, parts, bounds, bounds[1:]):
+        # With more than one set the destination is strided, and np.take
+        # gathers through one temporary of this set's size.
+        dst = out[..., lo:hi].reshape(nb, *rows.shape, shape[3])
+        np.take(y.data.reshape(nb, -1, shape[3]), rows, axis=1, out=dst, mode="clip")
     result = _freeze(out)
 
     def bwd(g):
-        gy = np.zeros((nb, b // nb * heads * n, d), dtype=g.dtype)
-        gy[:, rows] = g.reshape(nb, *rows.shape, d)
-        return (gy.reshape(y.shape),)
+        grads = []
+        for (shape, rows), lo, hi in zip(parts, bounds, bounds[1:]):
+            gy = np.zeros((nb, math.prod(shape[:3]) // nb, shape[3]), dtype=g.dtype)
+            gy[:, rows] = g[..., lo:hi].reshape(nb, *rows.shape, shape[3])
+            grads.append(gy.reshape(shape))
+        return grads
 
-    _record(result, (y,), bwd)
+    _record(result, tuple(ys), bwd)
     return result
 
 
@@ -821,13 +842,23 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor | None = None, depthwise:
     xp[:, 1 : h + 1, 1 : w + 1, :] = x.data
     out_data = np.zeros((n, h, w, cout), dtype=x.dtype)
     kd = kernel.data
-    for u in range(3):
-        for v in range(3):
-            patch = xp[:, u : u + h, v : v + w, :]
-            if depthwise:
-                out_data += patch * kd[u, v, :, 0]
-            else:
-                out_data += patch @ kd[u, v]
+    if depthwise:
+        # The taps' products go through one scratch band of rows under
+        # WINDOW_CHUNK_BYTES; each output element sums the same taps in the
+        # same order as a full-size product per tap would.
+        band = max(1, WINDOW_CHUNK_BYTES // (n * w * cin * x.dtype.itemsize))
+        scratch = np.empty((n, min(band, h), w, cin), dtype=x.dtype)
+        for r in range(0, h, band):
+            rows = min(band, h - r)
+            acc, prod = out_data[:, r : r + rows], scratch[:, :rows]
+            for u in range(3):
+                for v in range(3):
+                    np.multiply(xp[:, r + u : r + u + rows, v : v + w, :], kd[u, v, :, 0], out=prod)
+                    acc += prod
+    else:
+        for u in range(3):
+            for v in range(3):
+                out_data += xp[:, u : u + h, v : v + w, :] @ kd[u, v]
     if bias is not None:
         out_data += bias.data
     out = _freeze(out_data)

@@ -371,8 +371,7 @@ def catb_forward(
     attn_in = ad.layer_norm(x, bp.norm1_gamma, bp.norm1_beta)
     x = ad.add(rwin_self_attention(attn_in, bp.attn, spec, shifted=shifted, cache=cache), x)
     h = ad.layer_norm(x, bp.norm2_gamma, bp.norm2_beta)
-    h = ad.linear(h, bp.fc1_weight, bp.fc1_bias)
-    h = ad.gelu(h)
+    h = ad.linear(h, bp.fc1_weight, bp.fc1_bias, gelu=True)
     h = ad.linear(h, bp.fc2_weight, bp.fc2_bias)
     return ad.add(h, x)
 

@@ -133,8 +133,10 @@ def test_axial_group_resolves_paired_orientations():
 def test_untaped_shifted_axial_block_peak_memory():
     # One stock-width block (C=180, axial sl=4, shifted) at 64x64: the numpy
     # heap peaked at 41.2 MiB with the composed window layout and the MLP ops
-    # building full-size temporaries, and at 35.7 MiB with the gather maps and
-    # ops that write into buffers they own.
+    # building full-size temporaries, at 35.7 MiB with the gather maps and
+    # ops that write into buffers they own, and at 22.5 MiB with GELU in fc1's
+    # buffer, the depthwise conv in row bands and attention freeing each
+    # orientation's windows early.
     config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
     bp = block_params(init_params(config, 0), "body.group0.block1", config)
     x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))
@@ -145,7 +147,7 @@ def test_untaped_shifted_axial_block_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 38.5 * 2**20, peak / 2**20
+    assert peak < 24.3 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossagg import autodiff as ad
-from crossagg.autodiff import Tensor
+from crossagg.autodiff import GradientTape, Tensor, backward
 from crossagg.windowing import (
     HORIZONTAL,
     VERTICAL,
@@ -339,10 +339,48 @@ def test_merge_windows_is_bit_identical_to_composed_ops(case, dtype):
     g = resolve_geometry(*case[:4], shifted=case[4])
     _, where = window_maps(g)
     arrays = {"y": rand((2 * g.num_windows, 2, g.window_pixels, 3), 71, 1.0, dtype)}
-    fused = taped_output_and_grads(lambda t: ad.merge_windows(t["y"], where, g.height, g.width), arrays)
+    fused = taped_output_and_grads(lambda t: ad.merge_windows([t["y"]], [where], g.height, g.width), arrays)
     composed = taped_output_and_grads(lambda t: _composed_merge(t["y"], g, 2), arrays)
     assert fused[0].dtype == dtype and np.array_equal(fused[0], composed[0])
     assert np.array_equal(fused[1]["y"], composed[1]["y"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec", [WindowSpec.regular(2, 4), WindowSpec.axial(3)])
+def test_merging_both_orientations_equals_concatenated_merges(spec, dtype):
+    # Each orientation's windows land in their own channel range of one map,
+    # as the concatenation of two one-orientation merges would place them.
+    height, width, d = 7, 10, 3
+    geometries = [resolve_geometry(spec, o, height, width, shifted=True) for o in (HORIZONTAL, VERTICAL)]
+    wheres = [window_maps(g)[1] for g in geometries]
+    ys = [Tensor(rand((2 * g.num_windows, heads, g.window_pixels, d), 74 + heads, 1.0, dtype))
+          for g, heads in zip(geometries, (2, 1))]
+    probe = rand((2, height, width, 3 * d), 76, 1.0, dtype)
+
+    def output_and_grads(parts, part_wheres, r):
+        tape = GradientTape()
+        tape.watch(*parts)
+        with tape:
+            out = ad.merge_windows(parts, part_wheres, height, width)
+            loss = ad.sum_all(ad.mul(out, Tensor(r)))
+        grads = backward(tape, loss)
+        return out.data, [grads[y].data for y in parts]
+
+    both, grads = output_and_grads(ys, wheres, probe)
+    first, (g_first,) = output_and_grads(ys[:1], wheres[:1], probe[..., : 2 * d])
+    second, (g_second,) = output_and_grads(ys[1:], wheres[1:], probe[..., 2 * d :])
+    assert both.dtype == dtype and np.array_equal(both, np.concatenate([first, second], axis=-1))
+    assert np.array_equal(grads[0], g_first) and np.array_equal(grads[1], g_second)
+
+
+def test_merge_windows_rejects_mismatched_window_sets():
+    g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 4, 8)
+    where = window_maps(g)[1]
+    y = Tensor(rand((2 * g.num_windows, 1, g.window_pixels, 2), 77))
+    with pytest.raises(ValueError):
+        ad.merge_windows([y], [where, where], 4, 8)
+    with pytest.raises(ValueError):
+        ad.merge_windows([y, Tensor(rand((g.num_windows, 1, g.window_pixels, 2), 78))], [where, where], 4, 8)
 
 
 def test_gather_map_gradients_match_finite_differences():
@@ -351,7 +389,7 @@ def test_gather_map_gradients_match_finite_differences():
     index, where = window_maps(g)
     assert_grads_match_fd(lambda t: ad.take_windows(t["x"], index, where, 2, 1, 2), {"x": rand((1, 3, 5, 4), 72)})
     y = rand((g.num_windows, 1, g.window_pixels, 2), 73)
-    assert_grads_match_fd(lambda t: ad.merge_windows(t["y"], where, 3, 5), {"y": y})
+    assert_grads_match_fd(lambda t: ad.merge_windows([t["y"]], [where], 3, 5), {"y": y})
 
 
 def test_take_windows_rejects_a_map_outside_the_input():
