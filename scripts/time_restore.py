@@ -61,7 +61,7 @@ def main():
         "blas_threads": BLAS_THREADS,
     }
     if args.hash:
-        x = Tensor(img.data[None].astype(np.float64) / 255.0, dtype=store.dtype)
+        x = Tensor(img.data[None].astype(np.float64) / 255.0, dtype=next(iter(store.values())).dtype)
         report["output_sha256"] = hashlib.sha256(cat_forward(x, store, config).data.tobytes()).hexdigest()
     print(json.dumps(report))
 

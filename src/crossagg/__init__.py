@@ -48,7 +48,6 @@ from .attention import (
 from .model import (
     ConfigError,
     ModelConfig,
-    ParamStore,
     WeightFormatError,
     cat_forward,
     catb_forward,

@@ -33,7 +33,6 @@ from .windowing import (
     VERTICAL,
     WindowGeometry,
     WindowSpec,
-    build_shift_mask,
     resolve_geometry,
     window_maps,
 )
@@ -211,13 +210,13 @@ def rwin_self_attention(
         bias = ad.narrow(held[1], 0, oi * heads, heads)
         if ("maps", g) not in cache:
             cache[("maps", g)] = window_maps(g)
-        index, where = cache[("maps", g)]
+        index, where, regions = cache[("maps", g)]
         windows = (ad.take_windows(qkv, index, where, t * c + oi * c // 2, heads, d) for t in range(3))
-        regions = build_shift_mask(g) if g.shifted else None
+        mask = regions if g.shifted else None
         if probe is None:
-            ys.append(ad.window_attention(*windows, bias, regions, scale))  # [N*nw, heads, n, d]
+            ys.append(ad.window_attention(*windows, bias, mask, scale))  # [N*nw, heads, n, d]
         else:
-            y, weights = ad.window_attention(*windows, bias, regions, scale, weights=True)
+            y, weights = ad.window_attention(*windows, bias, mask, scale, weights=True)
             ys.append(y)
             probe.setdefault("weights", {})[orientation] = weights
             probe.setdefault("geometries", {})[orientation] = g

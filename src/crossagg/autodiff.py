@@ -49,8 +49,6 @@ __all__ = [
     "gather",
     "take_windows",
     "merge_windows",
-    "pad_reflect_spatial",
-    "roll_spatial",
     "sum_all",
     "mean_all",
     "abs_val",
@@ -777,33 +775,6 @@ def _fold_reflected(gp: np.ndarray, h: int, w: int) -> np.ndarray:
     np.add.at(gp, (slice(None), slice(None), _reflect_index(w, wp - w)[w:]), gp[:, :, w:])
     np.add.at(gp, (slice(None), _reflect_index(h, hp - h)[h:], slice(None, w)), gp[:, h:, :w])
     return gp[:, :h, :w]
-
-
-def pad_reflect_spatial(x: Tensor, pad_h: int, pad_w: int) -> Tensor:
-    """Reflect-pad the bottom/right spatial borders of an [N, H, W, C] tensor."""
-    if x.ndim != 4:
-        raise ShapeError(f"pad_reflect_spatial expects rank 4, got {x.shape}")
-    n, h, w, _ = x.shape
-    if pad_h < 0 or pad_w < 0 or pad_h > h - 1 or pad_w > w - 1:
-        raise ShapeError(f"pad_reflect_spatial: pads ({pad_h},{pad_w}) invalid for {x.shape}")
-    if pad_h == 0 and pad_w == 0:
-        return x
-    rows = _reflect_index(h, pad_h)
-    cols = _reflect_index(w, pad_w)
-    out = _freeze(np.ascontiguousarray(x.data[:, rows][:, :, cols]))
-    _record(out, (x,), lambda g, h=h, w=w: (np.ascontiguousarray(_fold_reflected(g.copy(), h, w)),))
-    return out
-
-
-def roll_spatial(x: Tensor, down: int, left: int) -> Tensor:
-    """Cyclic shift: rows move down by ``down``, columns move left by ``left``."""
-    if x.ndim != 4:
-        raise ShapeError(f"roll_spatial expects rank 4, got {x.shape}")
-    if down == 0 and left == 0:
-        return x
-    out = _freeze(np.roll(x.data, (down, -left), axis=(1, 2)))
-    _record(out, (x,), lambda g, d=down, l=left: (np.roll(g, (-d, l), axis=(1, 2)),))
-    return out
 
 
 # ---------------------------------------------------------------------------

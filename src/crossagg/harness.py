@@ -5,6 +5,7 @@ drives the full forward/backward stack on one small patch.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientTape, OptimizerHyper, Tensor, adam_step, backward, init_adam_state
 from .imaging import ImageU8, bicubic_resize, rgb_to_y
-from .model import ModelConfig, ParamStore, cat_forward, init_params, preset_config
+from .model import ModelConfig, cat_forward, init_params, preset_config
 
 __all__ = [
     "dihedral_transform",
@@ -65,8 +66,8 @@ def self_ensemble_infer(forward, img: ImageU8) -> ImageU8:
     return ImageU8.from_array(quantize(acc / NUM_DIHEDRAL))
 
 
-def _model_forward(store: ParamStore, config: ModelConfig):
-    dtype = store.dtype
+def _model_forward(store: Mapping[str, Tensor], config: ModelConfig):
+    dtype = next(iter(store.values())).dtype
 
     def forward(x: np.ndarray) -> np.ndarray:
         t = Tensor(x[None], dtype=dtype)
@@ -75,7 +76,7 @@ def _model_forward(store: ParamStore, config: ModelConfig):
     return forward
 
 
-def restore_image(store: ParamStore, config: ModelConfig, img: ImageU8, ensemble: bool = False) -> ImageU8:
+def restore_image(store: Mapping[str, Tensor], config: ModelConfig, img: ImageU8, ensemble: bool = False) -> ImageU8:
     """Run the model on one image; 3-channel inputs to a single-channel model
     are converted to luma first."""
     if config.in_channels == 1 and img.channels == 3:
@@ -139,19 +140,17 @@ def run_overfit(steps: int = 500, seed: int = 0, learning_rate: float = 1e-3, on
     target = Tensor(hr[None], dtype=np.float64)
 
     hyper = OptimizerHyper(learning_rate=learning_rate)
-    state = init_adam_state(store.as_dict())
+    state = init_adam_state(store)
     result = OverfitResult()
     for step in range(steps):
         tape = GradientTape()
-        params = store.as_dict()
-        tape.watch(params.values())
+        tape.watch(store.values())
         with tape:
             out = cat_forward(x, store, config)
             loss = ad.mean_all(ad.abs_val(ad.sub(out, target)))
         grads_by_tensor = backward(tape, loss)
-        grads = {name: grads_by_tensor[t] for name, t in params.items()}
-        new_params, state = adam_step(params, grads, state, hyper)
-        store = store.with_values(new_params)
+        grads = {name: grads_by_tensor[t] for name, t in store.items()}
+        store, state = adam_step(store, grads, state, hyper)
         result.losses.append(loss.item())
         if on_step is not None:
             on_step(step, result.losses[-1])

@@ -18,6 +18,7 @@ import math
 import os
 import struct
 import typing
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -29,7 +30,6 @@ from .windowing import WindowSpec
 
 __all__ = [
     "ModelConfig",
-    "ParamStore",
     "ConfigError",
     "WeightFormatError",
     "parameter_schema",
@@ -143,54 +143,6 @@ class ModelConfig:
         return {2: (2,), 3: (3,), 4: (2, 2)}[self.scale]
 
 
-class ParamStore:
-    """Ordered, immutable-by-convention map of named parameter tensors.
-
-    Iteration order is lexicographic in the hierarchical names.
-    """
-
-    def __init__(self, entries: dict[str, Tensor]):
-        names = sorted(entries)
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate parameter names")
-        self._entries = {name: entries[name] for name in names}
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
-    def items(self):
-        return self._entries.items()
-
-    def as_dict(self) -> dict[str, Tensor]:
-        return dict(self._entries)
-
-    @property
-    def dtype(self):
-        return next(iter(self._entries.values())).dtype
-
-    def total_elements(self) -> int:
-        return sum(t.size for t in self._entries.values())
-
-    def with_values(self, updates: dict[str, Tensor]) -> "ParamStore":
-        merged = dict(self._entries)
-        for name, t in updates.items():
-            if name not in merged:
-                raise KeyError(f"unknown parameter '{name}'")
-            if t.shape != merged[name].shape:
-                raise ValueError(f"shape change for '{name}': {merged[name].shape} -> {t.shape}")
-            merged[name] = t
-        return ParamStore(merged)
-
-
 # ---------------------------------------------------------------------------
 # Parameter schema
 # ---------------------------------------------------------------------------
@@ -294,9 +246,10 @@ def _trunc_normal(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return out.astype(dtype)
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
-    """Deterministic initialization: each tensor is drawn from its own
-    name-keyed generator, so the result depends on (config, seed) only."""
+def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, Tensor]:
+    """Deterministic initialization, in schema order: each tensor is drawn
+    from its own name-keyed generator, so the result depends on (config,
+    seed) only."""
     if config.num_groups < 1:
         raise ConfigError("a runnable model needs at least one residual group")
     entries: dict[str, Tensor] = {}
@@ -308,7 +261,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
         else:
             data = np.zeros(shape, dtype=dtype)
         entries[name] = Tensor(data, dtype=dtype)
-    return ParamStore(entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +282,7 @@ class BlockParams:
     fc2_bias: Tensor
 
 
-def _pos_net(store: ParamStore) -> PositionBiasParams:
+def _pos_net(store: Mapping[str, Tensor]) -> PositionBiasParams:
     return PositionBiasParams(
         w1=store["posbias.fc1.weight"],
         b1=store["posbias.fc1.bias"],
@@ -340,7 +293,7 @@ def _pos_net(store: ParamStore) -> PositionBiasParams:
     )
 
 
-def block_params(store: ParamStore, prefix: str, config: ModelConfig) -> BlockParams:
+def block_params(store: Mapping[str, Tensor], prefix: str, config: ModelConfig) -> BlockParams:
     attn = AttentionParams(
         qkv_weight=store[f"{prefix}.attn.qkv.weight"],
         qkv_bias=store[f"{prefix}.attn.qkv.bias"],
@@ -378,7 +331,7 @@ def catb_forward(
 
 def residual_group_forward(
     x: Tensor,
-    store: ParamStore,
+    store: Mapping[str, Tensor],
     config: ModelConfig,
     group: int,
     cache: dict | None = None,
@@ -394,7 +347,7 @@ def residual_group_forward(
     return ad.add(y, x)
 
 
-def cat_forward(img: Tensor, store: ParamStore, config: ModelConfig) -> Tensor:
+def cat_forward(img: Tensor, store: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
     """Full model: [N, H, W, in_channels] image in [0, 1] to restored output."""
     if config.num_groups < 1:
         raise ConfigError("a runnable model needs at least one residual group")
@@ -430,7 +383,7 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def save_weights(store: ParamStore, path: str) -> None:
+def save_weights(store: Mapping[str, Tensor], path: str) -> None:
     """Little-endian container: magic, version, count, then per entry the
     name, dtype code (0 = float32, 1 = float64), rank, dims, raw elements,
     each entry written straight from its array."""
@@ -459,9 +412,9 @@ class _Reader:
         return self.f.read(n) if dtype is None else np.fromfile(self.f, dtype=dtype, count=n // dtype.itemsize)
 
 
-def load_weights(path: str, expected_names=None) -> ParamStore:
-    """Strict load; with ``expected_names`` given, the file must contain
-    exactly those entries (an unknown extra entry is rejected by name)."""
+def load_weights(path: str, expected_names=None) -> dict[str, Tensor]:
+    """Strict load, in file order; with ``expected_names`` given, the file must
+    contain exactly those entries (an unknown extra entry is rejected by name)."""
     with open(path, "rb") as f:
         r = _Reader(f)
         if r.take(4, "magic") != _MAGIC:
@@ -500,7 +453,7 @@ def load_weights(path: str, expected_names=None) -> ParamStore:
         missing = sorted(expected - set(entries))
         if missing:
             raise WeightFormatError(f"missing entry '{missing[0]}'")
-    return ParamStore(entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ def oriented_window_dims(spec: WindowSpec, orientation: str, height: int, width:
     return (height, min(spec.sl, width))
 
 
+def _pos_net(net: dict[str, np.ndarray], offsets: np.ndarray) -> np.ndarray:
+    """The offset network on [K, 2] normalized offsets: [K, M] biases."""
+    h = np.maximum(offsets @ net["w1"] + net["b1"], 0.0)
+    h = np.maximum(h @ net["w2"] + net["b2"], 0.0)
+    return h @ net["w3"] + net["b3"]
+
+
 def position_bias_table(net: dict[str, np.ndarray], sh: int, sw: int) -> np.ndarray:
     """Bias [M, n, n] by evaluating the offset network on every pixel pair."""
     ys, xs = np.meshgrid(np.arange(sh), np.arange(sw), indexing="ij")
@@ -42,12 +49,8 @@ def position_bias_table(net: dict[str, np.ndarray], sh: int, sw: int) -> np.ndar
     delta = pos[:, None, :] - pos[None, :, :]
     delta[..., 0] /= max(sh - 1, 1)
     delta[..., 1] /= max(sw - 1, 1)
-    flat = delta.reshape(-1, 2)
-    h = np.maximum(flat @ net["w1"] + net["b1"], 0.0)
-    h = np.maximum(h @ net["w2"] + net["b2"], 0.0)
-    out = h @ net["w3"] + net["b3"]
     n = sh * sw
-    return out.reshape(n, n, -1).transpose(2, 0, 1)
+    return _pos_net(net, delta.reshape(-1, 2)).reshape(n, n, -1).transpose(2, 0, 1)
 
 
 def naive_depthwise_conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -88,7 +91,6 @@ def full_attention_oracle(
     coords_y, coords_x = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     coords_y, coords_x = coords_y.ravel(), coords_x.ravel()
 
-    net = {key: params[key] for key in ("w1", "b1", "w2", "b2", "w3", "b3")}
     heads_out = []
     for m in range(heads):
         orientation = HORIZONTAL if m < heads // 2 else VERTICAL
@@ -101,10 +103,7 @@ def full_attention_oracle(
         # unmasked pair.
         dy = (coords_y[:, None] - coords_y[None, :]) / max(sh - 1, 1)
         dx = (coords_x[:, None] - coords_x[None, :]) / max(sw - 1, 1)
-        flat = np.stack([dy.ravel(), dx.ravel()], axis=1)
-        hh = np.maximum(flat @ net["w1"] + net["b1"], 0.0)
-        hh = np.maximum(hh @ net["w2"] + net["b2"], 0.0)
-        bias_full = (hh @ net["w3"] + net["b3"])[:, m].reshape(h * w, h * w)
+        bias_full = _pos_net(params, np.stack([dy.ravel(), dx.ravel()], axis=1))[:, m].reshape(h * w, h * w)
 
         qm = q[:, m * d : (m + 1) * d].astype(np.float64)
         km = k[:, m * d : (m + 1) * d].astype(np.float64)

@@ -186,44 +186,30 @@ def check_gradient_small():
     c, heads = 4, 2
     params = tiny_attention_params(c=c, heads=heads, seed=11, hidden=6)
     x = Tensor(_rng(12).normal(size=(1, 4, 4, c)), dtype=np.float64)
-    probe_weights = [params.qkv_weight, params.pos_net.w3, params.lcm_bias]
+    # Each probed weight with the parameters that swap it for a bumped copy.
+    probes = [
+        (params.qkv_weight, lambda t: replace(params, qkv_weight=t)),
+        (params.pos_net.w3, lambda t: replace(params, pos_net=replace(params.pos_net, w3=t))),
+        (params.lcm_bias, lambda t: replace(params, lcm_bias=t)),
+    ]
     tape = GradientTape()
-    tape.watch(probe_weights)
+    tape.watch([pt for pt, _ in probes])
     with tape:
         y = rwin_self_attention(x, params, spec, shifted=True)
         loss = ad.sum_all(ad.mul(y, y))
     grads = backward(tape, loss)
 
-    def loss_at(pt: Tensor, flat_idx: int, delta: float) -> float:
+    def loss_at(pt: Tensor, swap, flat_idx: int, delta: float) -> float:
         data = pt.numpy()
         data.flat[flat_idx] += delta
-        repl = Tensor(data, dtype=np.float64)
-        mapping = {id(pt): repl}
-        new = AttentionParams(
-            qkv_weight=mapping.get(id(params.qkv_weight), params.qkv_weight),
-            qkv_bias=params.qkv_bias,
-            proj_weight=params.proj_weight,
-            proj_bias=params.proj_bias,
-            lcm_weight=params.lcm_weight,
-            lcm_bias=mapping.get(id(params.lcm_bias), params.lcm_bias),
-            pos_net=PositionBiasParams(
-                w1=params.pos_net.w1,
-                b1=params.pos_net.b1,
-                w2=params.pos_net.w2,
-                b2=params.pos_net.b2,
-                w3=mapping.get(id(params.pos_net.w3), params.pos_net.w3),
-                b3=params.pos_net.b3,
-            ),
-            heads=heads,
-        )
-        out = rwin_self_attention(x, new, spec, shifted=True)
+        out = rwin_self_attention(x, swap(Tensor(data, dtype=np.float64)), spec, shifted=True)
         return ad.sum_all(ad.mul(out, out)).item()
 
     step = 1e-4
-    for pt in probe_weights:
+    for pt, swap in probes:
         g = grads[pt].numpy()
         for flat_idx in range(0, pt.size, max(1, pt.size // 5)):
-            fd = (loss_at(pt, flat_idx, step) - loss_at(pt, flat_idx, -step)) / (2 * step)
+            fd = (loss_at(pt, swap, flat_idx, step) - loss_at(pt, swap, flat_idx, -step)) / (2 * step)
             an = g.flat[flat_idx]
             assert abs(fd - an) <= 1e-3 * max(1.0, abs(fd), abs(an)), (fd, an)
 
@@ -238,9 +224,7 @@ def check_zero_weight_car_identity():
         axial_lengths=(2,),
         mlp_ratio=2.0,
     )
-    store = init_params(config, seed=0)
-    zeros = {name: Tensor(np.zeros(t.shape, dtype=np.float32)) for name, t in store.items()}
-    store = store.with_values(zeros)
+    store = {name: Tensor(np.zeros(t.shape, dtype=np.float32)) for name, t in init_params(config, seed=0).items()}
     x = Tensor(_rng(13).uniform(0, 1, size=(1, 8, 8, 1)).astype(np.float32))
     y = cat_forward(x, store, config)
     assert np.array_equal(y.data, x.data)
@@ -271,8 +255,8 @@ def check_weights_roundtrip():
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "w.catw")
         save_weights(store, path)
-        loaded = load_weights(path, expected_names=store.names())
-    assert loaded.names() == store.names()
+        loaded = load_weights(path, expected_names=store)
+    assert list(loaded) == list(store)
     for name, t in store.items():
         assert np.array_equal(loaded[name].data, t.data), name
 
@@ -295,7 +279,7 @@ def check_dihedral_inverses():
 
 def check_param_count_consistency():
     config = preset_config("tiny_sr_x2")
-    assert count_params(config) == init_params(config, seed=0).total_elements()
+    assert count_params(config) == sum(t.size for t in init_params(config, seed=0).values())
     big = count_params(preset_config("cat_r_x4"))
     assert abs(big - 16.60e6) <= 0.02 * 16.60e6
 

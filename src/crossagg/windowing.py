@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import MASK_VALUE, Tensor, _reflect_index, reshape, roll_spatial, transpose
+from .autodiff import MASK_VALUE, ShapeError, Tensor, _reflect_index, gather, reshape, transpose
 
 __all__ = [
     "HORIZONTAL",
@@ -193,20 +193,13 @@ def merge(windows: Tensor, g: WindowGeometry, n: int, h: int, w: int) -> Tensor:
 def cyclic_shift(x: Tensor, down: int, left: int) -> Tensor:
     """Roll rows down and columns left; row h of the result comes from
     (h - down) mod H, column w from (w + left) mod W."""
-    return roll_spatial(x, down, left)
-
-
-def _region_ids(g: WindowGeometry) -> np.ndarray:
-    """Pre-shift region id of every pixel of the padded, shifted map.
-
-    Rows below the wrap boundary (shifted index < shift_down) carry content
-    that lived at the bottom of the unshifted map; columns at shifted index
-    >= W - shift_left carry content from the left edge. Pixels may attend
-    only within one of the <= 4 bands these two splits induce.
-    """
-    rows = (np.arange(g.padded_h) < g.shift_down).astype(np.int8)
-    cols = (np.arange(g.padded_w) >= g.padded_w - g.shift_left).astype(np.int8)
-    return rows[:, None] * 2 + cols[None, :]
+    if x.ndim != 4:
+        raise ShapeError(f"cyclic_shift expects rank 4, got {x.shape}")
+    if down == 0 and left == 0:
+        return x
+    _, h, w, _ = x.shape
+    x = gather(x, (np.arange(h) - down) % h, axis=1)
+    return gather(x, (np.arange(w) + left) % w, axis=2)
 
 
 def _partition_np(a: np.ndarray, sh: int, sw: int) -> np.ndarray:
@@ -220,21 +213,25 @@ def build_shift_mask(g: WindowGeometry) -> np.ndarray:
     """Region ids of a geometry's windows, [nw, n] ints: pixels i and j of
     window w may attend to each other iff their ids are equal. Every id is 0
     when the geometry is unshifted."""
-    return _partition_np(_region_ids(g), g.sh, g.sw)
+    return window_maps(g)[2]
 
 
-def window_maps(g: WindowGeometry) -> tuple[np.ndarray, np.ndarray]:
+def window_maps(g: WindowGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only gather maps composing the reflect pad, the cyclic shift and
-    the partition: ``index`` [nw, n], the pixel each window slot reads, and
+    the partition: ``index`` [nw, n], the pixel each window slot reads;
     ``where`` [padded_h, padded_w], the slot of each padded pixel, whose
-    [:height, :width] corner is the inverse map (each pixel's own copy)."""
+    [:height, :width] corner is the inverse map (each pixel's own copy); and
+    ``regions`` [nw, n] int8, the shift-mask region id of each slot (see
+    :func:`build_shift_mask`): 2 if its content wrapped across the bottom
+    edge, plus 1 if across the left edge."""
     hp, wp = g.padded_h, g.padded_w
     rows = (np.arange(hp) - g.shift_down) % hp
     cols = (np.arange(wp) + g.shift_left) % wp
     padded = _partition_np(rows[:, None] * wp + cols, g.sh, g.sw)
     where = np.argsort(padded.ravel())  # the inverse permutation
     source = _reflect_index(g.height, g.pad_h)[:, None] * g.width + _reflect_index(g.width, g.pad_w)
-    maps = source.ravel()[padded], where.reshape(hp, wp)
+    regions = ((padded // wp >= hp - g.shift_down) * 2 + (padded % wp < g.shift_left)).astype(np.int8)
+    maps = source.ravel()[padded], where.reshape(hp, wp), regions
     for a in maps:
         a.setflags(write=False)
     return maps

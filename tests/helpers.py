@@ -10,7 +10,8 @@ import numpy as np
 from crossagg import autodiff as ad
 from crossagg.attention import AttentionParams
 from crossagg.autodiff import GradientTape, Tensor, backward
-from crossagg.model import ParamStore, cat_forward, init_params, preset_config
+from crossagg.model import cat_forward, init_params, preset_config
+from crossagg.reference import _pos_net
 from crossagg.selftest import attention_params_numpy, tiny_attention_params  # noqa: F401 - re-exported
 
 
@@ -24,9 +25,7 @@ def rand(shape, seed, scale=0.1, dtype=np.float64) -> np.ndarray:
 
 def eval_pos_net_numpy(p: AttentionParams, offsets: np.ndarray) -> np.ndarray:
     """Directly evaluate the offset network on [K, 2] normalized offsets."""
-    h = np.maximum(offsets @ p.pos_net.w1.numpy() + p.pos_net.b1.numpy(), 0.0)
-    h = np.maximum(h @ p.pos_net.w2.numpy() + p.pos_net.b2.numpy(), 0.0)
-    return h @ p.pos_net.w3.numpy() + p.pos_net.b3.numpy()
+    return _pos_net(attention_params_numpy(p), offsets)
 
 
 def assert_grads_match_fd(build, arrays: dict, step=1e-4, rtol=1e-3, atol=1e-6):
@@ -96,10 +95,12 @@ def forward_drift(config_name: str, side: int, jitter: float = 0.0) -> dict:
     img = (rng.integers(0, 256, (1, side, side, config.in_channels)) / 255.0).astype(np.float32)
     store32 = init_params(config, 0)
     if jitter:
-        store32 = ParamStore(
-            {name: Tensor(t.data + rng.normal(0.0, jitter, t.shape).astype(np.float32)) for name, t in store32.items()}
-        )
-    store64 = ParamStore({name: Tensor(t.data, dtype=np.float64) for name, t in store32.items()})
+        # Noise is drawn in name order, independent of the store's order.
+        store32 = {
+            name: Tensor(t.data + rng.normal(0.0, jitter, t.shape).astype(np.float32))
+            for name, t in sorted(store32.items())
+        }
+    store64 = {name: Tensor(t.data, dtype=np.float64) for name, t in store32.items()}
     y32 = cat_forward(Tensor(img), store32, config).data
     y64 = cat_forward(Tensor(img, dtype=np.float64), store64, config).data
     drift = np.abs(y32 - y64) / np.abs(y64).max()

@@ -18,7 +18,6 @@ from crossagg.harness import run_overfit
 from crossagg.imaging import psnr, ssim
 from crossagg.model import (
     ModelConfig,
-    ParamStore,
     block_params,
     cat_forward,
     catb_forward,
@@ -79,7 +78,7 @@ def test_criterion_1_parameter_accounting():
         for name, store in stores.items():
             analytic = count_params(preset_config(name))
             _within(analytic, 16.60e6)
-            assert analytic == store.total_elements()
+            assert analytic == sum(t.size for t in store.values())
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +268,10 @@ def test_criterion_6_full_block_gradients_match_finite_differences():
     # are ill-posed across a kink; the margin dwarfs any step-induced shift).
     base_store = init_params(config, seed=0, dtype=np.float64)
     jitter_rng = np.random.default_rng(99)
-    store = base_store.with_values(
-        {
-            name: Tensor(t.numpy() + jitter_rng.normal(0.0, 0.05, t.shape), dtype=np.float64)
-            for name, t in base_store.items()
-        }
-    )
+    store = {
+        name: Tensor(t.numpy() + jitter_rng.normal(0.0, 0.05, t.shape), dtype=np.float64)
+        for name, t in sorted(base_store.items())
+    }
 
     kink_margin = 2e-3
     offsets = np.concatenate(
@@ -295,18 +292,16 @@ def test_criterion_6_full_block_gradients_match_finite_differences():
     h1 = np.maximum(offsets @ w1 + b1, 0.0)
     w2 = store["posbias.fc2.weight"].numpy()
     b2 = cleared_bias(h1 @ w2, store["posbias.fc2.bias"].numpy())
-    store = store.with_values(
-        {"posbias.fc1.bias": Tensor(b1, dtype=np.float64), "posbias.fc2.bias": Tensor(b2, dtype=np.float64)}
-    )
+    store |= {"posbias.fc1.bias": Tensor(b1, dtype=np.float64), "posbias.fc2.bias": Tensor(b2, dtype=np.float64)}
 
     prefix = "body.group0.block0"
-    tracked = [n for n in store.names() if n.startswith(prefix) or n.startswith("posbias")]
+    tracked = [n for n in store if n.startswith(prefix) or n.startswith("posbias")]
     spec = config.spec_for_group(0)
     x = Tensor(rand((1, 6, 8, 4), 123, scale=0.6), dtype=np.float64)
     probe_dir = np.random.default_rng(7).normal(size=(1, 6, 8, 4))
     probe = Tensor(probe_dir, dtype=np.float64)
 
-    def forward(st: ParamStore) -> Tensor:
+    def forward(st: dict[str, Tensor]) -> Tensor:
         return catb_forward(x, block_params(st, prefix, config), spec, shifted=True)
 
     with criterion(6, "full block gradients match central differences on every tensor", 60.0):
@@ -327,7 +322,7 @@ def test_criterion_6_full_block_gradients_match_finite_differences():
                 for sign in (1.0, -1.0):
                     bumped = base.copy()
                     bumped.reshape(-1)[i] += sign * step
-                    out = forward(store.with_values({name: Tensor(bumped, dtype=np.float64)}))
+                    out = forward(store | {name: Tensor(bumped, dtype=np.float64)})
                     flat[i] += sign * float((out.data * probe_dir).sum())
                 flat[i] /= 2.0 * step
             denom = np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-6)
@@ -373,9 +368,7 @@ def test_criterion_7_structural_identities():
             window_kind="axial",
             axial_lengths=(2,),
         )
-        zeros = ParamStore(
-            {n: Tensor(np.zeros(s, dtype=np.float32)) for n, s, _ in parameter_schema(config)}
-        )
+        zeros = {n: Tensor(np.zeros(s, dtype=np.float32)) for n, s, _ in parameter_schema(config)}
         img = Tensor(rng.uniform(0, 1, size=(1, 8, 8, 1)).astype(np.float32))
         assert np.array_equal(cat_forward(img, zeros, config).data, img.data)
 
@@ -408,7 +401,7 @@ def test_criterion_9_metrics_and_weight_roundtrip(tmp_path):
         store = init_params(preset_config("tiny_sr_x2"), seed=5)
         path = str(tmp_path / "weights.catw")
         save_weights(store, path)
-        loaded = load_weights(path, expected_names=store.names())
-        assert loaded.names() == store.names()
-        for name in store.names():
+        loaded = load_weights(path, expected_names=store)
+        assert list(loaded) == list(store)
+        for name in store:
             assert np.array_equal(loaded[name].data, store[name].data)

@@ -12,7 +12,7 @@ from crossagg.harness import (
     self_ensemble_infer,
 )
 from crossagg.imaging import ImageU8, psnr, ssim
-from crossagg.model import ParamStore, parameter_schema, preset_config
+from crossagg.model import parameter_schema, preset_config
 
 from helpers import rand
 
@@ -34,7 +34,7 @@ def _zero_car_model():
         name: Tensor(np.zeros(shape, dtype=np.float32))
         for name, shape, _ in parameter_schema(config)
     }
-    return ParamStore(entries), config
+    return entries, config
 
 
 def test_dihedral_transforms_invert():

@@ -11,7 +11,6 @@ from crossagg.model import (
     ConfigError,
     ModelConfig,
     PRESET_NAMES,
-    ParamStore,
     WeightFormatError,
     block_params,
     cat_forward,
@@ -53,10 +52,7 @@ def _tiny_config(**overrides):
 
 
 def _zero_store(config, dtype=np.float32):
-    entries = {
-        name: Tensor(np.zeros(shape, dtype=dtype)) for name, shape, _ in parameter_schema(config)
-    }
-    return ParamStore(entries)
+    return {name: Tensor(np.zeros(shape, dtype=dtype)) for name, shape, _ in parameter_schema(config)}
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +210,8 @@ def test_init_deterministic_and_seed_sensitive():
     s1 = init_params(config, seed=7)
     s2 = init_params(config, seed=7)
     s3 = init_params(config, seed=8)
-    assert all(np.array_equal(s1[n].data, s2[n].data) for n in s1.names())
-    assert any(not np.array_equal(s1[n].data, s3[n].data) for n in s1.names())
+    assert all(np.array_equal(s1[n].data, s2[n].data) for n in s1)
+    assert any(not np.array_equal(s1[n].data, s3[n].data) for n in s1)
 
 
 def test_init_respects_kinds_and_truncation():
@@ -230,14 +226,6 @@ def test_init_respects_kinds_and_truncation():
             assert np.all(data == 1.0), name
         else:
             assert np.all(data == 0.0), name
-
-
-def test_store_iteration_is_lexicographic_and_unique():
-    store = init_params(_tiny_config(), seed=0)
-    names = store.names()
-    assert names == sorted(names)
-    assert len(names) == len(set(names))
-    assert store.total_elements() == count_params(_tiny_config())
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +250,7 @@ def test_published_scale_parameter_count(name):
 def test_count_matches_materialized_store_exactly():
     car = _tiny_config(task="car", scale=1, in_channels=1, out_channels=1, head_width=64)
     for config in (_tiny_config(), car):
-        assert count_params(config) == init_params(config, seed=0).total_elements()
+        assert count_params(config) == sum(t.size for t in init_params(config, seed=0).values())
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +264,8 @@ def test_weight_roundtrip_bit_exact(tmp_path):
         path = str(tmp_path / f"w_{np.dtype(dtype).name}.catw")
         save_weights(store, path)
         loaded = load_weights(path)
-        assert loaded.names() == store.names()
-        for name in store.names():
+        assert list(loaded) == list(store)
+        for name in store:
             assert loaded[name].dtype == store[name].dtype
             assert np.array_equal(loaded[name].data, store[name].data)
 
@@ -368,7 +356,7 @@ def test_weight_bad_version_rejected(tmp_path):
 
 
 def test_weight_io_streams_each_entry(tmp_path):
-    store = ParamStore({f"w{i}": Tensor(rand((256, 512), 90 + i, 1.0, np.float32)) for i in range(4)})
+    store = {f"w{i}": Tensor(rand((256, 512), 90 + i, 1.0, np.float32)) for i in range(4)}
     nbytes = sum(t.data.nbytes for _, t in store.items())
     path = str(tmp_path / "w.catw")
     tracemalloc.start()

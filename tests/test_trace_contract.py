@@ -1,0 +1,53 @@
+"""The traced benchmark's contract with the package: ``perfbench/tracer.py``
+looks functions up by module and name, and joins a traced forward pass to the
+rows of ``analysis.model_flops``. A rename or deletion in the package that
+breaks either would otherwise show only in a ``--trace 1`` benchmark run."""
+
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from crossagg import harness
+from crossagg.imaging import ImageU8
+from crossagg.model import init_params, preset_config
+
+from helpers import repo_root
+
+sys.path.insert(0, str(repo_root() / "perfbench"))
+from tracer import Tracer  # noqa: E402
+
+
+def _axial_config():
+    # Two blocks, so the second one runs shifted; axial side 3 on a 16 x 17
+    # map pads the rows of the horizontal windows and the columns of the
+    # vertical ones.
+    return replace(
+        preset_config("tiny_sr_x2"),
+        window_kind="axial",
+        window_height=0,
+        window_width=0,
+        axial_lengths=(3,),
+        blocks_per_group=2,
+    )
+
+
+@pytest.mark.parametrize(
+    "config, height, width",
+    [(preset_config("tiny_sr_x2"), 16, 16), (_axial_config(), 16, 17)],
+    ids=["tiny_sr_x2", "tiny_axial"],
+)
+def test_traced_restore_joins_every_cost_row(config, height, width):
+    img = ImageU8.from_array(np.random.default_rng(0).integers(0, 256, (height, width, 3), dtype=np.uint8))
+    store = init_params(config, 0)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.request = 0
+        harness.restore_image(store, config, img)
+    finally:
+        tracer.uninstall()
+    metrics, problems = tracer.per_layer(config)
+    assert problems == []
+    assert metrics["attention.relative_position_bias.calls"] > 0

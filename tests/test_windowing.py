@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossagg import autodiff as ad
-from crossagg.autodiff import GradientTape, Tensor, backward
+from crossagg.autodiff import GradientTape, Tensor, _reflect_index, backward
 from crossagg.windowing import (
     HORIZONTAL,
     VERTICAL,
@@ -291,7 +291,8 @@ def _composed_windows(x, g, start, heads, d):
     partition and head split."""
     t = ad.narrow(x, -1, start, heads * d)
     if g.pad_h or g.pad_w:
-        t = ad.pad_reflect_spatial(t, g.pad_h, g.pad_w)
+        t = ad.gather(t, _reflect_index(g.height, g.pad_h), axis=1)
+        t = ad.gather(t, _reflect_index(g.width, g.pad_w), axis=2)
     if g.shifted:
         t = cyclic_shift(t, g.shift_down, g.shift_left)
     t = partition(t, g)
@@ -310,7 +311,7 @@ def _composed_merge(y, g, batch):
 @pytest.mark.parametrize("case", GATHER_CASES)
 def test_window_maps_inverse_reads_each_pixel_back(case):
     g = resolve_geometry(*case[:4], shifted=case[4])
-    index, where = window_maps(g)
+    index, where, _ = window_maps(g)
     assert index.shape == (g.num_windows, g.window_pixels)
     assert where.shape == (g.padded_h, g.padded_w)
     assert np.array_equal(np.sort(where.ravel()), np.arange(where.size))
@@ -323,7 +324,7 @@ def test_window_maps_inverse_reads_each_pixel_back(case):
 @pytest.mark.parametrize("case", GATHER_CASES)
 def test_take_windows_is_bit_identical_to_composed_ops(case, dtype):
     g = resolve_geometry(*case[:4], shifted=case[4])
-    index, where = window_maps(g)
+    index, where, _ = window_maps(g)
     heads, d = 2, 3
     arrays = {"x": rand((2, g.height, g.width, 6 * heads * d), 70, 1.0, dtype)}  # batch 2, fused q/k/v map
     for start in (0, heads * d, 5 * heads * d):
@@ -337,7 +338,7 @@ def test_take_windows_is_bit_identical_to_composed_ops(case, dtype):
 @pytest.mark.parametrize("case", GATHER_CASES)
 def test_merge_windows_is_bit_identical_to_composed_ops(case, dtype):
     g = resolve_geometry(*case[:4], shifted=case[4])
-    _, where = window_maps(g)
+    _, where, _ = window_maps(g)
     arrays = {"y": rand((2 * g.num_windows, 2, g.window_pixels, 3), 71, 1.0, dtype)}
     fused = taped_output_and_grads(lambda t: ad.merge_windows([t["y"]], [where], g.height, g.width), arrays)
     composed = taped_output_and_grads(lambda t: _composed_merge(t["y"], g, 2), arrays)
@@ -386,7 +387,7 @@ def test_merge_windows_rejects_mismatched_window_sets():
 def test_gather_map_gradients_match_finite_differences():
     g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 3, 5, shifted=True)
     assert g.pad_h and g.pad_w and g.shifted
-    index, where = window_maps(g)
+    index, where, _ = window_maps(g)
     assert_grads_match_fd(lambda t: ad.take_windows(t["x"], index, where, 2, 1, 2), {"x": rand((1, 3, 5, 4), 72)})
     y = rand((g.num_windows, 1, g.window_pixels, 2), 73)
     assert_grads_match_fd(lambda t: ad.merge_windows([t["y"]], [where], 3, 5), {"y": y})
@@ -394,7 +395,7 @@ def test_gather_map_gradients_match_finite_differences():
 
 def test_take_windows_rejects_a_map_outside_the_input():
     g = resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4)
-    index, where = window_maps(g)
+    index, where, _ = window_maps(g)
     with pytest.raises(ValueError):
         ad.take_windows(Tensor(np.zeros((1, 2, 4, 4))), index, where, 0, 2, 2)
     with pytest.raises(ValueError):
