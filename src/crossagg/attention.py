@@ -150,10 +150,6 @@ def locality_complement(v: Tensor, params: AttentionParams) -> Tensor:
     """Depthwise 3x3 convolution of the full-resolution value map."""
     if params.lcm_weight is None:
         raise ValueError("attention params carry no locality-complement kernel")
-    if params.lcm_weight.shape[2] != v.shape[-1]:
-        raise ValueError(
-            f"locality complement kernel {params.lcm_weight.shape} does not match channels {v.shape[-1]}"
-        )
     return ad.conv2d_3x3(v, params.lcm_weight, params.lcm_bias, depthwise=True)
 
 
@@ -212,11 +208,10 @@ def rwin_self_attention(
             cache[("maps", g)] = window_maps(g)
         index, where, regions = cache[("maps", g)]
         windows = (ad.take_windows(qkv, index, where, t * c + oi * c // 2, heads, d) for t in range(3))
-        mask = regions if g.shifted else None
         if probe is None:
-            ys.append(ad.window_attention(*windows, bias, mask, scale))  # [N*nw, heads, n, d]
+            ys.append(ad.window_attention(*windows, bias, regions, scale))  # [N*nw, heads, n, d]
         else:
-            y, weights = ad.window_attention(*windows, bias, mask, scale, weights=True)
+            y, weights = ad.window_attention(*windows, bias, regions, scale, weights=True)
             ys.append(y)
             probe.setdefault("weights", {})[orientation] = weights
             probe.setdefault("geometries", {})[orientation] = g

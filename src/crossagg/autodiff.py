@@ -514,9 +514,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, gelu: bool = False) -> Tensor:
-    """Affine map over the last dimension: x @ weight (+ bias), one GEMM into
-    a fresh buffer plus an in-place bias add (bit-identical to the composed
+def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tensor:
+    """Affine map over the last dimension: x @ weight + bias, one GEMM into a
+    fresh buffer plus an in-place bias add (bit-identical to the composed
     reshape, matmul, reshape and add). With ``gelu`` the output is
     GELU(x @ weight + bias), applied in the GEMM's buffer a chunk at a time
     (bit-identical to :func:`gelu` of the affine map); the pre-activation and
@@ -525,33 +525,31 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, gelu: bool = F
         raise ShapeError(f"linear: weight must be rank 2, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear: input shape {x.shape} does not match weight shape {weight.shape}")
-    if bias is not None and bias.shape != (weight.shape[1],):
+    if bias.shape != (weight.shape[1],):
         raise ShapeError(f"linear: bias shape {bias.shape} does not match weight shape {weight.shape}")
-    _check_same_dtype(*(t for t in (x, weight, bias) if t is not None))
+    _check_same_dtype(x, weight, bias)
     cin, cout = weight.shape
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     out = np.empty(x.shape[:-1] + (cout,), dtype=x.dtype)
     np.matmul(x.data.reshape(-1, cin), weight.data, out=out.reshape(-1, cout))
-    if bias is not None:
-        out += bias.data
+    out += bias.data
     pre = cdf = None  # the backward keeps them only for GELU
     if gelu:
-        keep = _recording(inputs)
+        keep = _recording((x, weight, bias))
         pre = out
         if keep:
             out = np.empty_like(pre)
         cdf = _gelu_into(pre, out, keep)
     result = _freeze(out)
 
-    def bwd(g, xd=x.data, wd=weight.data, has_bias=bias is not None):
+    def bwd(g, xd=x.data, wd=weight.data):
         if gelu:
             g = _gelu_grad(g, pre, cdf)
         g2 = g.reshape(-1, cout)
         gx = np.matmul(g2, wd.swapaxes(-1, -2)).reshape(xd.shape)
         gw = np.matmul(xd.reshape(-1, cin).swapaxes(-1, -2), g2)
-        return (gx, gw, _unbroadcast(g, (cout,))) if has_bias else (gx, gw)
+        return (gx, gw, _unbroadcast(g, (cout,)))
 
-    _record(result, inputs, bwd)
+    _record(result, (x, weight, bias), bwd)
     return result
 
 
@@ -565,7 +563,7 @@ def window_attention(
     k: Tensor,
     v: Tensor,
     bias: Tensor,
-    regions: np.ndarray | None,
+    regions: np.ndarray,
     scale: float,
     weights: bool = False,
 ):
@@ -575,13 +573,14 @@ def window_attention(
     is [heads, n, n] and is shared by every window. ``regions`` (no gradient)
     is an [nw, n] array of per-pixel region ids, window b taking
     ``regions[b % nw]``; the mask adds MASK_VALUE to the logit of every pixel
-    pair whose ids differ, through a float mask built per chunk. The logits
-    are built and normalized in place, a chunk of windows at a time, in the
-    same float operations and order as the composed ops (matmul, mul, add,
-    add, softmax_lastdim, matmul), so the result is bit-identical to them:
-    where the composed mask adds +0.0, this adds -0.0 or nothing, which can
-    only differ in the sign of a zero logit, and the softmax maps both signs
-    alike. The full [B, heads, n, n] probabilities are kept only when a tape
+    pair whose ids differ, through a float mask built per chunk; a chunk in
+    which every window holds one id (as in an unshifted geometry, whose ids
+    are all 0) gets no mask. The logits are built and normalized in place, a
+    chunk of windows at a time, in the same float operations and order as the
+    composed ops (matmul, mul, add, add, softmax_lastdim, matmul), so the
+    result is bit-identical to them: where the composed mask adds +0.0, this
+    adds -0.0 or nothing, which can only differ in the sign of a zero logit,
+    and the softmax maps both signs alike. The full [B, heads, n, n] probabilities are kept only when a tape
     records the op or ``weights`` is set; then ``(out, probabilities)`` is
     returned, the latter a read-only array.
     """
@@ -592,7 +591,7 @@ def window_attention(
     b, heads, n, _ = q.shape
     if bias.shape != (heads, n, n):
         raise ShapeError(f"window_attention: bias {bias.shape} is not [heads, n, n] = {(heads, n, n)}")
-    if regions is not None and (regions.ndim != 2 or regions.shape[1] != n or b % regions.shape[0] != 0):
+    if regions.ndim != 2 or regions.shape[1] != n or b % regions.shape[0] != 0:
         raise ShapeError(f"window_attention: regions {regions.shape} is not [nw, {n}] with nw dividing {b}")
     _check_same_dtype(q, k, v, bias)
     scale = float(scale)
@@ -609,11 +608,10 @@ def window_attention(
         np.matmul(qd[start:stop], np.ascontiguousarray(kd[start:stop].swapaxes(-1, -2)), out=p)
         p *= scale
         p += bias.data
-        if regions is not None:
-            r = regions[np.arange(start, stop) % regions.shape[0]]
-            if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
-                # Built as a product: np.where and a masked np.add measured 2-25x slower.
-                p += ((r[:, :, None] != r[:, None, :]) * dtype.type(MASK_VALUE))[:, None]
+        r = regions[np.arange(start, stop) % regions.shape[0]]
+        if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
+            # Built as a product: np.where and a masked np.add measured 2-25x slower.
+            p += ((r[:, :, None] != r[:, None, :]) * dtype.type(MASK_VALUE))[:, None]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
@@ -782,8 +780,9 @@ def _fold_reflected(gp: np.ndarray, h: int, w: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor | None = None, depthwise: bool = False) -> Tensor:
-    """3x3 cross-correlation with zero padding 1, preserving spatial size.
+def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False) -> Tensor:
+    """3x3 cross-correlation with zero padding 1 plus a per-channel bias,
+    preserving spatial size.
 
     ``kernel`` is [3, 3, Cin, Cout]; in depthwise mode it is [3, 3, C, 1] and
     each channel is filtered independently (Cin == Cout == C).
@@ -805,9 +804,9 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor | None = None, depthwise:
                 f"conv2d_3x3: kernel input channels {kernel.shape} do not match input shape {x.shape}"
             )
         cout = kernel.shape[3]
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise ShapeError(f"conv2d_3x3: bias shape {bias.shape} does not match output channels {cout}")
-    _check_same_dtype(*(t for t in (x, kernel, bias) if t is not None))
+    _check_same_dtype(x, kernel, bias)
 
     xp = np.zeros((n, h + 2, w + 2, cin), dtype=x.dtype)
     xp[:, 1 : h + 1, 1 : w + 1, :] = x.data
@@ -830,13 +829,10 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor | None = None, depthwise:
         for u in range(3):
             for v in range(3):
                 out_data += xp[:, u : u + h, v : v + w, :] @ kd[u, v]
-    if bias is not None:
-        out_data += bias.data
+    out_data += bias.data
     out = _freeze(out_data)
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-
-    def bwd(g, xp=xp, kd=kd, n=n, h=h, w=w, cin=cin, depthwise=depthwise, has_bias=bias is not None):
+    def bwd(g, xp=xp, kd=kd, n=n, h=h, w=w, cin=cin, depthwise=depthwise):
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(kd)
         if not depthwise:
@@ -858,11 +854,9 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor | None = None, depthwise:
                     np.matmul(g2, kd[u, v].T, out=cols)
                     gxp[:, u : u + h, v : v + w, :] += buf
         gx = np.ascontiguousarray(gxp[:, 1 : h + 1, 1 : w + 1, :])
-        if has_bias:
-            return (gx, gk, g.sum(axis=(0, 1, 2)))
-        return (gx, gk)
+        return (gx, gk, g.sum(axis=(0, 1, 2)))
 
-    _record(out, inputs, bwd)
+    _record(out, (x, kernel, bias), bwd)
     return out
 
 

@@ -47,7 +47,11 @@ def dihedral_inverse(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def quantize(a: np.ndarray) -> np.ndarray:
-    """[0, 1] float image to uint8 with round-half-away behavior via +0.5."""
+    """[0, 1] float image to uint8 with round-half-away behavior via +0.5.
+    A NaN or infinite value has no 8-bit value and raises ValueError."""
+    bad = a.size - np.count_nonzero(np.isfinite(a))
+    if bad:
+        raise ValueError(f"{bad} of {a.size} image values are NaN or infinite; no 8-bit image can be written")
     return np.clip(np.floor(a * 255.0 + 0.5), 0, 255).astype(np.uint8)
 
 

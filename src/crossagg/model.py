@@ -35,7 +35,6 @@ __all__ = [
     "parameter_schema",
     "init_params",
     "count_params",
-    "block_params",
     "catb_forward",
     "residual_group_forward",
     "cat_forward",
@@ -269,19 +268,6 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, T
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockParams:
-    norm1_gamma: Tensor
-    norm1_beta: Tensor
-    attn: AttentionParams
-    norm2_gamma: Tensor
-    norm2_beta: Tensor
-    fc1_weight: Tensor
-    fc1_bias: Tensor
-    fc2_weight: Tensor
-    fc2_bias: Tensor
-
-
 def _pos_net(store: Mapping[str, Tensor]) -> PositionBiasParams:
     return PositionBiasParams(
         w1=store["posbias.fc1.weight"],
@@ -293,7 +279,17 @@ def _pos_net(store: Mapping[str, Tensor]) -> PositionBiasParams:
     )
 
 
-def block_params(store: Mapping[str, Tensor], prefix: str, config: ModelConfig) -> BlockParams:
+def catb_forward(
+    x: Tensor,
+    store: Mapping[str, Tensor],
+    config: ModelConfig,
+    prefix: str,
+    spec: WindowSpec,
+    shifted: bool,
+    cache: dict | None = None,
+) -> Tensor:
+    """One attention block, its tensors read from ``store`` under ``prefix``
+    (e.g. ``body.group0.block1``): attention and MLP branches, each residual."""
     attn = AttentionParams(
         qkv_weight=store[f"{prefix}.attn.qkv.weight"],
         qkv_bias=store[f"{prefix}.attn.qkv.bias"],
@@ -304,28 +300,11 @@ def block_params(store: Mapping[str, Tensor], prefix: str, config: ModelConfig) 
         pos_net=_pos_net(store),
         heads=config.num_heads,
     )
-    return BlockParams(
-        norm1_gamma=store[f"{prefix}.norm1.gamma"],
-        norm1_beta=store[f"{prefix}.norm1.beta"],
-        attn=attn,
-        norm2_gamma=store[f"{prefix}.norm2.gamma"],
-        norm2_beta=store[f"{prefix}.norm2.beta"],
-        fc1_weight=store[f"{prefix}.mlp.fc1.weight"],
-        fc1_bias=store[f"{prefix}.mlp.fc1.bias"],
-        fc2_weight=store[f"{prefix}.mlp.fc2.weight"],
-        fc2_bias=store[f"{prefix}.mlp.fc2.bias"],
-    )
-
-
-def catb_forward(
-    x: Tensor, bp: BlockParams, spec: WindowSpec, shifted: bool, cache: dict | None = None
-) -> Tensor:
-    """One attention block: attention and MLP branches, each residual."""
-    attn_in = ad.layer_norm(x, bp.norm1_gamma, bp.norm1_beta)
-    x = ad.add(rwin_self_attention(attn_in, bp.attn, spec, shifted=shifted, cache=cache), x)
-    h = ad.layer_norm(x, bp.norm2_gamma, bp.norm2_beta)
-    h = ad.linear(h, bp.fc1_weight, bp.fc1_bias, gelu=True)
-    h = ad.linear(h, bp.fc2_weight, bp.fc2_bias)
+    attn_in = ad.layer_norm(x, store[f"{prefix}.norm1.gamma"], store[f"{prefix}.norm1.beta"])
+    x = ad.add(rwin_self_attention(attn_in, attn, spec, shifted=shifted, cache=cache), x)
+    h = ad.layer_norm(x, store[f"{prefix}.norm2.gamma"], store[f"{prefix}.norm2.beta"])
+    h = ad.linear(h, store[f"{prefix}.mlp.fc1.weight"], store[f"{prefix}.mlp.fc1.bias"], gelu=True)
+    h = ad.linear(h, store[f"{prefix}.mlp.fc2.weight"], store[f"{prefix}.mlp.fc2.bias"])
     return ad.add(h, x)
 
 
@@ -341,8 +320,7 @@ def residual_group_forward(
     spec = config.spec_for_group(group)
     y = x
     for j in range(config.blocks_per_group):
-        bp = block_params(store, f"body.group{group}.block{j}", config)
-        y = catb_forward(y, bp, spec, shifted=(j % 2 == 1), cache=cache)
+        y = catb_forward(y, store, config, f"body.group{group}.block{j}", spec, shifted=(j % 2 == 1), cache=cache)
     y = ad.conv2d_3x3(y, store[f"body.group{group}.conv.weight"], store[f"body.group{group}.conv.bias"])
     return ad.add(y, x)
 

@@ -18,7 +18,6 @@ from crossagg.harness import run_overfit
 from crossagg.imaging import psnr, ssim
 from crossagg.model import (
     ModelConfig,
-    block_params,
     cat_forward,
     catb_forward,
     count_params,
@@ -302,7 +301,7 @@ def test_criterion_6_full_block_gradients_match_finite_differences():
     probe = Tensor(probe_dir, dtype=np.float64)
 
     def forward(st: dict[str, Tensor]) -> Tensor:
-        return catb_forward(x, block_params(st, prefix, config), spec, shifted=True)
+        return catb_forward(x, st, config, prefix, spec, shifted=True)
 
     with criterion(6, "full block gradients match central differences on every tensor", 60.0):
         tape = GradientTape()

@@ -436,7 +436,7 @@ def test_window_attention_partial_last_chunk_is_bit_identical(monkeypatch, dtype
     _chunk_windows(monkeypatch, per_chunk, heads, n, dtype)
     q, k, v, bias = _window_inputs(b, heads, n, d, 50, dtype)
     t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
-    out = ad.window_attention(*t, None, 0.5)
+    out = ad.window_attention(*t, np.zeros((1, n), np.int8), 0.5)  # one region: no mask
     assert out.dtype == dtype
     assert np.array_equal(out.data, _composed_attention(q, k, v, bias, None, 0.5))
 
@@ -474,7 +474,7 @@ def test_window_attention_gradients_match_finite_differences(monkeypatch):
 def test_window_attention_rejects_bad_shapes():
     q, k, v, bias = (Tensor(a) for a in _window_inputs(4, 2, 3, 2, 80, np.float64))
     with pytest.raises(ad.ShapeError):
-        ad.window_attention(q, k, v, Tensor(np.zeros((2, 3, 4))), None, 1.0)
+        ad.window_attention(q, k, v, Tensor(np.zeros((2, 3, 4))), np.zeros((1, 3), np.int8), 1.0)
     with pytest.raises(ad.ShapeError):
         ad.window_attention(q, k, v, bias, np.zeros((3, 3), dtype=np.int64), 1.0)
 

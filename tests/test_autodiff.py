@@ -154,7 +154,7 @@ def test_linear_zero_weight_broadcasts_bias():
 
 def test_linear_shape_error():
     with pytest.raises(ShapeError):
-        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +307,9 @@ def test_linear_with_gelu_is_bit_identical_to_gelu_of_linear(monkeypatch, dtype,
 
 def test_linear_with_gelu_untaped_applies_gelu_in_its_own_buffer():
     x, w = Tensor(rand((512, 180), 93, 1.0, np.float32)), Tensor(rand((180, 720), 94, 0.1, np.float32))
+    b = Tensor(np.zeros(720, np.float32))
     tracemalloc.start()
-    out = ad.linear(x, w, gelu=True)
+    out = ad.linear(x, w, b, gelu=True)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < out.data.nbytes + ad.WINDOW_CHUNK_BYTES + (64 << 10), peak
@@ -317,12 +318,13 @@ def test_linear_with_gelu_untaped_applies_gelu_in_its_own_buffer():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_at_infinities(dtype):
     # gelu(-inf) is -0 and gelu(inf) inf; the slope is 0 at -inf and 1 at inf,
-    # through both entry points.
+    # through both entry points. The bias -0.0 adds nothing to any value,
+    # the sign of a zero included, so linear's pre-activation is exactly x.
     x = np.array([-np.inf, np.inf, -1.0, 2.0], dtype=dtype)
-    one = Tensor(np.ones((1, 1), dtype))
+    one, neg_zero = Tensor(np.ones((1, 1), dtype)), Tensor(np.full(1, -0.0, dtype))
     entry_points = {
         "gelu": lambda t: ad.gelu(t["x"]),
-        "linear": lambda t: ad.reshape(ad.linear(ad.reshape(t["x"], (4, 1)), one, gelu=True), (4,)),
+        "linear": lambda t: ad.reshape(ad.linear(ad.reshape(t["x"], (4, 1)), one, neg_zero, gelu=True), (4,)),
     }
     probe = np.random.default_rng(7).normal(size=4).astype(dtype)
     for name, build in entry_points.items():
@@ -331,7 +333,7 @@ def test_gelu_at_infinities(dtype):
         assert out[0] == 0 and np.signbit(out[0]) and out[1] == np.inf, name
         assert np.array_equal(ad.gelu(Tensor(x)).data, out), name
         assert np.isfinite(grads["x"]).all() and grads["x"][0] == 0 and grads["x"][1] == probe[1], name
-    untaped = ad.linear(Tensor(x.reshape(4, 1)), one, gelu=True).data.ravel()
+    untaped = ad.linear(Tensor(x.reshape(4, 1)), one, neg_zero, gelu=True).data.ravel()
     assert np.array_equal(untaped, out) and np.signbit(untaped[0])
 
 
@@ -365,7 +367,7 @@ def _identity_kernel(c):
 
 def test_conv_identity_kernel_interior():
     x = rand((1, 6, 7, 3), 5)
-    out = ad.conv2d_3x3(Tensor(x, dtype=np.float64), Tensor(_identity_kernel(3), dtype=np.float64))
+    out = ad.conv2d_3x3(Tensor(x, dtype=np.float64), Tensor(_identity_kernel(3), dtype=np.float64), Tensor(np.zeros(3)))
     assert np.allclose(out.numpy(), x)
 
 
@@ -373,7 +375,7 @@ def test_conv_identity_kernel_exact_with_zero_borders():
     x = rand((1, 6, 7, 3), 6)
     x[:, 0, :, :] = x[:, -1, :, :] = x[:, :, 0, :] = x[:, :, -1, :] = 0.0
     xt = Tensor(x, dtype=np.float64)
-    out = ad.conv2d_3x3(xt, Tensor(_identity_kernel(3), dtype=np.float64))
+    out = ad.conv2d_3x3(xt, Tensor(_identity_kernel(3), dtype=np.float64), Tensor(np.zeros(3)))
     assert np.array_equal(out.data, xt.data)
 
 
@@ -381,7 +383,7 @@ def test_conv_depthwise_ones_on_single_pixel():
     v = 2.75
     x = Tensor(np.full((1, 1, 1, 1), v))
     k = Tensor(np.ones((3, 3, 1, 1)))
-    out = ad.conv2d_3x3(x, k, depthwise=True)
+    out = ad.conv2d_3x3(x, k, Tensor(np.zeros(1)), depthwise=True)
     assert np.allclose(out.numpy(), v)
 
 
@@ -393,17 +395,16 @@ def test_conv_zero_kernel_gives_bias():
 
 def test_conv_depthwise_channel_mismatch():
     with pytest.raises(ShapeError):
-        ad.conv2d_3x3(Tensor(np.zeros((1, 2, 2, 3))), Tensor(np.zeros((3, 3, 2, 1))), depthwise=True)
+        ad.conv2d_3x3(Tensor(np.zeros((1, 2, 2, 3))), Tensor(np.zeros((3, 3, 2, 1))), Tensor(np.zeros(3)), depthwise=True)
 
 
 def test_conv_kernel_shape_error():
     with pytest.raises(ShapeError):
-        ad.conv2d_3x3(Tensor(np.zeros((1, 2, 2, 3))), Tensor(np.zeros((5, 5, 3, 1))))
+        ad.conv2d_3x3(Tensor(np.zeros((1, 2, 2, 3))), Tensor(np.zeros((5, 5, 3, 1))), Tensor(np.zeros(1)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("with_bias", [False, True])
-def test_depthwise_conv_in_bands_is_bit_identical_to_a_sum_of_taps(monkeypatch, dtype, with_bias):
+def test_depthwise_conv_in_bands_is_bit_identical_to_a_sum_of_taps(monkeypatch, dtype):
     n, h, w, c = 2, 7, 5, 3
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 3 * n * w * c * np.dtype(dtype).itemsize)  # bands of 3, 3, 1 rows
     x, k, b = rand((n, h, w, c), 46, 1.0, dtype), rand((3, 3, c, 1), 47, 1.0, dtype), rand((c,), 48, 1.0, dtype)
@@ -413,9 +414,8 @@ def test_depthwise_conv_in_bands_is_bit_identical_to_a_sum_of_taps(monkeypatch, 
     for u in range(3):
         for v in range(3):
             want += xp[:, u : u + h, v : v + w] * k[u, v, :, 0]
-    if with_bias:
-        want += b
-    out = ad.conv2d_3x3(Tensor(x), Tensor(k), Tensor(b) if with_bias else None, depthwise=True).data
+    want += b
+    out = ad.conv2d_3x3(Tensor(x), Tensor(k), Tensor(b), depthwise=True).data
     assert out.dtype == dtype and np.array_equal(out, want) and np.array_equal(np.signbit(out), np.signbit(want))
 
 
@@ -434,16 +434,8 @@ def _conv_backward_einsum(x, k, g):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize(
-    "x_shape, cout, with_bias",
-    [
-        ((2, 3, 5, 2), 4, True),
-        ((2, 4, 3, 5), 3, False),
-        ((2, 1, 1, 3), 2, True),
-        ((2, 1, 1, 3), 2, False),
-    ],
-)
-def test_conv_backward_matches_einsum_reference(dtype, x_shape, cout, with_bias):
+@pytest.mark.parametrize("x_shape, cout", [((2, 3, 5, 2), 4), ((2, 4, 3, 5), 3), ((2, 1, 1, 3), 2)])
+def test_conv_backward_matches_einsum_reference(dtype, x_shape, cout):
     n, h, w, cin = x_shape
     x = rand(x_shape, 42, scale=1.0, dtype=dtype)
     k = rand((3, 3, cin, cout), 43, scale=1.0, dtype=dtype)
@@ -456,11 +448,11 @@ def test_conv_backward_matches_einsum_reference(dtype, x_shape, cout, with_bias)
     bounds = [2 * terms * np.finfo(dtype).eps * m for m in _conv_backward_einsum(abs(x), abs(k), abs(g))]
 
     xt, kt, bt = Tensor(x, dtype=dtype), Tensor(k, dtype=dtype), Tensor(b, dtype=dtype)
-    inputs = [xt, kt, bt] if with_bias else [xt, kt]
+    inputs = [xt, kt, bt]
     tape = GradientTape()
     tape.watch(inputs)
     with tape:
-        out = ad.conv2d_3x3(xt, kt, bt if with_bias else None)
+        out = ad.conv2d_3x3(xt, kt, bt)
         loss = ad.sum_all(ad.mul(out, Tensor(g, dtype=dtype)))
     grads = backward(tape, loss)
 
@@ -644,8 +636,8 @@ def test_grad_conv():
         {"x": rand((1, 3, 4, 2), 21), "k": rand((3, 3, 2, 3), 22), "b": rand((3,), 23)},
     )
     assert_grads_match_fd(
-        lambda t: ad.conv2d_3x3(t["x"], t["k"]),
-        {"x": rand((2, 3, 2, 2), 40), "k": rand((3, 3, 2, 3), 41)},
+        lambda t: ad.conv2d_3x3(t["x"], t["k"], t["b"]),
+        {"x": rand((2, 3, 2, 2), 40), "k": rand((3, 3, 2, 3), 41), "b": rand((3,), 39)},
     )
 
 

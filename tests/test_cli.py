@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from crossagg.autodiff import Tensor
 from crossagg.imaging import ImageU8, load_image, save_image
 from crossagg.model import init_params, preset_config, save_weights
 
@@ -142,6 +143,23 @@ def test_infer_rejects_mismatched_weights(tmp_path, demo_png):
     assert result.returncode != 0
     assert not out_path.exists()
     assert result.stderr.strip() != ""
+
+
+def test_infer_non_finite_output_fails_without_writing(tmp_path, demo_png):
+    config = str(repo_root() / "configs" / "tiny_sr_x2.cfg")
+    store = init_params(preset_config("tiny_sr_x2"), seed=0)
+    store["head.post.bias"] = Tensor(np.full(store["head.post.bias"].shape, np.nan, dtype=np.float32))
+    weights = tmp_path / "nan.catw"
+    save_weights(store, str(weights))
+    for extra in ((), ("--ensemble",)):
+        out_path = tmp_path / "never.png"
+        result = run_cli(
+            "infer", "--config", config, "--weights", str(weights), "--input", demo_png, "--output", str(out_path),
+            *extra,
+        )
+        assert result.returncode == 1, extra
+        assert not out_path.exists(), extra
+        assert result.stderr == "error: 6912 of 6912 image values are NaN or infinite; no 8-bit image can be written\n"
 
 
 def test_overfit_short_run_fails_threshold_with_curve():

@@ -60,6 +60,14 @@ def test_quantize_rounds_and_clips():
     assert np.array_equal(got, [0, 0, 0, 1, 255, 255])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite_values(value):
+    a = np.full((2, 3, 1), 0.5)
+    a[1, 2, 0] = value
+    with pytest.raises(ValueError, match="1 of 6 image values are NaN or infinite"):
+        quantize(a)
+
+
 def test_ensemble_equals_single_pass_for_identity_model():
     store, config = _zero_car_model()
     img = ImageU8.from_array(

@@ -12,7 +12,6 @@ from crossagg.model import (
     ModelConfig,
     PRESET_NAMES,
     WeightFormatError,
-    block_params,
     cat_forward,
     catb_forward,
     count_params,
@@ -63,19 +62,18 @@ def _zero_store(config, dtype=np.float32):
 def test_catb_zero_weights_is_identity():
     config = _tiny_config()
     store = _zero_store(config, dtype=np.float64)
-    bp = block_params(store, "body.group0.block0", config)
     x = Tensor(rand((1, 4, 8, 8), 0), dtype=np.float64)
-    out = catb_forward(x, bp, config.spec_for_group(0), shifted=False)
+    out = catb_forward(x, store, config, "body.group0.block0", config.spec_for_group(0), shifted=False)
     assert np.array_equal(out.data, x.data)
 
 
 def test_catb_preserves_shape():
     config = _tiny_config()
     store = init_params(config, seed=0, dtype=np.float64)
-    bp = block_params(store, "body.group0.block0", config)
     for shape in [(1, 4, 8, 8), (2, 6, 6, 8), (1, 3, 5, 8)]:
         x = Tensor(rand(shape, 1), dtype=np.float64)
-        assert catb_forward(x, bp, config.spec_for_group(0), shifted=True).shape == shape
+        out = catb_forward(x, store, config, "body.group0.block0", config.spec_for_group(0), shifted=True)
+        assert out.shape == shape
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +108,7 @@ def test_single_block_group_composes_one_unshifted_block():
     got = residual_group_forward(x, store, config, group=0)
     import crossagg.autodiff as ad
 
-    bp = block_params(store, "body.group0.block0", config)
-    manual = catb_forward(x, bp, config.spec_for_group(0), shifted=False)
+    manual = catb_forward(x, store, config, "body.group0.block0", config.spec_for_group(0), shifted=False)
     manual = ad.conv2d_3x3(manual, store["body.group0.conv.weight"], store["body.group0.conv.bias"])
     manual = ad.add(manual, x)
     assert np.array_equal(got.data, manual.data)
@@ -134,12 +131,12 @@ def test_untaped_shifted_axial_block_peak_memory():
     # buffer, the depthwise conv in row bands and attention freeing each
     # orientation's windows early.
     config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
-    bp = block_params(init_params(config, 0), "body.group0.block1", config)
+    store, spec = init_params(config, 0), config.spec_for_group(0)
     x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))
-    catb_forward(x, bp, config.spec_for_group(0), shifted=True)
+    catb_forward(x, store, config, "body.group0.block1", spec, shifted=True)
     tracemalloc.start()
     try:
-        catb_forward(x, bp, config.spec_for_group(0), shifted=True)
+        catb_forward(x, store, config, "body.group0.block1", spec, shifted=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

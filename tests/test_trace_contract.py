@@ -51,3 +51,22 @@ def test_traced_restore_joins_every_cost_row(config, height, width):
     metrics, problems = tracer.per_layer(config)
     assert problems == []
     assert metrics["attention.relative_position_bias.calls"] > 0
+
+
+def test_traced_training_steps_join_every_cost_row():
+    # The taped path as the train_tiny workload traces it: each run_overfit
+    # step (forward under a tape, backward, Adam) is one traced request.
+    tracer = Tracer()
+
+    def next_request(step, loss):
+        tracer.request += 1
+
+    tracer.install()
+    try:
+        tracer.request = 0
+        harness.run_overfit(steps=3, seed=0, on_step=next_request)
+    finally:
+        tracer.uninstall()
+    metrics, problems = tracer.per_layer(preset_config("tiny_sr_x2"))
+    assert problems == []
+    assert metrics["autodiff.backward.ms"] > 0 and metrics["autodiff.adam_step.ms"] > 0
