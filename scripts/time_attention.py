@@ -1,0 +1,82 @@
+"""Time one forward's ``window_attention`` calls for a stock config and side.
+
+    PYTHONPATH=src python scripts/time_attention.py --config cat_a_x2 --side 96 --reps 5
+
+Replays the calls a ``cat_forward`` on one side x side image makes: for every
+block of every group, both head orientations, with the window geometry the
+model resolves (odd blocks shifted) and the region ids ``window_maps``
+returns. Q, K, V and the bias are seeded normal float32 arrays of the model's
+shapes, made once per geometry before timing. Prints one JSON object: the
+seconds of each replay of the whole forward's calls and their median. BLAS is
+pinned to one thread before numpy loads, as in ``time_restore.py``. A replay
+takes a few seconds, so an A/B of the kernel between two checkouts fits well
+inside one benchmark run.
+"""
+
+import argparse
+import json
+import math
+import os
+import time
+
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)  # read when numpy loads
+
+import numpy as np  # noqa: E402
+
+from crossagg import autodiff as ad  # noqa: E402
+from crossagg.autodiff import Tensor  # noqa: E402
+from crossagg.model import PRESET_NAMES, preset_config  # noqa: E402
+from crossagg.windowing import HORIZONTAL, VERTICAL, resolve_geometry, window_maps  # noqa: E402
+
+
+def forward_calls(config, side, seed):
+    """(q, k, v, bias, regions) of every window_attention call in one forward."""
+    heads, d = config.num_heads // 2, config.channels // config.num_heads
+    rng = np.random.default_rng(seed)
+    inputs, calls = {}, []
+    for group in range(config.num_groups):
+        spec = config.spec_for_group(group)
+        for block in range(config.blocks_per_group):
+            for orientation in (HORIZONTAL, VERTICAL):
+                g = resolve_geometry(spec, orientation, side, side, shifted=block % 2 == 1)
+                if g not in inputs:
+                    b, n = g.num_windows, g.window_pixels
+                    qkv = [Tensor(rng.standard_normal((b, heads, n, d)), dtype=np.float32) for _ in range(3)]
+                    bias = Tensor(rng.standard_normal((heads, n, n)), dtype=np.float32)
+                    inputs[g] = (*qkv, bias, window_maps(g)[2])
+                calls.append(inputs[g])
+    return calls
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--config", default="cat_a_x2", choices=PRESET_NAMES, help="stock configuration name")
+    parser.add_argument("--side", type=int, default=96, help="input height and width")
+    parser.add_argument("--reps", type=int, default=5, help="replays of the forward's calls")
+    parser.add_argument("--seed", type=int, default=0, help="input seed")
+    args = parser.parse_args()
+
+    config = preset_config(args.config)
+    calls = forward_calls(config, args.side, args.seed)
+    scale = 1.0 / math.sqrt(config.channels // config.num_heads)
+    seconds = []
+    for _ in range(args.reps):
+        t0 = time.perf_counter()
+        for q, k, v, bias, regions in calls:
+            ad.window_attention(q, k, v, bias, regions, scale)
+        seconds.append(time.perf_counter() - t0)
+    report = {
+        "config": args.config,
+        "side": args.side,
+        "calls": len(calls),
+        "seconds": seconds,
+        "median_s": float(np.median(seconds)),
+        "blas_threads": BLAS_THREADS,
+    }
+    print(json.dumps(report))
+
+
+if __name__ == "__main__":
+    main()

@@ -13,9 +13,10 @@ to the merged head outputs before the final projection.
 Each orientation gathers Q, K and V from the fused qkv map and writes its
 output back through one cached map per geometry (pad, shift and partition in
 one). The per-window formula is one primitive, :func:`autodiff.window_attention`:
-it normalizes the logits in place a chunk of windows at a time, bit-identical
-to the composed ops; the full [windows, heads, n, n] logits exist only when a
-tape records the op or a probe asks for the weights.
+it holds the logits keys-major a chunk of windows at a time and divides by the
+softmax normaliser after the PV GEMM, which matches the composed ops within
+float rounding; the full [windows, heads, n, n] probabilities exist only when
+a tape records the op or a probe asks for the weights.
 """
 
 from __future__ import annotations
@@ -193,8 +194,9 @@ def rwin_self_attention(
         getattr(params.pos_net, f.name).uid for f in fields(params.pos_net)
     )
     # Untaped, each orientation's Q, K and V windows are freed when
-    # window_attention returns, the window outputs once they are merged, and
-    # the fused qkv map once V is taken for the locality complement.
+    # window_attention returns, the window outputs once they are merged, the
+    # fused qkv map once V is taken for the locality complement, V once the
+    # locality complement has read it, and its output once it is added.
     ys, wheres = [], []
     for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, height, width, shifted)
@@ -222,5 +224,8 @@ def rwin_self_attention(
     if params.lcm_weight is not None:
         v = ad.narrow(qkv, -1, 2 * c, c)
         del qkv
-        y = ad.add(y, locality_complement(v, params))
+        lcm = locality_complement(v, params)
+        del v
+        y = ad.add(y, lcm)
+        del lcm
     return ad.linear(y, params.proj_weight, params.proj_bias)

@@ -575,47 +575,64 @@ def window_attention(
     ``regions[b % nw]``; the mask adds MASK_VALUE to the logit of every pixel
     pair whose ids differ, through a float mask built per chunk; a chunk in
     which every window holds one id (as in an unshifted geometry, whose ids
-    are all 0) gets no mask. The logits are built and normalized in place, a
-    chunk of windows at a time, in the same float operations and order as the
-    composed ops (matmul, mul, add, add, softmax_lastdim, matmul), so the
-    result is bit-identical to them: where the composed mask adds +0.0, this
-    adds -0.0 or nothing, which can only differ in the sign of a zero logit,
-    and the softmax maps both signs alike. The full [B, heads, n, n] probabilities are kept only when a tape
-    records the op or ``weights`` is set; then ``(out, probabilities)`` is
-    returned, the latter a read-only array.
+    are all 0) gets no mask.
+
+    A chunk of windows at a time, the logits are held keys-major, [n_k,
+    windows, heads, n_q], so that the bias add, the row max, its subtraction
+    and the exp are each one numpy call over long contiguous runs. The scale
+    goes into one scaled copy of q^T, and the softmax is not normalized:
+    one GEMM of the exponentials E against ``[v | 1]`` gives both E v and,
+    in its last column, each row's normaliser s, and the division by s runs
+    over the [n, dv] output. This reassociates the composed formula (matmul,
+    mul, add, add, softmax, matmul) within float rounding; the result does
+    not depend on how the windows are chunked or on whether a tape records
+    the op. The full [B, heads, n, n] probabilities E / s are kept only when
+    a tape records the op or ``weights`` is set; then ``(out,
+    probabilities)`` is returned, the latter a read-only array.
     """
     if q.ndim != 4 or k.shape != q.shape or v.ndim != 4 or v.shape[:3] != q.shape[:3]:
         raise ShapeError(
             f"window_attention: q, k, v must be [B, heads, n, d], got {q.shape}, {k.shape}, {v.shape}"
         )
-    b, heads, n, _ = q.shape
+    b, heads, n, d = q.shape
     if bias.shape != (heads, n, n):
         raise ShapeError(f"window_attention: bias {bias.shape} is not [heads, n, n] = {(heads, n, n)}")
     if regions.ndim != 2 or regions.shape[1] != n or b % regions.shape[0] != 0:
         raise ShapeError(f"window_attention: regions {regions.shape} is not [nw, {n}] with nw dividing {b}")
     _check_same_dtype(q, k, v, bias)
     scale = float(scale)
-    dtype = q.dtype
+    dtype, dv = q.dtype, v.shape[-1]
     qd, kd, vd = q.data, k.data, v.data
-    out = np.empty((b, heads, n, v.shape[-1]), dtype=dtype)
+    out = np.empty((b, heads, n, dv), dtype=dtype)
     keep = weights or _recording((q, k, v, bias))
-    step = max(1, WINDOW_CHUNK_BYTES // (heads * n * n * dtype.itemsize))
     probs = np.empty((b, heads, n, n), dtype=dtype) if keep else None
-    scratch = None if keep else np.empty((min(step, b), heads, n, n), dtype=dtype)
+    step = max(1, WINDOW_CHUNK_BYTES // (heads * n * n * dtype.itemsize))
+    chunk = min(step, b)
+    bias_t = np.ascontiguousarray(bias.data.transpose(2, 0, 1))[:, None]  # [n_k, 1, heads, n_q]
+    logits = np.empty((n, chunk, heads, n), dtype=dtype)  # keys-major
+    q_t = np.empty((chunk, heads, d, n), dtype=dtype)  # scale * q^T
+    v_ones = np.empty((chunk, heads, n, dv + 1), dtype=dtype)  # [v | 1]
+    v_ones[..., dv] = 1
+    ev = np.empty((chunk, heads, n, dv + 1), dtype=dtype)  # [E v | s]
     for start in range(0, b, step):
         stop = min(start + step, b)
-        p = probs[start:stop] if keep else scratch[: stop - start]
-        np.matmul(qd[start:stop], np.ascontiguousarray(kd[start:stop].swapaxes(-1, -2)), out=p)
-        p *= scale
-        p += bias.data
+        c = stop - start
+        e = logits[:, :c]
+        np.multiply(qd[start:stop].swapaxes(-1, -2), scale, out=q_t[:c])
+        np.matmul(kd[start:stop], q_t[:c], out=e.transpose(1, 2, 0, 3))
+        e += bias_t
         r = regions[np.arange(start, stop) % regions.shape[0]]
         if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
             # Built as a product: np.where and a masked np.add measured 2-25x slower.
-            p += ((r[:, :, None] != r[:, None, :]) * dtype.type(MASK_VALUE))[:, None]
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, vd[start:stop], out=out[start:stop])
+            e += ((r.T[:, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        v_ones[:c, ..., :dv] = vd[start:stop]
+        np.matmul(e.transpose(1, 2, 3, 0), v_ones[:c], out=ev[:c])
+        s = ev[:c, ..., dv:]
+        np.divide(ev[:c, ..., :dv], s, out=out[start:stop])
+        if keep:
+            np.divide(e.transpose(1, 2, 3, 0), s, out=probs[start:stop])
     result = _freeze(out)
 
     def bwd(g, p=probs, qd=qd, kd=kd, vd=vd, scale=scale):
@@ -815,15 +832,19 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False)
     if depthwise:
         # The taps' products go through one scratch band of rows under
         # WINDOW_CHUNK_BYTES; each output element sums the same taps in the
-        # same order as a full-size product per tap would.
+        # same order as a full-size product per tap would. Rows are viewed
+        # as [w * C] runs against the taps tiled to that length, so each
+        # product is one long ufunc loop per row rather than one per pixel.
         band = max(1, WINDOW_CHUNK_BYTES // (n * w * cin * x.dtype.itemsize))
-        scratch = np.empty((n, min(band, h), w, cin), dtype=x.dtype)
+        scratch = np.empty((n, min(band, h), w * cin), dtype=x.dtype)
+        rows_p, rows_out = xp.reshape(n, h + 2, (w + 2) * cin), out_data.reshape(n, h, w * cin)
+        taps = np.tile(kd[..., 0], (1, 1, w))  # [3, 3, w * C]
         for r in range(0, h, band):
             rows = min(band, h - r)
-            acc, prod = out_data[:, r : r + rows], scratch[:, :rows]
+            acc, prod = rows_out[:, r : r + rows], scratch[:, :rows]
             for u in range(3):
                 for v in range(3):
-                    np.multiply(xp[:, r + u : r + u + rows, v : v + w, :], kd[u, v, :, 0], out=prod)
+                    np.multiply(rows_p[:, r + u : r + u + rows, v * cin : (v + w) * cin], taps[u, v], out=prod)
                     acc += prod
     else:
         for u in range(3):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -343,7 +344,8 @@ def run_selftests(name_filter: str | None = None, emit=print) -> bool:
             fn()
         except Exception as e:  # noqa: BLE001 - report and continue
             ok = False
-            emit(f"[FAIL] {name}: {e}")
+            # A bare assert has no message: name the line that failed instead.
+            emit(f"[FAIL] {name}: {str(e) or traceback.extract_tb(e.__traceback__)[-1].line}")
         else:
             emit(f"[PASS] {name}")
     return ok

@@ -408,7 +408,7 @@ def test_bias_cache_built_without_tape_is_rebuilt_under_tape():
 
 
 def _composed_attention(q, k, v, bias, mask, scale):
-    """The composed op order window_attention replaces, in plain numpy."""
+    """The composed op order window_attention reassociates, in plain numpy."""
     logits = np.matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2))) * scale
     logits = logits + bias
     if mask is not None:
@@ -417,6 +417,20 @@ def _composed_attention(q, k, v, bias, mask, scale):
         logits = (logits.reshape(b // nw, nw, heads, n, n) + mask.reshape(1, nw, 1, n, n)).reshape(logits.shape)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
+
+
+# window_attention scales q before its GEMM and divides by the softmax
+# normaliser after the PV GEMM, so it matches the composed formula within
+# rounding. Relative to max|out|: float64 against the float64 composition,
+# float32 against the float64 composition of the same float32 inputs (the
+# float32 kernel and the float32 composition both sit below 5e-7 here).
+COMPOSED_TOL = {np.float64: 1e-12, np.float32: 2e-6}
+
+
+def _assert_matches_composed(out, q, k, v, bias, mask, scale):
+    want = _composed_attention(*(a.astype(np.float64) for a in (q, k, v, bias)), mask, scale)
+    err = np.abs(out - want).max() / np.abs(want).max()
+    assert err <= COMPOSED_TOL[out.dtype.type], err
 
 
 def _window_inputs(b, heads, n, d, seed, dtype):
@@ -429,35 +443,61 @@ def _chunk_windows(monkeypatch, windows, heads, n, dtype):
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", windows * heads * n * n * np.dtype(dtype).itemsize)
 
 
+def _shifted_inputs(dtype, seed=60):
+    """Inputs over two images of a shifted axial geometry, its region ids,
+    and the float mask the composed formula adds."""
+    g = resolve_geometry(WindowSpec.axial(4), HORIZONTAL, 24, 16, shifted=True)
+    nw, n, heads, d = g.num_windows, g.window_pixels, 2, 4
+    regions = build_shift_mask(g)
+    mask = np.where(regions[:, :, None] == regions[:, None, :], 0.0, MASK_VALUE)
+    return _window_inputs(2 * nw, heads, n, d, seed, dtype), regions, mask, 1.0 / math.sqrt(d)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_attention_partial_last_chunk_is_bit_identical(monkeypatch, dtype):
+    # The output does not depend on how the windows are chunked: one window
+    # per chunk, chunks of 4 with a partial last one, and one chunk of all.
     heads, n, d, per_chunk = 2, 12, 4, 4
     b = 2 * per_chunk + 3  # two full chunks and a partial one
-    _chunk_windows(monkeypatch, per_chunk, heads, n, dtype)
     q, k, v, bias = _window_inputs(b, heads, n, d, 50, dtype)
     t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
-    out = ad.window_attention(*t, np.zeros((1, n), np.int8), 0.5)  # one region: no mask
-    assert out.dtype == dtype
-    assert np.array_equal(out.data, _composed_attention(q, k, v, bias, None, 0.5))
+    outs = []
+    for windows in (1, per_chunk, b):
+        _chunk_windows(monkeypatch, windows, heads, n, dtype)
+        outs.append(ad.window_attention(*t, np.zeros((1, n), np.int8), 0.5).data)  # one region: no mask
+    assert outs[0].dtype == dtype
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+    _assert_matches_composed(outs[1], q, k, v, bias, None, 0.5)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype):
-    g = resolve_geometry(WindowSpec.axial(4), HORIZONTAL, 24, 16, shifted=True)
-    nw, n, heads, d, per_chunk = g.num_windows, g.window_pixels, 2, 4, 4
+    (q, k, v, bias), regions, mask, scale = _shifted_inputs(dtype)
+    nw, n, heads = regions.shape[0], q.shape[2], q.shape[1]
+    per_chunk = 4
     assert nw % per_chunk != 0  # a chunk holds the last windows of image 0 and the first of image 1
     _chunk_windows(monkeypatch, per_chunk, heads, n, dtype)
-    regions = build_shift_mask(g)
-    mask = np.where(regions[:, :, None] == regions[:, None, :], 0.0, MASK_VALUE).astype(dtype)
-    q, k, v, bias = _window_inputs(2 * nw, heads, n, d, 60, dtype)
     t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
-    scale = 1.0 / math.sqrt(d)
-    want = _composed_attention(q, k, v, bias, mask, scale)
-    assert np.array_equal(ad.window_attention(*t, regions, scale).data, want)
+    _assert_matches_composed(ad.window_attention(*t, regions, scale).data, q, k, v, bias, mask, scale)
     out, weights = ad.window_attention(*t, regions, scale, weights=True)
-    assert np.array_equal(out.data, want)
+    _assert_matches_composed(out.data, q, k, v, bias, mask, scale)
     assert weights.shape == (2 * nw, heads, n, n)
     assert np.allclose(weights.sum(axis=-1), 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_window_attention_taped_untaped_and_weights_outputs_are_equal(monkeypatch, dtype):
+    (q, k, v, bias), regions, _, scale = _shifted_inputs(dtype, seed=65)
+    _chunk_windows(monkeypatch, 4, q.shape[1], q.shape[2], dtype)
+    t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
+    untaped = ad.window_attention(*t, regions, scale).data
+    probed, weights = ad.window_attention(*t, regions, scale, weights=True)
+    with GradientTape() as tape:
+        tape.watch(*t)
+        taped = ad.window_attention(*t, regions, scale)
+    assert np.array_equal(untaped, probed.data) and np.array_equal(untaped, taped.data)
+    # The probabilities are the ones the output was normalized by: P v = out.
+    assert np.allclose(np.matmul(weights, v), untaped, rtol=0, atol=COMPOSED_TOL[dtype] * np.abs(untaped).max())
 
 
 def test_window_attention_gradients_match_finite_differences(monkeypatch):
