@@ -10,7 +10,7 @@ elements. Images use the channels-last layout [N, H, W, C].
 Recording is opt-in: operations executed while a :class:`GradientTape` is
 active append nodes to it, and :func:`backward` replays the tape in reverse
 execution order (which is a valid reverse topological order) exactly once per
-node.
+node, dropping each node as it goes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -194,6 +193,7 @@ class GradientTape:
         self._nodes: list[_Node] = []
         self._watched: dict[int, Tensor] = {}
         self._tracked: set[int] = set()
+        self._replayed = False
 
     def __enter__(self):
         _ACTIVE_TAPES.append(self)
@@ -236,13 +236,22 @@ def _recording(inputs: tuple[Tensor, ...]) -> bool:
 
 
 def backward(tape: GradientTape, loss: Tensor) -> dict[Tensor, Tensor]:
-    """Accumulate d(loss)/d(p) for every watched tensor p on the tape."""
+    """Accumulate d(loss)/d(p) for every watched tensor p on the tape.
+
+    The replay consumes the tape: each node is dropped, with its closure and
+    the forward arrays it saved, once it has run, so the backward's peak
+    memory is not the whole taped forward plus every gradient. A second call
+    on the same tape raises GraphError."""
     if loss.size != 1:
         raise GraphError(f"backward expects a scalar loss, got shape {loss.shape}")
+    if tape._replayed:
+        raise GraphError("backward already replayed this tape; record the forward on a new tape")
     if loss.uid not in tape._tracked:
         raise GraphError("loss was not recorded on this tape")
+    tape._replayed = True
     grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
-    for node in reversed(tape._nodes):
+    while tape._nodes:
+        node = tape._nodes.pop()
         g_out = grads.pop(node.out_uid, None)
         if g_out is None:
             continue
@@ -391,7 +400,13 @@ def _gelu_into(xd: np.ndarray, out: np.ndarray, keep: bool) -> np.ndarray:
     step = max(1, WINDOW_CHUNK_BYTES // ((3 if f32 else 1) * xd.itemsize))
     n = min(step, xd.size)
     cdf = np.empty_like(xd) if keep else np.empty(n, dtype=xd.dtype)
-    scratch = np.empty((2, n), dtype=xd.dtype) if f32 else None
+    if f32:
+        scratch = np.empty((2, n), dtype=xd.dtype)
+    else:
+        # Imported here, not with the module: scipy.special adds about 20 MiB
+        # of resident memory and 0.3 s of start-up to every process that
+        # loads it, and float32 inference never calls it.
+        from scipy.special import erf
     lowest = -np.finfo(xd.dtype).max
     for start in range(0, xd.size, step):
         xs = xd.reshape(-1)[start : start + step]
@@ -431,7 +446,8 @@ def _gelu_grad(g: np.ndarray, xd: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU, x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))), in
     place a chunk at a time; the full cdf is kept only when a tape records the
-    op. float64 takes scipy's erf, float32 the rational of ``_half_erf_f32``.
+    op. float64 takes scipy's erf, imported at the first float64 call, float32
+    the rational of ``_half_erf_f32``.
     gelu(-inf) is -0, and the gradient there 0."""
     out = np.empty_like(x.data)
     cdf = _gelu_into(x.data, out, _recording((x,)))

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from crossagg.autodiff import (
     backward,
     init_adam_state,
 )
+from crossagg.model import cat_forward, init_params, preset_config
 from crossagg.windowing import cyclic_shift
 
 from scipy.special import erf
@@ -580,6 +582,41 @@ def test_backward_shared_subexpression_accumulates():
     assert np.allclose(backward(tape, loss)[a].numpy(), [24.0])
 
 
+def test_backward_consumes_the_tape():
+    x = Tensor([1.0, 2.0], dtype=np.float64)
+    tape = GradientTape()
+    tape.watch(x)
+    with tape:
+        loss = ad.sum_all(ad.mul(x, x))
+    assert np.array_equal(backward(tape, loss)[x].numpy(), [2.0, 4.0])
+    with pytest.raises(GraphError):
+        backward(tape, loss)
+
+
+def test_backward_frees_each_node_once_it_has_run():
+    # Two stock-width blocks (C=180) at 16x16 in float64: the backward peaked
+    # 17.4 MiB above the taped forward's end state while every node stayed
+    # alive until the tape was dropped, and 10.2 MiB once each node (its
+    # closure and saved arrays) is dropped as it runs.
+    config = dataclasses.replace(preset_config("cat_r_x2"), num_groups=1, blocks_per_group=2)
+    store = init_params(config, 0, dtype=np.float64)
+    x = Tensor(np.random.default_rng(0).random((1, 16, 16, 3)), dtype=np.float64)
+    cat_forward(x, store, config)
+    tracemalloc.start()
+    try:
+        tape = GradientTape()
+        tape.watch(store.values())
+        with tape:
+            loss = ad.mean_all(ad.abs_val(cat_forward(x, store, config)))
+        end = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - end < 13.8 * 2**20, (peak - end) / 2**20
+
+
 def test_ops_outside_tape_record_nothing():
     x = Tensor([1.0])
     tape = GradientTape()
@@ -837,6 +874,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo_root() / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+
+
 def test_repeated_forward_reuses_freed_heap_pages():
     # A fresh process, so that no earlier test shapes the heap. With glibc's
     # default thresholds the second pass faults in its op outputs again
@@ -845,10 +889,48 @@ def test_repeated_forward_reuses_freed_heap_pages():
         ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         pytest.skip("the C library has no mallopt")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo_root() / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", _REPEATED_FORWARD_FAULTS],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
-    )
+    out = _run_fresh(_REPEATED_FORWARD_FAULTS)
+    assert out.returncode == 0, out.stderr
     assert int(out.stdout) < 100
+
+
+# ---------------------------------------------------------------------------
+# scipy, for the float64 GELU only
+# ---------------------------------------------------------------------------
+
+_FLOAT32_RESTORE = """
+import numpy as np
+from crossagg.harness import restore_image
+from crossagg.imaging import ImageU8
+from crossagg.model import init_params, preset_config
+config = preset_config("tiny_sr_x2")
+img = ImageU8.from_array(np.random.default_rng(0).integers(0, 256, (16, 16, 3), dtype=np.uint8))
+out = restore_image(init_params(config, 0), config, img)
+"""
+
+_FLOAT32_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+import crossagg.cli
+from crossagg.analysis import model_flops
+from crossagg.imaging import psnr, ssim
+""" + _FLOAT32_RESTORE + """
+assert psnr(out, out) == 100.0 and ssim(out, out) == 1.0
+assert model_flops(config, 16, 16).total_flops > 0
+"""
+
+_SCIPY_LOADED_AT_FLOAT64_GELU = """
+import sys
+""" + _FLOAT32_RESTORE + """
+assert "scipy" not in sys.modules
+from crossagg import autodiff as ad
+ad.gelu(ad.Tensor(np.linspace(-3.0, 3.0, 7), dtype=np.float64))
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_float32_inference_needs_no_scipy():
+    # Fresh processes: this one has already imported scipy for the oracles.
+    for code in (_FLOAT32_WITHOUT_SCIPY, _SCIPY_LOADED_AT_FLOAT64_GELU):
+        out = _run_fresh(code)
+        assert out.returncode == 0, out.stderr
