@@ -44,7 +44,7 @@ def forward_calls(config, side, seed):
                 if g not in inputs:
                     b, n = g.num_windows, g.window_pixels
                     qkv = [Tensor(rng.standard_normal((b, heads, n, d)), dtype=np.float32) for _ in range(3)]
-                    bias = Tensor(rng.standard_normal((heads, n, n)), dtype=np.float32)
+                    bias = Tensor(rng.standard_normal((n, heads, n)), dtype=np.float32)  # keys-major
                     inputs[g] = (*qkv, bias, window_maps(g)[2])
                 calls.append(inputs[g])
     return calls

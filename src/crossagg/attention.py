@@ -17,6 +17,14 @@ it holds the logits keys-major a chunk of windows at a time and divides by the
 softmax normaliser after the PV GEMM, which matches the composed ops within
 float rounding; the full [windows, heads, n, n] probabilities exist only when
 a tape records the op or a probe asks for the weights.
+
+What one call holds, untaped: the per-forward cache keeps the gather maps of
+each geometry and each orientation's own heads of the position bias, copied
+out keys-major ([n_k, heads/2, n_q], the layout the op adds) so that no
+full [heads, n, n] table outlives the call that built it. Both are filled
+before the qkv projection, the block's largest transient, so the long-lived
+arrays sit below it in the heap. The input is released once qkv exists, each
+orientation's windows once its attention returns, and qkv once V is taken.
 """
 
 from __future__ import annotations
@@ -165,13 +173,18 @@ def rwin_self_attention(
     """Rectangle-window self-attention over [N, H, W, C].
 
     The locality complement is applied iff ``params.lcm_weight`` is set.
-    ``cache`` memoizes the gather maps per window geometry and the
-    position-bias tables per window extent. A table is keyed on the ``uid``
-    of every pos-net tensor and of the active tape as well, so a cache
-    reused after the weights change (e.g. across an Adam step) or under a new
-    tape rebuilds the table instead of returning stale values or a table the
-    tape cannot differentiate. ``probe``, if given, receives the attention
-    weights and the geometry of each orientation.
+    ``cache`` memoizes the gather maps per window geometry and, per
+    orientation and window extent, that orientation's heads of the
+    position-bias table as their own keys-major [n_k, heads/2, n_q] array;
+    the full [heads, n, n] table is dropped once both halves are copied out.
+    A bias is keyed on the ``uid`` of every pos-net tensor and of the active
+    tape as well, so a cache reused after the weights change (e.g. across an
+    Adam step) or under a new tape rebuilds it instead of returning stale
+    values or a bias the tape cannot differentiate. Both orientations' cache
+    entries are filled before the fused qkv projection, so that these
+    long-lived arrays are allocated before the block's largest transient;
+    ``x`` is released once qkv is computed. ``probe``, if given, receives the
+    attention weights and the geometry of each orientation.
     """
     if x.ndim != 4:
         raise ValueError(f"attention expects rank 4 input, got {x.shape}")
@@ -185,29 +198,37 @@ def rwin_self_attention(
     d = params.head_dim
     scale = 1.0 / math.sqrt(d)
 
-    qkv = ad.linear(x, params.qkv_weight, params.qkv_bias)
-
-    # A cached bias table is valid only for the pos-net tensors it was built
-    # from and the tape it was recorded on.
+    # A cached bias is valid only for the pos-net tensors it was built from
+    # and the tape it was recorded on.
     tape = ad._tape()
     owner = (tape.uid if tape is not None else 0,) + tuple(
         getattr(params.pos_net, f.name).uid for f in fields(params.pos_net)
     )
+    geometries, biases, tables = [], [], {}
+    for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
+        g = resolve_geometry(spec, orientation, height, width, shifted)
+        if ("maps", g) not in cache:
+            cache[("maps", g)] = window_maps(g)
+        bias_key = ("bias", orientation, g.sh, g.sw, str(x.dtype))
+        held = cache.get(bias_key)
+        if held is None or held[0] != owner:
+            if (g.sh, g.sw) not in tables:  # one table when both orientations share an extent
+                tables[g.sh, g.sw] = relative_position_bias(g, params.pos_net)
+            # narrow is a view of the table; transpose copies it out keys-major.
+            held = (owner, ad.transpose(ad.narrow(tables[g.sh, g.sw], 0, oi * heads, heads), (2, 0, 1)))
+            cache[bias_key] = held
+        geometries.append(g)
+        biases.append(held[1])
+    del tables  # frees the full tables
+
+    qkv = ad.linear(x, params.qkv_weight, params.qkv_bias)
+    del x
     # Untaped, each orientation's Q, K and V windows are freed when
     # window_attention returns, the window outputs once they are merged, the
     # fused qkv map once V is taken for the locality complement, V once the
     # locality complement has read it, and its output once it is added.
     ys, wheres = [], []
-    for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
-        g = resolve_geometry(spec, orientation, height, width, shifted)
-        bias_key = ("bias", g.sh, g.sw, str(x.dtype))
-        held = cache.get(bias_key)
-        if held is None or held[0] != owner:
-            held = (owner, relative_position_bias(g, params.pos_net))
-            cache[bias_key] = held
-        bias = ad.narrow(held[1], 0, oi * heads, heads)
-        if ("maps", g) not in cache:
-            cache[("maps", g)] = window_maps(g)
+    for oi, (g, bias) in enumerate(zip(geometries, biases)):
         index, where, regions = cache[("maps", g)]
         windows = (ad.take_windows(qkv, index, where, t * c + oi * c // 2, heads, d) for t in range(3))
         if probe is None:
@@ -215,8 +236,8 @@ def rwin_self_attention(
         else:
             y, weights = ad.window_attention(*windows, bias, regions, scale, weights=True)
             ys.append(y)
-            probe.setdefault("weights", {})[orientation] = weights
-            probe.setdefault("geometries", {})[orientation] = g
+            probe.setdefault("weights", {})[g.orientation] = weights
+            probe.setdefault("geometries", {})[g.orientation] = g
         wheres.append(where)
 
     y = ad.merge_windows(ys, wheres, height, width)

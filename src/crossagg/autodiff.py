@@ -586,12 +586,13 @@ def window_attention(
     """Attention within windows: ``softmax(scale * q k^T + bias + mask) v``.
 
     ``q`` and ``k`` are [B, heads, n, d], ``v`` is [B, heads, n, dv], ``bias``
-    is [heads, n, n] and is shared by every window. ``regions`` (no gradient)
-    is an [nw, n] array of per-pixel region ids, window b taking
-    ``regions[b % nw]``; the mask adds MASK_VALUE to the logit of every pixel
-    pair whose ids differ, through a float mask built per chunk; a chunk in
-    which every window holds one id (as in an unshifted geometry, whose ids
-    are all 0) gets no mask.
+    is keys-major, [n_k, heads, n_q] (entry (j, m, i) is head m's bias from
+    query i to key j), is shared by every window, and gets its gradient in
+    the same layout. ``regions`` (no gradient) is an [nw, n] array of
+    per-pixel region ids, window b taking ``regions[b % nw]``; the mask adds
+    MASK_VALUE to the logit of every pixel pair whose ids differ, through a
+    float mask built per chunk; a chunk in which every window holds one id
+    (as in an unshifted geometry, whose ids are all 0) gets no mask.
 
     A chunk of windows at a time, the logits are held keys-major, [n_k,
     windows, heads, n_q], so that the bias add, the row max, its subtraction
@@ -611,8 +612,8 @@ def window_attention(
             f"window_attention: q, k, v must be [B, heads, n, d], got {q.shape}, {k.shape}, {v.shape}"
         )
     b, heads, n, d = q.shape
-    if bias.shape != (heads, n, n):
-        raise ShapeError(f"window_attention: bias {bias.shape} is not [heads, n, n] = {(heads, n, n)}")
+    if bias.shape != (n, heads, n):
+        raise ShapeError(f"window_attention: bias {bias.shape} is not [n_k, heads, n_q] = {(n, heads, n)}")
     if regions.ndim != 2 or regions.shape[1] != n or b % regions.shape[0] != 0:
         raise ShapeError(f"window_attention: regions {regions.shape} is not [nw, {n}] with nw dividing {b}")
     _check_same_dtype(q, k, v, bias)
@@ -624,7 +625,6 @@ def window_attention(
     probs = np.empty((b, heads, n, n), dtype=dtype) if keep else None
     step = max(1, WINDOW_CHUNK_BYTES // (heads * n * n * dtype.itemsize))
     chunk = min(step, b)
-    bias_t = np.ascontiguousarray(bias.data.transpose(2, 0, 1))[:, None]  # [n_k, 1, heads, n_q]
     logits = np.empty((n, chunk, heads, n), dtype=dtype)  # keys-major
     q_t = np.empty((chunk, heads, d, n), dtype=dtype)  # scale * q^T
     v_ones = np.empty((chunk, heads, n, dv + 1), dtype=dtype)  # [v | 1]
@@ -636,7 +636,7 @@ def window_attention(
         e = logits[:, :c]
         np.multiply(qd[start:stop].swapaxes(-1, -2), scale, out=q_t[:c])
         np.matmul(kd[start:stop], q_t[:c], out=e.transpose(1, 2, 0, 3))
-        e += bias_t
+        e += bias.data[:, None]
         r = regions[np.arange(start, stop) % regions.shape[0]]
         if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
             # Built as a product: np.where and a masked np.add measured 2-25x slower.
@@ -656,7 +656,7 @@ def window_attention(
         dl = np.matmul(g, vd.swapaxes(-1, -2))
         dl -= (dl * p).sum(axis=-1, keepdims=True)
         dl *= p
-        dbias = dl.sum(axis=0)
+        dbias = dl.sum(axis=0).transpose(2, 0, 1)  # keys-major, as the bias
         dl *= scale
         return (np.matmul(dl, kd), np.matmul(dl.swapaxes(-1, -2), qd), dv, dbias)
 

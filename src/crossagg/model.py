@@ -300,8 +300,10 @@ def catb_forward(
         pos_net=_pos_net(store),
         heads=config.num_heads,
     )
-    attn_in = ad.layer_norm(x, store[f"{prefix}.norm1.gamma"], store[f"{prefix}.norm1.beta"])
-    x = ad.add(rwin_self_attention(attn_in, attn, spec, shifted=shifted, cache=cache), x)
+    # The LN1 output is passed unnamed, so that attention can free it once its
+    # qkv projection exists; the attention output lives only until the add.
+    norm1 = (store[f"{prefix}.norm1.gamma"], store[f"{prefix}.norm1.beta"])
+    x = ad.add(rwin_self_attention(ad.layer_norm(x, *norm1), attn, spec, shifted=shifted, cache=cache), x)
     h = ad.layer_norm(x, store[f"{prefix}.norm2.gamma"], store[f"{prefix}.norm2.beta"])
     h = ad.linear(h, store[f"{prefix}.mlp.fc1.weight"], store[f"{prefix}.mlp.fc1.bias"], gelu=True)
     h = ad.linear(h, store[f"{prefix}.mlp.fc2.weight"], store[f"{prefix}.mlp.fc2.bias"])

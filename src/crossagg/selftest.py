@@ -99,7 +99,7 @@ def check_softmax_rows():
     b, heads, n = regions.shape[0], 2, g.window_pixels
     r = _rng(1)
     q, k, v = (Tensor(r.normal(scale=3.0, size=(b, heads, n, 3))) for _ in range(3))
-    _, p = ad.window_attention(q, k, v, Tensor(r.normal(size=(heads, n, n))), regions, 1.0, weights=True)
+    _, p = ad.window_attention(q, k, v, Tensor(r.normal(size=(n, heads, n))), regions, 1.0, weights=True)
     assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
     differ = np.broadcast_to((regions[:, :, None] != regions[:, None, :])[:, None], p.shape)
     assert differ.any() and np.all(p[differ] == 0.0)

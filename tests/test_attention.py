@@ -354,6 +354,34 @@ def test_cache_is_reused_and_output_stable():
     assert any(k[0] == "bias" for k in cache)
 
 
+def test_cached_bias_is_its_orientations_heads_in_their_own_buffer():
+    # Each orientation's bias is a keys-major [n_k, heads/2, n_q] copy of its
+    # own heads of the table, not a view that would keep the whole table alive.
+    params = tiny_attention_params(c=8, heads=4, seed=43)
+    spec, (h, w), half = WindowSpec.regular(2, 4), (4, 8), 2
+    cache = {}
+    rwin_self_attention(Tensor(rand((1, h, w, 8), 44)), params, spec, shifted=True, cache=cache)
+    for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
+        g = resolve_geometry(spec, orientation, h, w, shifted=True)
+        bias = cache[("bias", orientation, g.sh, g.sw, "float64")][1].data
+        table = relative_position_bias(g, params.pos_net).data
+        want = table[oi * half : (oi + 1) * half].transpose(2, 0, 1)
+        assert bias.shape == want.shape and np.array_equal(bias, want), orientation
+        assert bias.base is None, orientation
+
+
+def test_cache_shared_by_shifted_and_unshifted_calls_matches_fresh_caches():
+    params = tiny_attention_params(c=8, heads=4, seed=45)
+    spec = WindowSpec.axial(2)
+    x = Tensor(rand((1, 6, 8, 8), 46))
+    cache = {}
+    for shifted in (True, False, True, False):
+        out = rwin_self_attention(x, params, spec, shifted=shifted, cache=cache).data
+        fresh = rwin_self_attention(x, params, spec, shifted=shifted, cache={}).data
+        assert np.array_equal(out, fresh), shifted
+    assert sum(k[0] == "bias" for k in cache) == 2  # one per orientation, shared by both shifts
+
+
 def _pos_net_dict(params: AttentionParams) -> dict:
     return {f.name: getattr(params.pos_net, f.name) for f in dataclasses.fields(params.pos_net)}
 
@@ -438,6 +466,12 @@ def _window_inputs(b, heads, n, d, seed, dtype):
     return q, k, v, rand((heads, n, n), seed + 3, scale=1.0, dtype=dtype)
 
 
+def _op_inputs(q, k, v, bias, dtype):
+    """Tensors for window_attention: the [heads, n_q, n_k] bias the composed
+    formula adds, passed keys-major as [n_k, heads, n_q]."""
+    return [Tensor(a, dtype=dtype) for a in (q, k, v, bias.transpose(2, 0, 1))]
+
+
 def _chunk_windows(monkeypatch, windows, heads, n, dtype):
     """Make window_attention evaluate ``windows`` windows per chunk."""
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", windows * heads * n * n * np.dtype(dtype).itemsize)
@@ -460,7 +494,7 @@ def test_window_attention_partial_last_chunk_is_bit_identical(monkeypatch, dtype
     heads, n, d, per_chunk = 2, 12, 4, 4
     b = 2 * per_chunk + 3  # two full chunks and a partial one
     q, k, v, bias = _window_inputs(b, heads, n, d, 50, dtype)
-    t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
+    t = _op_inputs(q, k, v, bias, dtype)
     outs = []
     for windows in (1, per_chunk, b):
         _chunk_windows(monkeypatch, windows, heads, n, dtype)
@@ -477,7 +511,7 @@ def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype)
     per_chunk = 4
     assert nw % per_chunk != 0  # a chunk holds the last windows of image 0 and the first of image 1
     _chunk_windows(monkeypatch, per_chunk, heads, n, dtype)
-    t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
+    t = _op_inputs(q, k, v, bias, dtype)
     _assert_matches_composed(ad.window_attention(*t, regions, scale).data, q, k, v, bias, mask, scale)
     out, weights = ad.window_attention(*t, regions, scale, weights=True)
     _assert_matches_composed(out.data, q, k, v, bias, mask, scale)
@@ -489,7 +523,7 @@ def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype)
 def test_window_attention_taped_untaped_and_weights_outputs_are_equal(monkeypatch, dtype):
     (q, k, v, bias), regions, _, scale = _shifted_inputs(dtype, seed=65)
     _chunk_windows(monkeypatch, 4, q.shape[1], q.shape[2], dtype)
-    t = [Tensor(a, dtype=dtype) for a in (q, k, v, bias)]
+    t = _op_inputs(q, k, v, bias, dtype)
     untaped = ad.window_attention(*t, regions, scale).data
     probed, weights = ad.window_attention(*t, regions, scale, weights=True)
     with GradientTape() as tape:
@@ -507,12 +541,12 @@ def test_window_attention_gradients_match_finite_differences(monkeypatch):
     q, k, v, bias = _window_inputs(b, heads, n, d, 70, np.float64)
     assert_grads_match_fd(
         lambda t: ad.window_attention(t["q"], t["k"], t["v"], t["bias"], regions, 0.7),
-        {"q": q, "k": k, "v": v, "bias": bias},
+        {"q": q, "k": k, "v": v, "bias": np.ascontiguousarray(bias.transpose(2, 0, 1))},  # keys-major
     )
 
 
 def test_window_attention_rejects_bad_shapes():
-    q, k, v, bias = (Tensor(a) for a in _window_inputs(4, 2, 3, 2, 80, np.float64))
+    q, k, v, bias = _op_inputs(*_window_inputs(4, 2, 3, 2, 80, np.float64), np.float64)
     with pytest.raises(ad.ShapeError):
         ad.window_attention(q, k, v, Tensor(np.zeros((2, 3, 4))), np.zeros((1, 3), np.int8), 1.0)
     with pytest.raises(ad.ShapeError):

@@ -129,7 +129,10 @@ def test_untaped_shifted_axial_block_peak_memory():
     # building full-size temporaries, at 35.7 MiB with the gather maps and
     # ops that write into buffers they own, and at 22.5 MiB with GELU in fc1's
     # buffer, the depthwise conv in row bands and attention freeing each
-    # orientation's windows early.
+    # orientation's windows early, and at 18.5 MiB with attention caching only
+    # each orientation's heads of the position bias (keys-major, so the op
+    # makes no per-call copy), filling that cache before the qkv projection
+    # and releasing the LN1 output once qkv exists.
     config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
     store, spec = init_params(config, 0), config.spec_for_group(0)
     x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))
@@ -140,7 +143,7 @@ def test_untaped_shifted_axial_block_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24.3 * 2**20, peak / 2**20
+    assert peak < 20.0 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
