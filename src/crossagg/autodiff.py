@@ -391,32 +391,87 @@ def _half_erf_f32(x: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray) 
     out *= _ERF_HALF_K
 
 
+# float64 erf, transcribed from cephes ndtr.c (Moshier, "Methods and Programs
+# for Mathematical Functions", 1989) in its operation order, so it is the
+# erf of scipy.special bit for bit: u T(u^2) / U(u^2) for |u| <= 1 (T of
+# degree 4, U monic of degree 5), 1 - exp(-u^2) P(|u|) / Q(|u|) for
+# 1 < |u| < 6 (P of degree 8, Q monic of degree 8), odd in u. At |u| >= 6 erfc
+# is below 2^-54, so 1 - erfc rounds to exactly 1 and cephes' third rational
+# (|u| >= 8) is never needed.
+_ERF_T = np.array([9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+                   7.00332514112805075473e3, 5.55923013010394962768e4])  # u^8 ... 1
+_ERF_U = np.array([3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+                   2.26290000613890934246e4, 4.92673942608635921086e4])  # u^8 ... 1 (u^10 has 1)
+_ERFC_P = np.array([2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+                    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+                    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2])  # |u|^8 ... 1
+_ERFC_Q = np.array([1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+                    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+                    1.65666309194161350182e3, 5.57535340817727675546e2])  # |u|^7 ... 1 (|u|^8 has 1)
+
+
+def _erf_f64(u: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray) -> None:
+    """erf of float64 ``u`` into ``out`` (which may be ``u``), through the
+    scratch arrays ``s`` and ``p`` (all of u's size); NaN stays NaN."""
+    np.abs(u, out=p)
+    far = np.flatnonzero(p > 1.0)
+    uf = u[far]
+    # |u| clamped to 1, so that large and infinite u raise no inf / inf.
+    np.clip(u, -1.0, 1.0, out=s)
+    np.multiply(s, s, out=p)
+    np.multiply(p, _ERF_T[0], out=out)
+    out += _ERF_T[1]
+    for t in _ERF_T[2:]:
+        out *= p
+        out += t
+    out *= s
+    np.add(p, _ERF_U[0], out=s)
+    for c in _ERF_U[1:]:
+        s *= p
+        s += c
+    out /= s
+    if far.size:
+        a = np.abs(uf)
+        mid = np.flatnonzero(a < 6.0)
+        x = a[mid]
+        num = np.full_like(x, _ERFC_P[0])
+        den = x + _ERFC_Q[0]
+        for c in _ERFC_P[1:]:
+            num *= x
+            num += c
+        for c in _ERFC_Q[1:]:
+            den *= x
+            den += c
+        # The C library's exp (math.exp), as cephes calls it: numpy's own SIMD
+        # float64 exp differs from it by 1 ulp on a few percent of arguments.
+        erfc = np.fromiter(map(math.exp, (-(x * x)).tolist()), np.float64, x.size)
+        erfc *= num
+        erfc /= den
+        a.fill(1.0)
+        a[mid] -= erfc
+        out[far] = np.copysign(a, uf)
+
+
 def _gelu_into(xd: np.ndarray, out: np.ndarray, keep: bool) -> np.ndarray:
     """GELU of ``xd`` into ``out`` (which may be ``xd`` itself), a chunk at a
-    time; returns the cdf, of xd's size if ``keep`` and one chunk's otherwise."""
-    f32 = xd.dtype == np.float32
-    # In float32 the chunk's cdf and the erf's two scratch arrays share the
-    # budget: the erf's passes then run in L2, about 15% faster than a budget each.
-    step = max(1, WINDOW_CHUNK_BYTES // ((3 if f32 else 1) * xd.itemsize))
+    time through ``_erf_f64`` or ``_half_erf_f32`` and two scratch arrays;
+    returns the cdf, of xd's size if ``keep`` and one chunk's otherwise."""
+    # The chunk's cdf and the erf's two scratch arrays share the budget: the
+    # erf's passes then run in L2, about 15% faster than a budget each.
+    step = max(1, WINDOW_CHUNK_BYTES // (3 * xd.itemsize))
     n = min(step, xd.size)
     cdf = np.empty_like(xd) if keep else np.empty(n, dtype=xd.dtype)
-    if f32:
-        scratch = np.empty((2, n), dtype=xd.dtype)
-    else:
-        # Imported here, not with the module: scipy.special adds about 20 MiB
-        # of resident memory and 0.3 s of start-up to every process that
-        # loads it, and float32 inference never calls it.
-        from scipy.special import erf
+    scratch = np.empty((2, n), dtype=xd.dtype)
     lowest = -np.finfo(xd.dtype).max
     for start in range(0, xd.size, step):
         xs = xd.reshape(-1)[start : start + step]
         c = cdf.reshape(-1)[start : start + step] if keep else cdf[: xs.size]
-        if f32:
+        if xd.dtype == np.float32:
             _half_erf_f32(xs, c, *scratch[:, : xs.size])
             c += 0.5
         else:
             np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
-            erf(c, out=c)
+            _erf_f64(c, c, *scratch[:, : xs.size])
             c += 1.0
             c *= 0.5
         # x * cdf, with -inf raised to the lowest finite value so that it
@@ -446,8 +501,8 @@ def _gelu_grad(g: np.ndarray, xd: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based GELU, x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))), in
     place a chunk at a time; the full cdf is kept only when a tape records the
-    op. float64 takes scipy's erf, imported at the first float64 call, float32
-    the rational of ``_half_erf_f32``.
+    op. float64 takes the cephes erf of ``_erf_f64`` (scipy's, bit for bit),
+    float32 the rational of ``_half_erf_f32``.
     gelu(-inf) is -0, and the gradient there 0."""
     out = np.empty_like(x.data)
     cdf = _gelu_into(x.data, out, _recording((x,)))
@@ -535,8 +590,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tenso
     fresh buffer plus an in-place bias add (bit-identical to the composed
     reshape, matmul, reshape and add). With ``gelu`` the output is
     GELU(x @ weight + bias), applied in the GEMM's buffer a chunk at a time
-    (bit-identical to :func:`gelu` of the affine map); the pre-activation and
-    the cdf are kept only when a tape records the op."""
+    by the numpy-only erf of :func:`gelu` (bit-identical to :func:`gelu` of the
+    affine map); the pre-activation and the cdf are kept only when a tape
+    records the op."""
     if weight.ndim != 2:
         raise ShapeError(f"linear: weight must be rank 2, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:

@@ -320,10 +320,14 @@ def residual_group_forward(
     """blocks_per_group attention blocks (odd-indexed ones shifted), a 3x3
     convolution, and a residual from the group input."""
     spec = config.spec_for_group(group)
-    y = x
+    # Each block's input is handed over, not kept, so that the block frees it
+    # after its attention residual add (CPython 3.11+ moves call arguments
+    # into the callee's frame); block 0's input stays as ``x``.
+    y = [x]
     for j in range(config.blocks_per_group):
-        y = catb_forward(y, store, config, f"body.group{group}.block{j}", spec, shifted=(j % 2 == 1), cache=cache)
-    y = ad.conv2d_3x3(y, store[f"body.group{group}.conv.weight"], store[f"body.group{group}.conv.bias"])
+        prefix = f"body.group{group}.block{j}"
+        y.append(catb_forward(y.pop(), store, config, prefix, spec, shifted=(j % 2 == 1), cache=cache))
+    y = ad.conv2d_3x3(y.pop(), store[f"body.group{group}.conv.weight"], store[f"body.group{group}.conv.bias"])
     return ad.add(y, x)
 
 

@@ -112,6 +112,22 @@ def check_gelu_values():
         assert abs(got - want) < 1e-12, (v, got, want)
 
 
+def check_gelu_float64_erf():
+    # The float64 GELU's erf (cephes on numpy alone, scipy's bit for bit)
+    # against the C library's math.erf: within 4 ulp (3 measured), on a grid
+    # and either side of |u| = 1 and 6, where its three ranges meet.
+    edges = [np.nextafter(e, d) for e in (1.0, 6.0) for d in (0.0, e, np.inf)]
+    u = np.concatenate([np.linspace(0.0, 7.0, 7001), edges, [5e-324, 1e-310]])
+    u = np.concatenate([u, -u])
+    got = np.empty_like(u)
+    ad._erf_f64(u, got, np.empty_like(u), np.empty_like(u))
+    want = np.array([math.erf(v) for v in u])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), np.abs(got - want).max()
+    assert np.array_equal(np.signbit(got), np.signbit(u))
+    y = ad.gelu(Tensor([np.inf, -np.inf, np.nan], dtype=np.float64)).numpy()
+    assert y[0] == np.inf and y[1] == 0.0 and np.signbit(y[1]) and np.isnan(y[2]), y
+
+
 def check_partition_merge_roundtrip():
     # The model's windowing ops, through the gather maps of both orientations
     # of a padded, shifted geometry, give the input back exactly.
@@ -313,6 +329,7 @@ def check_overfit_smoke():
 CHECKS = {
     "softmax_rows": check_softmax_rows,
     "gelu_values": check_gelu_values,
+    "gelu_float64_erf": check_gelu_float64_erf,
     "partition_merge_roundtrip": check_partition_merge_roundtrip,
     "pixel_shuffle_bijection": check_pixel_shuffle_bijection,
     "conv_identity": check_conv_identity,

@@ -277,6 +277,41 @@ def test_float32_erf_special_values():
     assert abs(_erf_f32(np.array([inside]))[0] - erf(float(inside) / math.sqrt(2.0))) <= 4.5e-7
 
 
+def _float64_erf_samples():
+    """Dense grids, normal draws, random bit patterns and the edges of
+    ``ad._erf_f64``'s three ranges, NaN included."""
+    rng = np.random.default_rng(66)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [np.nextafter(e, d) for e in (1.0, 6.0) for d in (0.0, e, np.inf)]
+    special = np.array(
+        edges + [0.0, tiny, 7 * tiny, 1e-310, np.finfo(np.float64).tiny, 8.0, 1e300, np.inf, np.nan],
+        dtype=np.float64,
+    )
+    bits = rng.integers(0, 1 << 64, size=200_000, dtype=np.uint64).view(np.float64)
+    return np.concatenate([
+        np.linspace(-7.0, 7.0, 400_001),
+        rng.uniform(1.0, 6.0, 200_000),
+        rng.normal(size=200_000) * 3.0,
+        rng.uniform(26.6, 27.3, 20_000),
+        np.where(np.isnan(bits), np.nan, bits),  # quiet NaNs: a signalling one raises "invalid"
+        special,
+        -special,
+    ])
+
+
+def test_float64_erf_matches_scipy_bit_for_bit():
+    u = _float64_erf_samples()
+    want = erf(u)
+    got = np.empty_like(u)
+    ad._erf_f64(u, got, np.empty_like(u), np.empty_like(u))
+    in_place = u.copy()
+    ad._erf_f64(in_place, in_place, np.empty_like(u), np.empty_like(u))
+    nan = np.isnan(want)
+    for out in (got, in_place):
+        assert np.array_equal(np.isnan(out), nan)
+        assert np.array_equal(out.view(np.int64)[~nan], want.view(np.int64)[~nan])  # values and sign bits
+
+
 def test_gelu_untaped_allocates_its_output_and_one_chunk():
     x = Tensor(rand((512, 720), 65, 1.0, np.float32))
     tracemalloc.start()
@@ -289,8 +324,8 @@ def test_gelu_untaped_allocates_its_output_and_one_chunk():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("taped", [False, True])
 def test_linear_with_gelu_is_bit_identical_to_gelu_of_linear(monkeypatch, dtype, taped):
-    # 3 * 5 * 7 = 105 outputs in GELU chunks of 13 (float64) or 4 (float32,
-    # whose cdf shares the budget with two scratch arrays): the last is partial.
+    # 3 * 5 * 7 = 105 outputs in GELU chunks of 4 (the cdf shares the budget
+    # with the erf's two scratch arrays): the last is partial.
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 13 * np.dtype(dtype).itemsize)
     arrays = {"x": rand((3, 5, 6), 90, 1.0, dtype), "w": rand((6, 7), 91, 1.0, dtype), "b": rand((7,), 92, 1.0, dtype)}
     fused = lambda t: ad.linear(t["x"], t["w"], t["b"], gelu=True)  # noqa: E731
@@ -895,7 +930,7 @@ def test_repeated_forward_reuses_freed_heap_pages():
 
 
 # ---------------------------------------------------------------------------
-# scipy, for the float64 GELU only
+# scipy, for the test oracles only
 # ---------------------------------------------------------------------------
 
 _FLOAT32_RESTORE = """
@@ -919,18 +954,25 @@ assert psnr(out, out) == 100.0 and ssim(out, out) == 1.0
 assert model_flops(config, 16, 16).total_flops > 0
 """
 
-_SCIPY_LOADED_AT_FLOAT64_GELU = """
+_FLOAT64_WITHOUT_SCIPY = """
 import sys
-""" + _FLOAT32_RESTORE + """
-assert "scipy" not in sys.modules
+sys.modules["scipy"] = None
+import numpy as np
 from crossagg import autodiff as ad
-ad.gelu(ad.Tensor(np.linspace(-3.0, 3.0, 7), dtype=np.float64))
-assert "scipy.special" in sys.modules
+from crossagg.harness import run_overfit
+x = ad.Tensor(np.array([-np.inf, -3.0, -1.0, -0.0, 0.5, 2.0, 7.0]), dtype=np.float64)
+tape = ad.GradientTape()
+tape.watch([x])
+with tape:
+    loss = ad.mean_all(ad.gelu(x))
+grad = ad.backward(tape, loss)[x].data
+assert np.isfinite(grad).all() and np.isfinite(loss.item())
+assert len(run_overfit(steps=3).losses) == 3
 """
 
 
-def test_float32_inference_needs_no_scipy():
+def test_inference_and_training_need_no_scipy():
     # Fresh processes: this one has already imported scipy for the oracles.
-    for code in (_FLOAT32_WITHOUT_SCIPY, _SCIPY_LOADED_AT_FLOAT64_GELU):
+    for code in (_FLOAT32_WITHOUT_SCIPY, _FLOAT64_WITHOUT_SCIPY):
         out = _run_fresh(code)
         assert out.returncode == 0, out.stderr

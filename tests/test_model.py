@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,35 @@ def test_untaped_shifted_axial_block_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 20.0 * 2**20, peak / 2**20
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="CPython before 3.11 keeps call arguments alive until the call returns"
+)
+def test_untaped_group_frees_each_block_input_after_its_attention():
+    # Blocks after the first get their input handed over, so during their MLP
+    # only the group residual and the attention sum are held: the group peaks
+    # at the peak of one block run alone with its input held by the caller, as
+    # block 0's is, and not one [P, C] map above it.
+    config = _tiny_config(channels=16, blocks_per_group=3, mlp_ratio=4.0)
+    store, spec = init_params(config, 0), config.spec_for_group(0)
+    x = Tensor(rand((1, 64, 64, 16), 81, 1.0, np.float32))
+
+    def peak(run):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = max(
+        peak(lambda: catb_forward(x, store, config, f"body.group0.block{j}", spec, shifted=(j % 2 == 1)))
+        for j in range(2)
+    )
+    group = peak(lambda: residual_group_forward(x, store, config, 0))
+    assert group < block + x.data.nbytes // 2, (group, block, x.data.nbytes)
 
 
 # ---------------------------------------------------------------------------
