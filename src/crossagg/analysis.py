@@ -11,8 +11,8 @@ pixels. When the windows divide the image this is the closed form
     regular windows:  H * W * C * (4C + 2 * sh * sw)
     axial windows:    H * W * C * (4C + sl * H + sl * W)
 
-The position bias network is charged once per distinct window size, mirroring
-the implementation's cache.
+The position bias network is charged once per distinct orientation and window
+size, mirroring the implementation's cache.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def _posbias_flops(config: ModelConfig, height: int, width: int) -> int:
         spec = config.spec_for_group(i)
         for orientation in (HORIZONTAL, VERTICAL):
             g = resolve_geometry(spec, orientation, height, width)
-            window_dims.add((g.sh, g.sw))
+            window_dims.add((orientation, g.sh, g.sw))
     per_offset = 2 * POS_HIDDEN + POS_HIDDEN * POS_HIDDEN + POS_HIDDEN * config.num_heads
-    return sum((2 * sh - 1) * (2 * sw - 1) * per_offset for sh, sw in window_dims)
+    return sum((2 * sh - 1) * (2 * sw - 1) * per_offset for _, sh, sw in window_dims)
 
 
 def _posbias_params(config: ModelConfig) -> int:

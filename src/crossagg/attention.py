@@ -19,17 +19,16 @@ float rounding; the full [windows, heads, n, n] probabilities exist only when
 a tape records the op or a probe asks for the weights.
 
 What one call holds, untaped: the per-forward cache keeps the gather maps of
-each geometry and each orientation's own heads of the position bias, copied
-out keys-major ([n_k, heads/2, n_q], the layout the op adds) so that no
-full [heads, n, n] table outlives the call that built it. Both are filled
-before the qkv projection, the block's largest transient, so the long-lived
-arrays sit below it in the heap. The input is released once qkv exists, each
+each geometry and, per orientation, the position bias of that orientation's
+heads, built keys-major ([n_k, heads/2, n_q], the layout the op adds) by one
+call of :func:`relative_position_bias`. Both are filled before the qkv
+projection, the block's largest transient, so the long-lived arrays sit
+below it in the heap. The input is released once qkv exists, each
 orientation's windows once its attention returns, and qkv once V is taken.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -122,37 +121,35 @@ class AttentionParams:
         return self.channels // self.heads
 
 
-@functools.lru_cache(maxsize=32)
 def _offset_table(sh: int, sw: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """All distinct relative offsets of an sh x sw window, plus the flat
-    [n*n] index mapping pixel pair (i, j) to its offset row; cached, read-only."""
-    ys, xs = np.meshgrid(np.arange(sh), np.arange(sw), indexing="ij")
-    pos = np.stack([ys.ravel(), xs.ravel()], axis=1)
-    delta = pos[:, None, :] - pos[None, :, :]
-    index = (delta[..., 0] + sh - 1) * (2 * sw - 1) + (delta[..., 1] + sw - 1)
+    """All distinct relative offsets of an sh x sw window, normalized to
+    [-1, 1], plus the flat [n*n] index mapping query-major pixel pair (i, j)
+    to the row of the offset of i from j."""
     dys = np.arange(-(sh - 1), sh)
     dxs = np.arange(-(sw - 1), sw)
     grid_y, grid_x = np.meshgrid(dys, dxs, indexing="ij")
     offsets = np.stack(
         [grid_y.ravel() / max(sh - 1, 1), grid_x.ravel() / max(sw - 1, 1)], axis=1
     ).astype(dtype)
-    index = index.ravel()
-    for a in (offsets, index):
-        a.setflags(write=False)
-    return offsets, index
+    # Offset rows are numbered (dy + sh - 1) * (2sw - 1) + dx + sw - 1, which is
+    # a_i - a_j plus a constant for a = y * (2sw - 1) + x.
+    a = (np.arange(sh)[:, None] * (2 * sw - 1) + np.arange(sw)).ravel()
+    index = a[:, None] - a[None, :]
+    index += (sh - 1) * (2 * sw - 1) + sw - 1
+    return offsets, index.ravel()
 
 
-def relative_position_bias(g: WindowGeometry, net: PositionBiasParams) -> Tensor:
-    """Per-head additive bias [M, n, n]; entry (m, i, j) depends only on the
-    relative offset between pixels i and j."""
+def relative_position_bias(g: WindowGeometry, net: PositionBiasParams, first: int, heads: int) -> Tensor:
+    """Heads [first, first + heads) of the additive bias, keys-major
+    [n_k, heads, n_q], the layout window_attention adds; entry (j, m, i)
+    depends only on the relative offset of query pixel i from key pixel j."""
     offsets, index = _offset_table(g.sh, g.sw, net.w1.dtype)
     h = ad.relu(ad.linear(Tensor(offsets, dtype=net.w1.dtype), net.w1, net.b1))
     h = ad.relu(ad.linear(h, net.w2, net.b2))
-    out = ad.linear(h, net.w3, net.b3)
+    out = ad.narrow(ad.linear(h, net.w3, net.b3), 1, first, heads)
     n = g.window_pixels
-    table = ad.gather(out, index, axis=0)
-    table = ad.reshape(table, (n, n, net.heads))
-    return ad.transpose(table, (2, 0, 1))
+    table = ad.reshape(ad.gather(out, index, axis=0), (n, n, heads))  # query-major
+    return ad.transpose(table, (1, 2, 0))
 
 
 def locality_complement(v: Tensor, params: AttentionParams) -> Tensor:
@@ -174,17 +171,16 @@ def rwin_self_attention(
 
     The locality complement is applied iff ``params.lcm_weight`` is set.
     ``cache`` memoizes the gather maps per window geometry and, per
-    orientation and window extent, that orientation's heads of the
-    position-bias table as their own keys-major [n_k, heads/2, n_q] array;
-    the full [heads, n, n] table is dropped once both halves are copied out.
-    A bias is keyed on the ``uid`` of every pos-net tensor and of the active
-    tape as well, so a cache reused after the weights change (e.g. across an
-    Adam step) or under a new tape rebuilds it instead of returning stale
-    values or a bias the tape cannot differentiate. Both orientations' cache
-    entries are filled before the fused qkv projection, so that these
-    long-lived arrays are allocated before the block's largest transient;
-    ``x`` is released once qkv is computed. ``probe``, if given, receives the
-    attention weights and the geometry of each orientation.
+    orientation and window extent, that orientation's heads of the position
+    bias, keys-major [n_k, heads/2, n_q]. A bias is keyed on the ``uid`` of
+    every pos-net tensor and of the active tape as well, so a cache reused
+    after the weights change (e.g. across an Adam step) or under a new tape
+    rebuilds it instead of returning stale values or a bias the tape cannot
+    differentiate. Both orientations' cache entries are filled before the
+    fused qkv projection, so that these long-lived arrays are allocated
+    before the block's largest transient; ``x`` is released once qkv is
+    computed. ``probe``, if given, receives the attention weights and the
+    geometry of each orientation.
     """
     if x.ndim != 4:
         raise ValueError(f"attention expects rank 4 input, got {x.shape}")
@@ -204,7 +200,7 @@ def rwin_self_attention(
     owner = (tape.uid if tape is not None else 0,) + tuple(
         getattr(params.pos_net, f.name).uid for f in fields(params.pos_net)
     )
-    geometries, biases, tables = [], [], {}
+    geometries, biases = [], []
     for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, height, width, shifted)
         if ("maps", g) not in cache:
@@ -212,14 +208,9 @@ def rwin_self_attention(
         bias_key = ("bias", orientation, g.sh, g.sw, str(x.dtype))
         held = cache.get(bias_key)
         if held is None or held[0] != owner:
-            if (g.sh, g.sw) not in tables:  # one table when both orientations share an extent
-                tables[g.sh, g.sw] = relative_position_bias(g, params.pos_net)
-            # narrow is a view of the table; transpose copies it out keys-major.
-            held = (owner, ad.transpose(ad.narrow(tables[g.sh, g.sw], 0, oi * heads, heads), (2, 0, 1)))
-            cache[bias_key] = held
+            held = cache[bias_key] = (owner, relative_position_bias(g, params.pos_net, oi * heads, heads))
         geometries.append(g)
         biases.append(held[1])
-    del tables  # frees the full tables
 
     qkv = ad.linear(x, params.qkv_weight, params.qkv_bias)
     del x

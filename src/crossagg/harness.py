@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 NUM_DIHEDRAL = 8
+OVERFIT_SIZE = 32  # side of the overfit demo's target patch
+OVERFIT_LEARNING_RATE = 1e-3
 
 
 def dihedral_transform(a: np.ndarray, k: int) -> np.ndarray:
@@ -118,16 +120,17 @@ class OverfitResult:
         return 1.0 - self.final_loss / self.initial_loss
 
 
-def overfit_target(size: int = 32) -> np.ndarray:
-    """Fixed smooth test pattern in [0.08, 0.92], [size, size, 3]."""
-    ys, xs = np.meshgrid(np.arange(size) / size, np.arange(size) / size, indexing="ij")
+def overfit_target() -> np.ndarray:
+    """Fixed smooth test pattern in [0.08, 0.92], [OVERFIT_SIZE, OVERFIT_SIZE, 3]."""
+    ramp = np.arange(OVERFIT_SIZE) / OVERFIT_SIZE
+    ys, xs = np.meshgrid(ramp, ramp, indexing="ij")
     r = 0.5 + 0.35 * np.sin(2.0 * np.pi * (xs + 0.5 * ys))
     g = 0.5 + 0.35 * np.cos(2.0 * np.pi * (ys - 0.25 * xs))
     b = 0.5 + 0.3 * np.sin(2.0 * np.pi * (xs * xs + ys))
     return np.stack([r, g, b], axis=2)
 
 
-def run_overfit(steps: int = 500, seed: int = 0, learning_rate: float = 1e-3, on_step=None) -> OverfitResult:
+def run_overfit(steps: int = 500, seed: int = 0, on_step=None) -> OverfitResult:
     """Overfit the tiny model to one fixed patch with Adam on an L1 loss.
 
     Deterministic for a fixed seed; exercises the complete forward and
@@ -138,12 +141,12 @@ def run_overfit(steps: int = 500, seed: int = 0, learning_rate: float = 1e-3, on
         raise ValueError(f"overfit needs at least one step, got {steps}")
     config = preset_config("tiny_sr_x2")
     store = init_params(config, seed, dtype=np.float64)
-    hr = overfit_target(32)
+    hr = overfit_target()
     lr_img = np.clip(bicubic_resize(hr, config.scale, "down"), 0.0, 1.0)
     x = Tensor(lr_img[None], dtype=np.float64)
     target = Tensor(hr[None], dtype=np.float64)
 
-    hyper = OptimizerHyper(learning_rate=learning_rate)
+    hyper = OptimizerHyper(learning_rate=OVERFIT_LEARNING_RATE)
     state = init_adam_state(store)
     result = OverfitResult()
     for step in range(steps):

@@ -339,6 +339,9 @@ def cat_forward(img: Tensor, store: Mapping[str, Tensor], config: ModelConfig) -
         raise ConfigError(
             f"input shape {img.shape} does not match configured in_channels={config.in_channels}"
         )
+    for name, shape, _ in parameter_schema(config):
+        if store[name].shape != shape:
+            raise WeightFormatError(f"weight '{name}' has shape {store[name].shape}, the config needs {shape}")
     cache: dict = {}
     f0 = ad.conv2d_3x3(img, store["shallow.conv.weight"], store["shallow.conv.bias"])
     y = f0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossagg.analysis import CostReport, CostRow, attention_flops, model_flops, report_render
+from crossagg.attention import POS_HIDDEN
 from crossagg.model import ModelConfig, count_params, preset_config
 from crossagg.windowing import WindowSpec
 
@@ -132,6 +133,15 @@ def test_body_flops_scale_linearly_in_area():
         return sum(r.flops for r in model_flops(config, h, w).rows if r.name != "posbias.net")
 
     assert non_posbias_total(128, 128) == 4 * non_posbias_total(64, 64)
+
+
+def test_square_windows_charge_the_bias_net_once_per_orientation():
+    # Both orientations resolve to one 8x8 extent; each builds its own heads' bias.
+    config = dataclasses.replace(preset_config("cat_r_x2"), window_height=8, window_width=8)
+    per_offset = 2 * POS_HIDDEN + POS_HIDDEN * POS_HIDDEN + POS_HIDDEN * config.num_heads
+    per_extent = (2 * 8 - 1) * (2 * 8 - 1) * per_offset
+    row = next(r for r in model_flops(config, 64, 64).rows if r.name == "posbias.net")
+    assert row.flops == 2 * per_extent
 
 
 def test_totals_equal_row_sums():

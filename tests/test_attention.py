@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from crossagg.attention import (
+    POS_HIDDEN,
     AttentionParams,
-    _offset_table,
     PositionBiasParams,
     locality_complement,
     relative_position_bias,
@@ -15,6 +15,7 @@ from crossagg.attention import (
 )
 from crossagg import autodiff as ad
 from crossagg.autodiff import GradientTape, OptimizerHyper, Tensor, adam_step, backward, init_adam_state
+from crossagg.model import preset_config
 from crossagg.reference import full_attention_oracle, position_bias_table
 from crossagg.windowing import HORIZONTAL, MASK_VALUE, VERTICAL, WindowSpec, build_shift_mask, resolve_geometry
 
@@ -52,16 +53,21 @@ def _structured_params(c, heads, qkv, proj, net=None, lcm=None, dtype=np.float64
 # ---------------------------------------------------------------------------
 
 
+def _query_major_bias(g, net):
+    """Every head of the bias as [M, n_q, n_k]."""
+    return relative_position_bias(g, net, 0, net.heads).numpy().transpose(1, 2, 0)
+
+
 def test_bias_zero_net_gives_zero_bias():
     g = resolve_geometry(WindowSpec.regular(2, 3), HORIZONTAL, 4, 6)
-    bias = relative_position_bias(g, _zero_net(heads=2)).numpy()
+    bias = _query_major_bias(g, _zero_net(heads=2))
     assert np.array_equal(bias, np.zeros((2, 6, 6)))
 
 
 def test_bias_diagonal_entries_all_equal():
     g = resolve_geometry(WindowSpec.regular(2, 3), HORIZONTAL, 4, 6)
     params = tiny_attention_params(c=4, heads=2, seed=1)
-    bias = relative_position_bias(g, params.pos_net).numpy()
+    bias = _query_major_bias(g, params.pos_net)
     diag = np.diagonal(bias, axis1=1, axis2=2)
     assert np.allclose(diag, diag[:, :1])
 
@@ -69,7 +75,7 @@ def test_bias_diagonal_entries_all_equal():
 def test_bias_1x2_window_uses_signed_offsets():
     g = resolve_geometry(WindowSpec.regular(1, 2), HORIZONTAL, 1, 2)
     params = tiny_attention_params(c=4, heads=2, seed=2)
-    bias = relative_position_bias(g, params.pos_net).numpy()
+    bias = _query_major_bias(g, params.pos_net)
     want_01 = eval_pos_net_numpy(params, np.array([[0.0, -1.0]]))[0]
     want_10 = eval_pos_net_numpy(params, np.array([[0.0, 1.0]]))[0]
     assert np.allclose(bias[:, 0, 1], want_01, atol=1e-12)
@@ -80,7 +86,7 @@ def test_bias_1x2_window_uses_signed_offsets():
 def test_bias_is_function_of_offset_only():
     g = resolve_geometry(WindowSpec.regular(2, 3), HORIZONTAL, 4, 6)
     params = tiny_attention_params(c=4, heads=2, seed=3)
-    bias = relative_position_bias(g, params.pos_net).numpy()
+    bias = _query_major_bias(g, params.pos_net)
     ys, xs = np.meshgrid(np.arange(2), np.arange(3), indexing="ij")
     pos = np.stack([ys.ravel(), xs.ravel()], axis=1)
     n = pos.shape[0]
@@ -96,9 +102,43 @@ def test_bias_is_function_of_offset_only():
 def test_bias_matches_reference_table():
     g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 4, 8)
     params = tiny_attention_params(c=4, heads=2, seed=4)
-    got = relative_position_bias(g, params.pos_net).numpy()
+    got = _query_major_bias(g, params.pos_net)
     want = position_bias_table(attention_params_numpy(params), 2, 4)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [WindowSpec.regular(2, 4), WindowSpec.axial(2)], ids=["regular", "axial"])
+def test_each_orientation_bias_is_its_heads_of_the_reference_keys_major(spec):
+    params = tiny_attention_params(c=8, heads=4, seed=5)
+    np_params, half = attention_params_numpy(params), 2
+    for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
+        g = resolve_geometry(spec, orientation, 6, 8)
+        got = relative_position_bias(g, params.pos_net, oi * half, half).numpy()
+        want = position_bias_table(np_params, g.sh, g.sw)[oi * half : (oi + 1) * half].transpose(2, 0, 1)
+        assert got.shape == (g.window_pixels, half, g.window_pixels), orientation
+        assert np.allclose(got, want, atol=1e-12), orientation
+
+
+def test_bias_build_memory_is_one_orientations_heads():
+    # cat_a_x2's sl=4 horizontal windows at 96 px: n = 384, so the keys-major
+    # bias of 3 float32 heads is 1.7 MiB, and the build with its [n*n] int64
+    # pair index peaks at 5.0 MiB. The bound stays below the 8.4 MiB that a
+    # build through all 6 heads' table and a copy of 3 of them takes.
+    config = preset_config("cat_a_x2")
+    spec = next(s for s in map(config.spec_for_group, range(config.num_groups)) if s.sl == 4)
+    g = resolve_geometry(spec, HORIZONTAL, 96, 96, shifted=True)
+    rng = np.random.default_rng(6)
+    m = config.num_heads
+    shapes = [(2, POS_HIDDEN), (POS_HIDDEN,), (POS_HIDDEN, POS_HIDDEN), (POS_HIDDEN,), (POS_HIDDEN, m), (m,)]
+    net = PositionBiasParams(*(Tensor(rng.normal(0.0, 0.02, s).astype(np.float32)) for s in shapes))
+    tracemalloc.start()
+    try:
+        bias = relative_position_bias(g, net, 0, m // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bias.shape == (384, m // 2, 384)
+    assert peak < 6.5 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +395,8 @@ def test_cache_is_reused_and_output_stable():
 
 
 def test_cached_bias_is_its_orientations_heads_in_their_own_buffer():
-    # Each orientation's bias is a keys-major [n_k, heads/2, n_q] copy of its
-    # own heads of the table, not a view that would keep the whole table alive.
+    # Each orientation's bias is its own heads, keys-major [n_k, heads/2, n_q],
+    # in a buffer of its own, not a view that would keep a larger array alive.
     params = tiny_attention_params(c=8, heads=4, seed=43)
     spec, (h, w), half = WindowSpec.regular(2, 4), (4, 8), 2
     cache = {}
@@ -364,8 +404,7 @@ def test_cached_bias_is_its_orientations_heads_in_their_own_buffer():
     for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, h, w, shifted=True)
         bias = cache[("bias", orientation, g.sh, g.sw, "float64")][1].data
-        table = relative_position_bias(g, params.pos_net).data
-        want = table[oi * half : (oi + 1) * half].transpose(2, 0, 1)
+        want = relative_position_bias(g, params.pos_net, oi * half, half).data
         assert bias.shape == want.shape and np.array_equal(bias, want), orientation
         assert bias.base is None, orientation
 
@@ -568,11 +607,3 @@ def test_untaped_axial_attention_peaks_below_one_logits_tensor():
     finally:
         tracemalloc.stop()
     assert peak < logits_bytes, (peak, logits_bytes)
-
-
-def test_offset_table_is_cached_and_read_only():
-    offsets, index = _offset_table(3, 5, np.dtype(np.float32))
-    assert _offset_table(3, 5, np.dtype(np.float32))[0] is offsets
-    assert not offsets.flags.writeable and not index.flags.writeable
-    with pytest.raises(ValueError):
-        offsets[0, 0] = 1.0

@@ -145,6 +145,26 @@ def test_infer_rejects_mismatched_weights(tmp_path, demo_png):
     assert result.stderr.strip() != ""
 
 
+def test_infer_rejects_mis_shaped_weights_without_writing(tmp_path, demo_png):
+    # Right names, wrong shapes: a [hidden, 1] fc2 and its [1] bias broadcast
+    # through the residual add, so only a shape check stops the run.
+    config = preset_config("tiny_sr_x2")
+    store = init_params(config, seed=0)
+    name = "body.group0.block0.mlp.fc2"
+    store[f"{name}.weight"] = Tensor(np.zeros((config.mlp_hidden, 1), dtype=np.float32))
+    store[f"{name}.bias"] = Tensor(np.zeros(1, dtype=np.float32))
+    weights = tmp_path / "misshaped.catw"
+    save_weights(store, str(weights))
+    out_path = tmp_path / "never.png"
+    result = run_cli(
+        "infer", "--config", str(repo_root() / "configs" / "tiny_sr_x2.cfg"), "--weights", str(weights),
+        "--input", demo_png, "--output", str(out_path),
+    )
+    assert result.returncode == 1
+    assert not out_path.exists()
+    assert result.stderr.startswith(f"error: weight '{name}.weight' has shape (")
+
+
 def test_infer_non_finite_output_fails_without_writing(tmp_path, demo_png):
     config = str(repo_root() / "configs" / "tiny_sr_x2.cfg")
     store = init_params(preset_config("tiny_sr_x2"), seed=0)

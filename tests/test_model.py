@@ -230,6 +230,17 @@ def test_cat_forward_channel_mismatch():
         cat_forward(Tensor(np.zeros((1, 4, 4, 1), dtype=np.float32)), store, config)
 
 
+def test_cat_forward_rejects_a_mis_shaped_weight_before_running():
+    # A [hidden, 1] fc2 would broadcast through the MLP's residual add.
+    config = preset_config("tiny_sr_x2")
+    store = init_params(config, seed=0)
+    name = "body.group0.block0.mlp.fc2"
+    store[f"{name}.weight"] = Tensor(np.zeros((config.mlp_hidden, 1), dtype=np.float32))
+    store[f"{name}.bias"] = Tensor(np.zeros(1, dtype=np.float32))
+    with pytest.raises(WeightFormatError, match=rf"'{name}.weight' has shape \({config.mlp_hidden}, 1\), the config needs \({config.mlp_hidden}, {config.channels}\)"):
+        cat_forward(Tensor(np.zeros((1, 8, 8, 3), dtype=np.float32)), store, config)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
