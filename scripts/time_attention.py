@@ -2,11 +2,11 @@
 
     PYTHONPATH=src python scripts/time_attention.py --config cat_a_x2 --side 96 --reps 5
 
-Replays the calls a ``cat_forward`` on one side x side image makes: for every
-block of every group, both head orientations, with the window geometry the
-model resolves (odd blocks shifted) and the region ids ``window_maps``
-returns. Q, K, V and the bias are seeded normal float32 arrays of the model's
-shapes, made once per geometry before timing. Prints one JSON object: the
+Replays the calls a ``cat_forward`` on one side x side image makes: one per
+block of every group, over both head orientations, with the window geometries
+the model resolves (odd blocks shifted) and their ``window_maps``. The Q|K and
+V maps and each orientation's bias are seeded normal float32 arrays of the
+model's shapes, made once per pair of geometries before timing. Prints one JSON object: the
 seconds of each replay of the whole forward's calls and their median. BLAS is
 pinned to one thread before numpy loads, as in ``time_restore.py``. A replay
 takes a few seconds, so an A/B of the kernel between two checkouts fits well
@@ -32,21 +32,23 @@ from crossagg.windowing import HORIZONTAL, VERTICAL, resolve_geometry, window_ma
 
 
 def forward_calls(config, side, seed):
-    """(q, k, v, bias, regions) of every window_attention call in one forward."""
-    heads, d = config.num_heads // 2, config.channels // config.num_heads
+    """(qk, v, windows) of every window_attention call in one forward."""
+    heads, c = config.num_heads // 2, config.channels
     rng = np.random.default_rng(seed)
-    inputs, calls = {}, []
+    qk = Tensor(rng.standard_normal((1, side, side, 2 * c)), dtype=np.float32)
+    v = Tensor(rng.standard_normal((1, side, side, c)), dtype=np.float32)
+    windows, calls = {}, []
     for group in range(config.num_groups):
         spec = config.spec_for_group(group)
         for block in range(config.blocks_per_group):
-            for orientation in (HORIZONTAL, VERTICAL):
-                g = resolve_geometry(spec, orientation, side, side, shifted=block % 2 == 1)
-                if g not in inputs:
-                    b, n = g.num_windows, g.window_pixels
-                    qkv = [Tensor(rng.standard_normal((b, heads, n, d)), dtype=np.float32) for _ in range(3)]
+            pair = tuple(resolve_geometry(spec, o, side, side, shifted=block % 2 == 1) for o in (HORIZONTAL, VERTICAL))
+            if pair not in windows:
+                windows[pair] = []
+                for g in pair:
+                    n = g.window_pixels
                     bias = Tensor(rng.standard_normal((n, heads, n)), dtype=np.float32)  # keys-major
-                    inputs[g] = (*qkv, bias, window_maps(g)[2])
-                calls.append(inputs[g])
+                    windows[pair].append(window_maps(g) + (bias,))
+            calls.append((qk, v, windows[pair]))
     return calls
 
 
@@ -64,8 +66,8 @@ def main():
     seconds = []
     for _ in range(args.reps):
         t0 = time.perf_counter()
-        for q, k, v, bias, regions in calls:
-            ad.window_attention(q, k, v, bias, regions, scale)
+        for qk, v, windows in calls:
+            ad.window_attention(qk, v, windows, scale)
         seconds.append(time.perf_counter() - t0)
     report = {
         "config": args.config,

@@ -10,21 +10,25 @@ evaluated on the relative offset between the two pixels, normalized to
 kernel, a 3x3 depthwise convolution of the full-resolution value map is added
 to the merged head outputs before the final projection.
 
-Each orientation gathers Q, K and V from the fused qkv map and writes its
-output back through one cached map per geometry (pad, shift and partition in
-one). The per-window formula is one primitive, :func:`autodiff.window_attention`:
-it holds the logits keys-major a chunk of windows at a time and divides by the
-softmax normaliser after the PV GEMM, which matches the composed ops within
-float rounding; the full [windows, heads, n, n] probabilities exist only when
-a tape records the op or a probe asks for the weights.
+Queries and keys are projected into one Q|K map and values into a V map,
+each by one GEMM against column slices of the stored fused qkv weight. The
+per-window formula is one primitive, :func:`autodiff.window_attention`: for
+both orientations, a chunk of windows at a time, it gathers the chunk's Q, K
+and V through one cached map per geometry (pad, shift and partition in one),
+holds the logits keys-major, divides by the softmax normaliser after the PV
+GEMM, which matches the composed ops within float rounding, and writes the
+chunk's output straight into the merged [N, H, W, C] map. The full [windows,
+heads, n, n] probabilities exist only when a tape records the op or a probe
+asks for the weights.
 
 What one call holds, untaped: the per-forward cache keeps the gather maps of
 each geometry and, per orientation, the position bias of that orientation's
 heads, built keys-major ([n_k, heads/2, n_q], the layout the op adds) by one
-call of :func:`relative_position_bias`. Both are filled before the qkv
-projection, the block's largest transient, so the long-lived arrays sit
-below it in the heap. The input is released once qkv exists, each
-orientation's windows once its attention returns, and qkv once V is taken.
+call of :func:`relative_position_bias`. Both are filled before the
+projections, so the long-lived arrays sit below the block's large transients
+in the heap. The input is released once Q|K and V exist, Q|K once attention
+returns, and V once the locality complement has convolved it; no map exists
+in the window layout at full size.
 """
 
 from __future__ import annotations
@@ -177,9 +181,9 @@ def rwin_self_attention(
     after the weights change (e.g. across an Adam step) or under a new tape
     rebuilds it instead of returning stale values or a bias the tape cannot
     differentiate. Both orientations' cache entries are filled before the
-    fused qkv projection, so that these long-lived arrays are allocated
-    before the block's largest transient; ``x`` is released once qkv is
-    computed. ``probe``, if given, receives the attention weights and the
+    Q|K and V projections, so that these long-lived arrays are allocated
+    before the block's largest transients; ``x`` is released once both maps
+    exist. ``probe``, if given, receives the attention weights and the
     geometry of each orientation.
     """
     if x.ndim != 4:
@@ -212,30 +216,25 @@ def rwin_self_attention(
         geometries.append(g)
         biases.append(held[1])
 
-    qkv = ad.linear(x, params.qkv_weight, params.qkv_bias)
+    # Q|K and V from column slices of the fused weight, as two maps: the op
+    # below reads its windows from both, and the locality complement
+    # convolves V itself. Untaped, the LN1 output is freed once both exist,
+    # Q|K once attention returns, V once the locality complement has read it,
+    # and the complement once it is added.
+    w, b = params.qkv_weight, params.qkv_bias
+    qk = ad.linear(x, ad.narrow(w, 1, 0, 2 * c), ad.narrow(b, 0, 0, 2 * c))
+    v = ad.linear(x, ad.narrow(w, 1, 2 * c, c), ad.narrow(b, 0, 2 * c, c))
     del x
-    # Untaped, each orientation's Q, K and V windows are freed when
-    # window_attention returns, the window outputs once they are merged, the
-    # fused qkv map once V is taken for the locality complement, V once the
-    # locality complement has read it, and its output once it is added.
-    ys, wheres = [], []
-    for oi, (g, bias) in enumerate(zip(geometries, biases)):
-        index, where, regions = cache[("maps", g)]
-        windows = (ad.take_windows(qkv, index, where, t * c + oi * c // 2, heads, d) for t in range(3))
-        if probe is None:
-            ys.append(ad.window_attention(*windows, bias, regions, scale))  # [N*nw, heads, n, d]
-        else:
-            y, weights = ad.window_attention(*windows, bias, regions, scale, weights=True)
-            ys.append(y)
-            probe.setdefault("weights", {})[g.orientation] = weights
+    windows = [cache[("maps", g)] + (bias,) for g, bias in zip(geometries, biases)]
+    if probe is None:
+        y = ad.window_attention(qk, v, windows, scale)
+    else:
+        y, *weights = ad.window_attention(qk, v, windows, scale, weights=True)
+        for g, p in zip(geometries, weights):
+            probe.setdefault("weights", {})[g.orientation] = p
             probe.setdefault("geometries", {})[g.orientation] = g
-        wheres.append(where)
-
-    y = ad.merge_windows(ys, wheres, height, width)
-    del ys
+    del qk
     if params.lcm_weight is not None:
-        v = ad.narrow(qkv, -1, 2 * c, c)
-        del qkv
         lcm = locality_complement(v, params)
         del v
         y = ad.add(y, lcm)

@@ -46,8 +46,6 @@ __all__ = [
     "transpose",
     "narrow",
     "gather",
-    "take_windows",
-    "merge_windows",
     "sum_all",
     "mean_all",
     "abs_val",
@@ -630,97 +628,186 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tenso
 MASK_VALUE = -1e9
 
 
-def window_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    bias: Tensor,
-    regions: np.ndarray,
-    scale: float,
-    weights: bool = False,
-):
-    """Attention within windows: ``softmax(scale * q k^T + bias + mask) v``.
+def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: float, weights: bool = False):
+    """Window attention ``softmax(scale * q k^T + bias + mask) v`` of every
+    head orientation, read from and written to full-resolution maps.
 
-    ``q`` and ``k`` are [B, heads, n, d], ``v`` is [B, heads, n, dv], ``bias``
-    is keys-major, [n_k, heads, n_q] (entry (j, m, i) is head m's bias from
-    query i to key j), is shared by every window, and gets its gradient in
-    the same layout. ``regions`` (no gradient) is an [nw, n] array of
-    per-pixel region ids, window b taking ``regions[b % nw]``; the mask adds
-    MASK_VALUE to the logit of every pixel pair whose ids differ, through a
-    float mask built per chunk; a chunk in which every window holds one id
-    (as in an unshifted geometry, whose ids are all 0) gets no mask.
+    ``qk`` is [N, H, W, 2C], the queries in its first C channels and the keys
+    in its last C, and ``v`` is [N, H, W, C]. ``windows`` holds one ``(index,
+    where, regions, bias)`` per orientation, in head order: the maps of
+    :func:`windowing.window_maps` and that orientation's bias. ``index``
+    [nw, n] is the pixel each window slot reads; ``where`` [Hp, Wp] the slot
+    of each pixel of the reflect-padded map, whose [:H, :W] corner is each
+    pixel's own slot; ``regions`` [nw, n] (no gradient) the shift-mask region
+    id of each slot. ``bias`` is keys-major, [n_k, heads, n_q] (entry (j, m,
+    i) is head m's bias from query i to key j), is shared by every window,
+    and gets its gradient in the same layout. An orientation owns the heads,
+    of d = C / (all heads) channels each, that follow the previous
+    orientation's. The mask adds MASK_VALUE to the logit of every pixel pair
+    whose region ids differ, through a float mask built per chunk; a chunk in
+    which every window holds one id (as in an unshifted geometry, whose ids
+    are all 0) gets no mask.
 
-    A chunk of windows at a time, the logits are held keys-major, [n_k,
-    windows, heads, n_q], so that the bias add, the row max, its subtraction
-    and the exp are each one numpy call over long contiguous runs. The scale
-    goes into one scaled copy of q^T, and the softmax is not normalized:
-    one GEMM of the exponentials E against ``[v | 1]`` gives both E v and,
-    in its last column, each row's normaliser s, and the division by s runs
-    over the [n, dv] output. This reassociates the composed formula (matmul,
-    mul, add, add, softmax, matmul) within float rounding; the result does
-    not depend on how the windows are chunked or on whether a tape records
-    the op. The full [B, heads, n, n] probabilities E / s are kept only when
-    a tape records the op or ``weights`` is set; then ``(out,
-    probabilities)`` is returned, the latter a read-only array.
+    A chunk of windows at a time, the op gathers the chunk's Q and K from
+    ``qk`` and its V from ``v`` into chunk-sized scratch, and writes the
+    chunk's output into the [N, H, W, C] result at each pixel's own slot; no
+    map exists in the window layout at full size. The logits are held
+    keys-major, [n_k, windows, heads, n_q], so that the bias add, the row max,
+    its subtraction and the exp are each one numpy call over long contiguous
+    runs. The scale goes into one scaled copy of q^T, and the softmax is not
+    normalized: one GEMM of the exponentials E against ``[v | 1]`` gives both
+    E v and, in its last column, each row's normaliser s, and the division by
+    s runs over the [n, d] output. This reassociates the composed formula
+    (matmul, mul, add, add, softmax, matmul) within float rounding; the result
+    does not depend on how the windows are chunked or on whether a tape
+    records the op.
+
+    The [N * nw, heads, n, n] probabilities E / s of each orientation are
+    kept only when a tape records the op or ``weights`` is set; then ``(out,
+    p_0, p_1, ...)`` is returned, one read-only array per orientation. A tape
+    also keeps ``qk`` and ``v``: the backward gathers each chunk's windows
+    again and scatters dq, dk and dv through the adjoint of the reflect pad.
     """
-    if q.ndim != 4 or k.shape != q.shape or v.ndim != 4 or v.shape[:3] != q.shape[:3]:
-        raise ShapeError(
-            f"window_attention: q, k, v must be [B, heads, n, d], got {q.shape}, {k.shape}, {v.shape}"
-        )
-    b, heads, n, d = q.shape
-    if bias.shape != (n, heads, n):
-        raise ShapeError(f"window_attention: bias {bias.shape} is not [n_k, heads, n_q] = {(n, heads, n)}")
-    if regions.ndim != 2 or regions.shape[1] != n or b % regions.shape[0] != 0:
-        raise ShapeError(f"window_attention: regions {regions.shape} is not [nw, {n}] with nw dividing {b}")
-    _check_same_dtype(q, k, v, bias)
+    if qk.ndim != 4 or v.ndim != 4 or qk.shape != v.shape[:3] + (2 * v.shape[3],):
+        raise ShapeError(f"window_attention: qk {qk.shape} and v {v.shape} are not [N, H, W, 2C] and [N, H, W, C]")
+    nb, h, w, c = v.shape
+    biases = [entry[3] for entry in windows]
+    heads = [bias.shape[1] if bias.ndim == 3 else 0 for bias in biases]
+    if not windows or min(heads) < 1 or c % sum(heads):
+        raise ShapeError(f"window_attention: biases {[b.shape for b in biases]} do not split {c} channels into heads")
+    for index, where, regions, bias in windows:
+        nw, n = index.shape
+        if bias.shape != (n, bias.shape[1], n) or regions.shape != index.shape:
+            raise ShapeError(f"window_attention: bias {bias.shape} or regions {regions.shape} do not fit windows {index.shape}")
+        if where.size != index.size or where.shape[0] < h or where.shape[1] < w or not 0 <= index.min() <= index.max() < h * w:
+            raise ShapeError(f"window_attention: maps {index.shape} and {where.shape} do not fit a {h}x{w} map")
+    _check_same_dtype(qk, v, *biases)
     scale = float(scale)
-    dtype, dv = q.dtype, v.shape[-1]
-    qd, kd, vd = q.data, k.data, v.data
-    out = np.empty((b, heads, n, dv), dtype=dtype)
-    keep = weights or _recording((q, k, v, bias))
-    probs = np.empty((b, heads, n, n), dtype=dtype) if keep else None
-    step = max(1, WINDOW_CHUNK_BYTES // (heads * n * n * dtype.itemsize))
-    chunk = min(step, b)
-    logits = np.empty((n, chunk, heads, n), dtype=dtype)  # keys-major
-    q_t = np.empty((chunk, heads, d, n), dtype=dtype)  # scale * q^T
-    v_ones = np.empty((chunk, heads, n, dv + 1), dtype=dtype)  # [v | 1]
-    v_ones[..., dv] = 1
-    ev = np.empty((chunk, heads, n, dv + 1), dtype=dtype)  # [E v | s]
-    for start in range(0, b, step):
-        stop = min(start + step, b)
-        c = stop - start
-        e = logits[:, :c]
-        np.multiply(qd[start:stop].swapaxes(-1, -2), scale, out=q_t[:c])
-        np.matmul(kd[start:stop], q_t[:c], out=e.transpose(1, 2, 0, 3))
-        e += bias.data[:, None]
-        r = regions[np.arange(start, stop) % regions.shape[0]]
-        if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
-            # Built as a product: np.where and a masked np.add measured 2-25x slower.
-            e += ((r.T[:, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
-        e -= e.max(axis=0)
-        np.exp(e, out=e)
-        v_ones[:c, ..., :dv] = vd[start:stop]
-        np.matmul(e.transpose(1, 2, 3, 0), v_ones[:c], out=ev[:c])
-        s = ev[:c, ..., dv:]
-        np.divide(ev[:c, ..., :dv], s, out=out[start:stop])
-        if keep:
-            np.divide(e.transpose(1, 2, 3, 0), s, out=probs[start:stop])
+    dtype, total = v.dtype, sum(heads)
+    d = c // total
+    # Rows of d channels: qk holds 2 * total of them per pixel, v and out total.
+    qk_rows, v_rows = qk.data.reshape(-1, d), v.data.reshape(-1, d)
+    out = np.empty_like(v.data)
+    out_rows = out.reshape(-1, total, d)
+    keep = weights or _recording((qk, v, *biases))
+    probs = []
+    first = 0
+    for (index, where, regions, bias), m in zip(windows, heads):
+        nw, n = index.shape
+        b = nb * nw
+        own = _own_pixels(where, h, w, index.shape)
+        probs.append(np.empty((b, m, n, n), dtype=dtype) if keep else None)
+        step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * dtype.itemsize))
+        chunk = min(step, b)
+        head_rows = (first + np.arange(m))[:, None]  # [m, 1]
+        buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered q, then k, then v
+        logits = np.empty((n, chunk, m, n), dtype=dtype)  # keys-major
+        q_t = np.empty((chunk, m, d, n), dtype=dtype)  # scale * q^T
+        v_ones = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [v | 1]
+        v_ones[..., d] = 1
+        ev = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [E v | s]
+        y = np.empty((chunk, n, m, d), dtype=dtype)  # pixel-major, as the output map
+        for start in range(0, b, step):
+            stop = min(start + step, b)
+            cs = stop - start
+            image, window = np.divmod(np.arange(start, stop)[:, None], nw)
+            pix = (index[window[:, 0]] + image * (h * w))[:, None, :]  # [cs, 1, n]
+            e = logits[:, :cs]
+            np.take(qk_rows, pix * (2 * total) + head_rows, axis=0, out=buf[:cs], mode="clip")
+            np.multiply(buf[:cs].swapaxes(-1, -2), scale, out=q_t[:cs])
+            np.take(qk_rows, pix * (2 * total) + total + head_rows, axis=0, out=buf[:cs], mode="clip")
+            np.matmul(buf[:cs], q_t[:cs], out=e.transpose(1, 2, 0, 3))
+            e += bias.data[:, None]
+            r = regions[window[:, 0]]
+            if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
+                # Built as a product: np.where and a masked np.add measured 2-25x slower.
+                e += ((r.T[:, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
+            e -= e.max(axis=0)
+            np.exp(e, out=e)
+            np.take(v_rows, pix * total + head_rows, axis=0, out=buf[:cs], mode="clip")
+            v_ones[:cs, ..., :d] = buf[:cs]
+            np.matmul(e.transpose(1, 2, 3, 0), v_ones[:cs], out=ev[:cs])
+            s = ev[:cs, ..., d:]
+            np.divide(ev[:cs, ..., :d], s, out=y[:cs].transpose(0, 2, 1, 3))
+            if keep:
+                np.divide(e.transpose(1, 2, 3, 0), s, out=probs[-1][start:stop])
+            slot_pixel = own[window[:, 0]]
+            valid = slot_pixel >= 0
+            dst = slot_pixel + image * (h * w)
+            if valid.all():
+                out_rows[dst.ravel(), first : first + m] = y[:cs].reshape(-1, m, d)
+            else:
+                out_rows[dst[valid], first : first + m] = y[:cs][valid]
+        first += m
     result = _freeze(out)
 
-    def bwd(g, p=probs, qd=qd, kd=kd, vd=vd, scale=scale):
-        dv = np.matmul(p.swapaxes(-1, -2), g)
-        dl = np.matmul(g, vd.swapaxes(-1, -2))
-        dl -= (dl * p).sum(axis=-1, keepdims=True)
-        dl *= p
-        dbias = dl.sum(axis=0).transpose(2, 0, 1)  # keys-major, as the bias
-        dl *= scale
-        return (np.matmul(dl, kd), np.matmul(dl.swapaxes(-1, -2), qd), dv, dbias)
+    def bwd(g, qkd=qk.data, vd=v.data, probs=probs):
+        dqk, dv = np.empty_like(qkd), np.empty_like(vd)  # every channel belongs to one orientation
+        g_rows = g.reshape(-1, total, d)
+        qk_rows, v_rows = qkd.reshape(-1, d), vd.reshape(-1, d)
+        dbiases = []
+        first = 0
+        for (index, where, _, _), m, p in zip(windows, heads, probs):
+            nw, n = index.shape
+            hp, wp = where.shape
+            own = _own_pixels(where, h, w, index.shape)
+            slot_at = np.empty(where.size, dtype=np.intp)  # the padded pixel of each slot
+            slot_at[where.ravel()] = np.arange(where.size)
+            slot_at = slot_at.reshape(nw, n)
+            # The gradient of each window slot at its padded pixel, [q | k | v] per head.
+            gp = np.empty((nb, hp, wp, 3, m, d), dtype=g.dtype)
+            gp_rows = gp.reshape(-1, 3, m, d)
+            head_rows = (first + np.arange(m))[:, None]
+            dbias = np.zeros((n, m, n), dtype=g.dtype)
+            step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * g.itemsize))
+            for start in range(0, nb * nw, step):
+                stop = min(start + step, nb * nw)
+                image, window = np.divmod(np.arange(start, stop)[:, None], nw)
+                window = window[:, 0]
+                pix = (index[window] + image * (h * w))[:, None, :]
+                q = np.take(qk_rows, pix * (2 * total) + head_rows, axis=0)
+                k = np.take(qk_rows, pix * (2 * total) + total + head_rows, axis=0)
+                vw = np.take(v_rows, pix * total + head_rows, axis=0)
+                slot_pixel = own[window]
+                valid = slot_pixel >= 0
+                gw = np.zeros((stop - start, n, m, d), dtype=g.dtype)  # reflected copies get none
+                gw[valid] = g_rows[(slot_pixel + image * (h * w))[valid], first : first + m]
+                gw = gw.transpose(0, 2, 1, 3)
+                pw = p[start:stop]
+                dvw = np.matmul(pw.swapaxes(-1, -2), gw)
+                dl = np.matmul(gw, vw.swapaxes(-1, -2))
+                dl -= (dl * pw).sum(axis=-1, keepdims=True)
+                dl *= pw
+                dbias += dl.sum(axis=0).transpose(2, 0, 1)  # keys-major, as the bias
+                dl *= scale
+                at = slot_at[window] + image * (hp * wp)
+                gp_rows[at, 0] = np.matmul(dl, k).transpose(0, 2, 1, 3)
+                gp_rows[at, 1] = np.matmul(dl.swapaxes(-1, -2), q).transpose(0, 2, 1, 3)
+                gp_rows[at, 2] = dvw.transpose(0, 2, 1, 3)
+            folded = _fold_reflected(gp.reshape(nb, hp, wp, -1), h, w).reshape(nb, h, w, 3, m * d)
+            lo, hi = first * d, (first + m) * d
+            dqk[..., lo:hi] = folded[..., 0, :]
+            dqk[..., c + lo : c + hi] = folded[..., 1, :]
+            dv[..., lo:hi] = folded[..., 2, :]
+            dbiases.append(dbias)
+            first += m
+        return (dqk, dv, *dbiases)
 
-    _record(result, (q, k, v, bias), bwd)
+    _record(result, (qk, v, *biases), bwd)
     if not weights:
         return result
-    probs.setflags(write=False)
-    return result, probs
+    for p in probs:
+        p.setflags(write=False)
+    return (result, *probs)
+
+
+def _own_pixels(where: np.ndarray, h: int, w: int, shape: tuple[int, int]) -> np.ndarray:
+    """The pixel whose own copy each window slot holds, in the [nw, n] layout
+    ``shape``, or -1 for a slot holding a reflected copy: ``where[:h, :w]``
+    inverted."""
+    own = np.full(where.size, -1, dtype=np.intp)
+    own[where[:h, :w].ravel()] = np.arange(h * w)
+    return own.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -783,71 +870,6 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
 
     _record(out, (x,), bwd)
     return out
-
-
-def _head_rows(slots: np.ndarray, n: int, heads: int) -> np.ndarray:
-    """Rows of slots (window * n + pixel) per head of [nw * heads * n, d]."""
-    window, pixel = np.divmod(slots, n)
-    return (window * heads * n + pixel)[..., None] + np.arange(heads) * n
-
-
-def take_windows(x: Tensor, index: np.ndarray, where: np.ndarray, start: int, heads: int, d: int) -> Tensor:
-    """Channels [start, start + heads * d) of an [N, H, W, C] map in windows
-    split into heads, [N * nw, heads, n, d], by one gather. ``index`` [nw, n]
-    is the pixel each window slot reads; ``where`` [Hp, Wp], the slot of each
-    pixel of the reflect-padded map, serves the backward (see _fold_reflected)."""
-    (nb, h, w, c), (nw, n) = x.shape, index.shape
-    if c % d or start % d or start + heads * d > c or not 0 <= index.min() <= index.max() < h * w:
-        raise ShapeError(f"take_windows: map {index.shape} or {heads} heads at {start} do not fit {x.shape}")
-    rows = index[:, None, :] * (c // d) + np.arange(start // d, start // d + heads)[:, None]
-    out = np.empty((nb * nw, heads, n, d), dtype=x.dtype)
-    np.take(x.data.reshape(nb, -1, d), rows, axis=1, out=out.reshape(nb, *rows.shape, d), mode="clip")
-    result = _freeze(out)
-
-    def bwd(g):
-        gp = np.take(g.reshape(nb, -1, d), _head_rows(where, n, heads), axis=1)
-        full = np.zeros(x.shape, dtype=g.dtype)
-        full[..., start : start + heads * d] = _fold_reflected(gp, h, w).reshape(nb, h, w, -1)
-        return (full,)
-
-    _record(result, (x,), bwd)
-    return result
-
-
-def merge_windows(ys: Sequence[Tensor], wheres: Sequence[np.ndarray], height: int, width: int) -> Tensor:
-    """Inverse of :func:`take_windows` for one or more window sets, each
-    [N * nw, heads, n, d] with its slot map, into consecutive channel ranges of
-    one [N, H, W, sum of heads * d] map: each pixel reads its own copy, at slot
-    ``where[:H, :W]``. Reflected copies get no gradient."""
-    if len(ys) != len(wheres) or not ys:
-        raise ShapeError(f"merge_windows: {len(ys)} window sets for {len(wheres)} slot maps")
-    _check_same_dtype(*ys)
-    nb = ys[0].shape[0] * ys[0].shape[2] // wheres[0].size
-    parts = []
-    for y, where in zip(ys, wheres):
-        b, heads, n, d = y.shape
-        if b * n != nb * where.size or height > where.shape[0] or width > where.shape[1]:
-            raise ShapeError(f"merge_windows: slot map {where.shape} does not fit windows {y.shape} of {nb} images")
-        parts.append((y.shape, _head_rows(where[:height, :width], n, heads)))
-    bounds = np.cumsum([0] + [shape[1] * shape[3] for shape, _ in parts])
-    out = np.empty((nb, height, width, bounds[-1]), dtype=ys[0].dtype)
-    for y, (shape, rows), lo, hi in zip(ys, parts, bounds, bounds[1:]):
-        # With more than one set the destination is strided, and np.take
-        # gathers through one temporary of this set's size.
-        dst = out[..., lo:hi].reshape(nb, *rows.shape, shape[3])
-        np.take(y.data.reshape(nb, -1, shape[3]), rows, axis=1, out=dst, mode="clip")
-    result = _freeze(out)
-
-    def bwd(g):
-        grads = []
-        for (shape, rows), lo, hi in zip(parts, bounds, bounds[1:]):
-            gy = np.zeros((nb, math.prod(shape[:3]) // nb, shape[3]), dtype=g.dtype)
-            gy[:, rows] = g[..., lo:hi].reshape(nb, *rows.shape, shape[3])
-            grads.append(gy.reshape(shape))
-        return grads
-
-    _record(result, tuple(ys), bwd)
-    return result
 
 
 def _reflect_index(n: int, pad: int) -> np.ndarray:

@@ -18,6 +18,7 @@ import math
 import os
 import struct
 import typing
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 
@@ -305,9 +306,30 @@ def catb_forward(
     norm1 = (store[f"{prefix}.norm1.gamma"], store[f"{prefix}.norm1.beta"])
     x = ad.add(rwin_self_attention(ad.layer_norm(x, *norm1), attn, spec, shifted=shifted, cache=cache), x)
     h = ad.layer_norm(x, store[f"{prefix}.norm2.gamma"], store[f"{prefix}.norm2.beta"])
-    h = ad.linear(h, store[f"{prefix}.mlp.fc1.weight"], store[f"{prefix}.mlp.fc1.bias"], gelu=True)
-    h = ad.linear(h, store[f"{prefix}.mlp.fc2.weight"], store[f"{prefix}.mlp.fc2.bias"])
-    return ad.add(h, x)
+    mlp = [store[f"{prefix}.mlp.{name}"] for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]
+    return ad.add(_mlp(h, *mlp), x)
+
+
+def _mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """fc2(GELU(fc1(h))). Untaped, it runs in bands of pixels of near-equal
+    size, each band's [rows, hidden] map within WINDOW_CHUNK_BYTES, and
+    copies each band's fc2 output into one [..., C] result. Rows are
+    independent, so the bands give the bits of one full-size pass; the bands
+    are balanced because a GEMM of a few rows (up to 7 with OpenBLAS) takes
+    another kernel, whose sums can differ in the last bit. Under a tape the
+    map is one band: the tape keeps every band's activations anyway, and a
+    band sliced from the input would get a full-size input gradient."""
+    if ad._recording((h, w1, b1, w2, b2)):
+        return ad.linear(ad.linear(h, w1, b1, gelu=True), w2, b2)
+    rows = h.data.reshape(-1, h.shape[-1])
+    n = rows.shape[0]
+    bands = min(n, -(-n * w1.shape[1] * h.dtype.itemsize // ad.WINDOW_CHUNK_BYTES))
+    out = np.empty((n, w2.shape[1]), dtype=h.dtype)
+    for i in range(bands):
+        start, stop = i * n // bands, (i + 1) * n // bands
+        part = ad._freeze(rows[start:stop])  # a view, not a copy
+        out[start:stop] = ad.linear(ad.linear(part, w1, b1, gelu=True), w2, b2).data
+    return ad._freeze(out.reshape(h.shape[:-1] + (w2.shape[1],)))
 
 
 def residual_group_forward(
@@ -339,9 +361,14 @@ def cat_forward(img: Tensor, store: Mapping[str, Tensor], config: ModelConfig) -
         raise ConfigError(
             f"input shape {img.shape} does not match configured in_channels={config.in_channels}"
         )
-    for name, shape, _ in parameter_schema(config):
+    schema = parameter_schema(config)
+    dtypes = Counter(store[name].dtype for name, _, _ in schema)
+    dtype = dtypes.most_common(1)[0][0]
+    for name, shape, _ in schema:
         if store[name].shape != shape:
             raise WeightFormatError(f"weight '{name}' has shape {store[name].shape}, the config needs {shape}")
+        if store[name].dtype != dtype:
+            raise WeightFormatError(f"weight '{name}' is {store[name].dtype}, the other weights {dtype}")
     cache: dict = {}
     f0 = ad.conv2d_3x3(img, store["shallow.conv.weight"], store["shallow.conv.bias"])
     y = f0

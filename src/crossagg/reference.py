@@ -4,7 +4,10 @@ Everything here recomputes results from first principles on plain numpy
 arrays: attention is evaluated as one dense (H*W) x (H*W) problem per head
 with an additive penalty on cross-window pairs, window membership is derived
 directly from pixel coordinates, and the depthwise convolution walks its taps
-pixel by pixel. None of the window partition / shift machinery is reused.
+pixel by pixel. None of the window partition / shift machinery is reused,
+except by the window-layout oracles at the end, which take the gather maps of
+:func:`windowing.window_maps` as given and restate what the fused attention
+op does with them one plain numpy step at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ __all__ = [
     "position_bias_table",
     "naive_depthwise_conv3x3",
     "full_attention_oracle",
+    "window_gather",
+    "window_merge",
+    "window_attention_oracle",
 ]
 
 
@@ -121,3 +127,48 @@ def full_attention_oracle(
         )
     out = y.reshape(-1, c) @ params["proj_w"] + params["proj_b"]
     return out.reshape(h, w, c)
+
+
+def window_gather(x: np.ndarray, index: np.ndarray, start: int, heads: int, d: int) -> np.ndarray:
+    """Channels [start, start + heads * d) of an [N, H, W, C] map in windows
+    split into heads, [N * nw, heads, n, d]: slot j of window b reads pixel
+    ``index[b % nw, j]`` of image b // nw."""
+    nb, c = x.shape[0], x.shape[-1]
+    nw, n = index.shape
+    windows = x.reshape(nb, -1, c)[:, index, start : start + heads * d]  # [N, nw, n, heads * d]
+    return windows.reshape(nb * nw, n, heads, d).transpose(0, 2, 1, 3)
+
+
+def window_merge(y: np.ndarray, where: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Inverse of :func:`window_gather`: [N * nw, heads, n, d] windows to an
+    [N, H, W, heads * d] map in which each pixel reads its own slot,
+    ``where[:H, :W]``."""
+    _, heads, _, d = y.shape
+    slots = y.transpose(0, 2, 1, 3).reshape(-1, where.size, heads * d)  # [N, slots, heads * d]
+    return slots[:, where[:height, :width]]
+
+
+def window_attention_oracle(qk: np.ndarray, v: np.ndarray, windows, scale: float) -> np.ndarray:
+    """What ``autodiff.window_attention`` computes, one orientation at a time
+    in float64: gather Q, K and V by ``index``, attention per window with the
+    bias (keys-major [n_k, heads, n_q]) and MASK_VALUE on every pair of
+    different region ids, softmax over keys, then merge by ``where``. The
+    orientations' heads follow each other along the channels."""
+    c = v.shape[-1]
+    d = c // sum(bias.shape[1] for *_, bias in windows)
+    qk, v = qk.astype(np.float64), v.astype(np.float64)
+    outs, first = [], 0
+    for index, where, regions, bias in windows:
+        heads = bias.shape[1]
+        q = window_gather(qk, index, first * d, heads, d)
+        k = window_gather(qk, index, c + first * d, heads, d)
+        vw = window_gather(v, index, first * d, heads, d)
+        logits = q @ k.transpose(0, 1, 3, 2) * scale + np.asarray(bias, np.float64).transpose(1, 2, 0)
+        r = np.tile(regions, (q.shape[0] // regions.shape[0], 1))
+        logits += np.where(r[:, :, None] == r[:, None, :], 0.0, MASK_VALUE)[:, None]
+        logits -= logits.max(axis=-1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=-1, keepdims=True)
+        outs.append(window_merge(p @ vw, where, v.shape[1], v.shape[2]))
+        first += heads
+    return np.concatenate(outs, axis=-1)

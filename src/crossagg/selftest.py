@@ -92,16 +92,17 @@ def attention_params_numpy(p: AttentionParams) -> dict:
 
 
 def check_softmax_rows():
-    # The model's attention op on a shifted geometry's regions, two images:
+    # The model's attention op on a shifted geometry's windows, two images:
     # each row sums to 1 and pairs of different regions get exactly 0.
     g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 6, 10, shifted=True)
-    regions = np.tile(window_maps(g)[2], (2, 1))
-    b, heads, n = regions.shape[0], 2, g.window_pixels
+    index, where, regions = window_maps(g)
+    heads, n = 2, g.window_pixels
     r = _rng(1)
-    q, k, v = (Tensor(r.normal(scale=3.0, size=(b, heads, n, 3))) for _ in range(3))
-    _, p = ad.window_attention(q, k, v, Tensor(r.normal(size=(n, heads, n))), regions, 1.0, weights=True)
+    qk, v = (Tensor(r.normal(scale=3.0, size=(2, 6, 10, k * heads * 3))) for k in (2, 1))
+    bias = Tensor(r.normal(size=(n, heads, n)))
+    _, p = ad.window_attention(qk, v, [(index, where, regions, bias)], 1.0, weights=True)
     assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
-    differ = np.broadcast_to((regions[:, :, None] != regions[:, None, :])[:, None], p.shape)
+    differ = np.broadcast_to(np.tile(regions[:, :, None] != regions[:, None, :], (2, 1, 1))[:, None], p.shape)
     assert differ.any() and np.all(p[differ] == 0.0)
 
 
@@ -129,18 +130,17 @@ def check_gelu_float64_erf():
 
 
 def check_partition_merge_roundtrip():
-    # The model's windowing ops, through the gather maps of both orientations
-    # of a padded, shifted geometry, give the input back exactly.
-    h, w, heads, d = 5, 7, 1, 2
-    x = Tensor(_rng(2).normal(size=(2, h, w, 2 * heads * d)))
-    ys, wheres = [], []
-    for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
+    # The gather maps of both orientations of a padded, shifted geometry:
+    # windows taken by ``index`` and read back at each pixel's own slot,
+    # ``where[:H, :W]``, give the input back exactly.
+    h, w = 5, 7
+    x = _rng(2).normal(size=(2, h * w, 3))
+    for orientation in (HORIZONTAL, VERTICAL):
         g = resolve_geometry(WindowSpec.regular(2, 4), orientation, h, w, shifted=True)
         assert g.pad_h and g.pad_w and g.shift_down and g.shift_left
         index, where, _ = window_maps(g)
-        ys.append(ad.take_windows(x, index, where, oi * heads * d, heads, d))
-        wheres.append(where)
-    assert np.array_equal(ad.merge_windows(ys, wheres, h, w).data, x.data)
+        slots = x[:, index].reshape(2, -1, 3)
+        assert np.array_equal(slots[:, where[:h, :w]], x.reshape(2, h, w, 3))
 
 
 def check_pixel_shuffle_bijection():

@@ -16,8 +16,14 @@ from crossagg.attention import (
 from crossagg import autodiff as ad
 from crossagg.autodiff import GradientTape, OptimizerHyper, Tensor, adam_step, backward, init_adam_state
 from crossagg.model import preset_config
-from crossagg.reference import full_attention_oracle, position_bias_table
-from crossagg.windowing import HORIZONTAL, MASK_VALUE, VERTICAL, WindowSpec, build_shift_mask, resolve_geometry
+from crossagg.reference import (
+    full_attention_oracle,
+    position_bias_table,
+    window_attention_oracle,
+    window_gather,
+    window_merge,
+)
+from crossagg.windowing import HORIZONTAL, VERTICAL, WindowSpec, resolve_geometry, window_maps
 
 from helpers import (
     assert_grads_match_fd,
@@ -473,123 +479,127 @@ def test_bias_cache_built_without_tape_is_rebuilt_under_tape():
 # window_attention: the fused, chunked primitive
 # ---------------------------------------------------------------------------
 
-
-def _composed_attention(q, k, v, bias, mask, scale):
-    """The composed op order window_attention reassociates, in plain numpy."""
-    logits = np.matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2))) * scale
-    logits = logits + bias
-    if mask is not None:
-        b, heads, n, _ = logits.shape
-        nw = mask.shape[0]
-        logits = (logits.reshape(b // nw, nw, heads, n, n) + mask.reshape(1, nw, 1, n, n)).reshape(logits.shape)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
-
-
 # window_attention scales q before its GEMM and divides by the softmax
-# normaliser after the PV GEMM, so it matches the composed formula within
-# rounding. Relative to max|out|: float64 against the float64 composition,
-# float32 against the float64 composition of the same float32 inputs (the
-# float32 kernel and the float32 composition both sit below 5e-7 here).
-COMPOSED_TOL = {np.float64: 1e-12, np.float32: 2e-6}
+# normaliser after the PV GEMM, so it matches the float64 oracle within
+# rounding, relative to max|out|.
+ORACLE_TOL = {np.float64: 1e-12, np.float32: 2e-6}
 
 
-def _assert_matches_composed(out, q, k, v, bias, mask, scale):
-    want = _composed_attention(*(a.astype(np.float64) for a in (q, k, v, bias)), mask, scale)
+def _window_case(spec, height, width, seed, dtype, heads=2, d=3, batch=2, shifted=True):
+    """qk [N, H, W, 2C] and v [N, H, W, C] arrays and, per orientation of
+    ``spec``, the op's window entry: the gather maps and a random keys-major
+    bias as a numpy array."""
+    entries = []
+    for i, orientation in enumerate((HORIZONTAL, VERTICAL)):
+        g = resolve_geometry(spec, orientation, height, width, shifted)
+        bias = rand((g.window_pixels, heads, g.window_pixels), seed + 2 + i, 1.0, dtype)
+        entries.append(window_maps(g) + (bias,))
+    c = 2 * heads * d
+    qk = rand((batch, height, width, 2 * c), seed, 1.0, dtype)
+    return qk, rand((batch, height, width, c), seed + 1, 1.0, dtype), entries
+
+
+def _attend(qk, v, entries, scale, **kwargs):
+    """window_attention on numpy inputs, each bias made a tensor."""
+    windows = [entry[:3] + (Tensor(entry[3]),) for entry in entries]
+    return ad.window_attention(Tensor(qk), Tensor(v), windows, scale, **kwargs)
+
+
+def _assert_matches_oracle(out, qk, v, entries, scale):
+    want = window_attention_oracle(qk, v, entries, scale)
     err = np.abs(out - want).max() / np.abs(want).max()
-    assert err <= COMPOSED_TOL[out.dtype.type], err
-
-
-def _window_inputs(b, heads, n, d, seed, dtype):
-    q, k, v = (rand((b, heads, n, d), seed + i, scale=1.0, dtype=dtype) for i in range(3))
-    return q, k, v, rand((heads, n, n), seed + 3, scale=1.0, dtype=dtype)
-
-
-def _op_inputs(q, k, v, bias, dtype):
-    """Tensors for window_attention: the [heads, n_q, n_k] bias the composed
-    formula adds, passed keys-major as [n_k, heads, n_q]."""
-    return [Tensor(a, dtype=dtype) for a in (q, k, v, bias.transpose(2, 0, 1))]
+    assert err <= ORACLE_TOL[out.dtype.type], err
 
 
 def _chunk_windows(monkeypatch, windows, heads, n, dtype):
-    """Make window_attention evaluate ``windows`` windows per chunk."""
+    """Make window_attention evaluate ``windows`` windows of n pixels per chunk."""
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", windows * heads * n * n * np.dtype(dtype).itemsize)
 
 
-def _shifted_inputs(dtype, seed=60):
-    """Inputs over two images of a shifted axial geometry, its region ids,
-    and the float mask the composed formula adds."""
-    g = resolve_geometry(WindowSpec.axial(4), HORIZONTAL, 24, 16, shifted=True)
-    nw, n, heads, d = g.num_windows, g.window_pixels, 2, 4
-    regions = build_shift_mask(g)
-    mask = np.where(regions[:, :, None] == regions[:, None, :], 0.0, MASK_VALUE)
-    return _window_inputs(2 * nw, heads, n, d, seed, dtype), regions, mask, 1.0 / math.sqrt(d)
+# Padded and shifted: 7x10 pads both 2x4 orientations, 7x5 both axial ones.
+PADDED_SHIFTED = [(WindowSpec.regular(2, 4), 7, 10), (WindowSpec.axial(3), 7, 5)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_attention_partial_last_chunk_is_bit_identical(monkeypatch, dtype):
     # The output does not depend on how the windows are chunked: one window
-    # per chunk, chunks of 4 with a partial last one, and one chunk of all.
-    heads, n, d, per_chunk = 2, 12, 4, 4
-    b = 2 * per_chunk + 3  # two full chunks and a partial one
-    q, k, v, bias = _window_inputs(b, heads, n, d, 50, dtype)
-    t = _op_inputs(q, k, v, bias, dtype)
-    outs = []
-    for windows in (1, per_chunk, b):
-        _chunk_windows(monkeypatch, windows, heads, n, dtype)
-        outs.append(ad.window_attention(*t, np.zeros((1, n), np.int8), 0.5).data)  # one region: no mask
-    assert outs[0].dtype == dtype
-    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
-    _assert_matches_composed(outs[1], q, k, v, bias, None, 0.5)
+    # per chunk, chunks of 5 with a partial last one, and one chunk of all.
+    for spec, height, width in PADDED_SHIFTED:
+        qk, v, entries = _window_case(spec, height, width, 50, dtype)
+        n = entries[0][0].shape[1]
+        assert any((2 * index.shape[0]) % 5 for index, *_ in entries)  # a partial last chunk
+        outs = []
+        for windows in (1, 5, 10**6):
+            _chunk_windows(monkeypatch, windows, 2, n, dtype)
+            outs.append(_attend(qk, v, entries, 0.5).data)
+        assert outs[0].dtype == dtype and outs[0].shape == v.shape
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2]), spec
+        _assert_matches_oracle(outs[1], qk, v, entries, 0.5)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype):
-    (q, k, v, bias), regions, mask, scale = _shifted_inputs(dtype)
-    nw, n, heads = regions.shape[0], q.shape[2], q.shape[1]
+    qk, v, entries = _window_case(WindowSpec.axial(4), 24, 16, 60, dtype, d=4)
+    nw, n = entries[0][0].shape
     per_chunk = 4
     assert nw % per_chunk != 0  # a chunk holds the last windows of image 0 and the first of image 1
-    _chunk_windows(monkeypatch, per_chunk, heads, n, dtype)
-    t = _op_inputs(q, k, v, bias, dtype)
-    _assert_matches_composed(ad.window_attention(*t, regions, scale).data, q, k, v, bias, mask, scale)
-    out, weights = ad.window_attention(*t, regions, scale, weights=True)
-    _assert_matches_composed(out.data, q, k, v, bias, mask, scale)
-    assert weights.shape == (2 * nw, heads, n, n)
-    assert np.allclose(weights.sum(axis=-1), 1.0)
+    _chunk_windows(monkeypatch, per_chunk, 2, n, dtype)
+    scale = 1.0 / math.sqrt(4)
+    _assert_matches_oracle(_attend(qk, v, entries, scale).data, qk, v, entries, scale)
+    out, *weights = _attend(qk, v, entries, scale, weights=True)
+    _assert_matches_oracle(out.data, qk, v, entries, scale)
+    assert len(weights) == 2
+    for (index, _, regions, _), p in zip(entries, weights):
+        assert p.shape == (2 * index.shape[0], 2, index.shape[1], index.shape[1])
+        assert np.allclose(p.sum(axis=-1), 1.0)
+        differ = np.tile(regions[:, :, None] != regions[:, None, :], (2, 1, 1))[:, None]
+        assert differ.any() and np.all(p[np.broadcast_to(differ, p.shape)] == 0.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_attention_taped_untaped_and_weights_outputs_are_equal(monkeypatch, dtype):
-    (q, k, v, bias), regions, _, scale = _shifted_inputs(dtype, seed=65)
-    _chunk_windows(monkeypatch, 4, q.shape[1], q.shape[2], dtype)
-    t = _op_inputs(q, k, v, bias, dtype)
-    untaped = ad.window_attention(*t, regions, scale).data
-    probed, weights = ad.window_attention(*t, regions, scale, weights=True)
+    qk, v, entries = _window_case(WindowSpec.axial(4), 24, 16, 65, dtype, d=4)
+    _chunk_windows(monkeypatch, 4, 2, entries[0][0].shape[1], dtype)
+    untaped = _attend(qk, v, entries, 0.5).data
+    probed, *weights = _attend(qk, v, entries, 0.5, weights=True)
+    tensors = [Tensor(qk), Tensor(v)] + [Tensor(entry[3]) for entry in entries]
     with GradientTape() as tape:
-        tape.watch(*t)
-        taped = ad.window_attention(*t, regions, scale)
+        tape.watch(*tensors)
+        taped = ad.window_attention(*tensors[:2], [e[:3] + (t,) for e, t in zip(entries, tensors[2:])], 0.5)
     assert np.array_equal(untaped, probed.data) and np.array_equal(untaped, taped.data)
     # The probabilities are the ones the output was normalized by: P v = out.
-    assert np.allclose(np.matmul(weights, v), untaped, rtol=0, atol=COMPOSED_TOL[dtype] * np.abs(untaped).max())
+    d = 4
+    for o, ((index, where, _, _), p) in enumerate(zip(entries, weights)):
+        merged = window_merge(p @ window_gather(v, index, 2 * o * d, 2, d), where, 24, 16)
+        part = untaped[..., 2 * o * d : 2 * (o + 1) * d]
+        assert np.allclose(merged, part, rtol=0, atol=ORACLE_TOL[dtype] * np.abs(untaped).max())
 
 
 def test_window_attention_gradients_match_finite_differences(monkeypatch):
-    b, heads, n, d = 4, 2, 3, 2
-    _chunk_windows(monkeypatch, 1, heads, n, np.float64)
-    regions = np.array([[0, 0, 0], [0, 1, 1]])  # window 1 masks pixel 0 from pixels 1 and 2
-    q, k, v, bias = _window_inputs(b, heads, n, d, 70, np.float64)
+    # One orientation of two heads, one window per chunk; window 1 masks
+    # pixel 0 from pixels 1 and 2.
+    g = resolve_geometry(WindowSpec.regular(1, 3), HORIZONTAL, 2, 3)
+    index, where, _ = window_maps(g)
+    regions = np.array([[0, 0, 0], [0, 1, 1]], dtype=np.int8)
+    _chunk_windows(monkeypatch, 1, 2, 3, np.float64)
     assert_grads_match_fd(
-        lambda t: ad.window_attention(t["q"], t["k"], t["v"], t["bias"], regions, 0.7),
-        {"q": q, "k": k, "v": v, "bias": np.ascontiguousarray(bias.transpose(2, 0, 1))},  # keys-major
+        lambda t: ad.window_attention(t["qk"], t["v"], [(index, where, regions, t["bias"])], 0.7),
+        {"qk": rand((2, 2, 3, 8), 70, 1.0), "v": rand((2, 2, 3, 4), 71, 1.0), "bias": rand((3, 2, 3), 72, 1.0)},
     )
 
 
 def test_window_attention_rejects_bad_shapes():
-    q, k, v, bias = _op_inputs(*_window_inputs(4, 2, 3, 2, 80, np.float64), np.float64)
-    with pytest.raises(ad.ShapeError):
-        ad.window_attention(q, k, v, Tensor(np.zeros((2, 3, 4))), np.zeros((1, 3), np.int8), 1.0)
-    with pytest.raises(ad.ShapeError):
-        ad.window_attention(q, k, v, bias, np.zeros((3, 3), dtype=np.int64), 1.0)
+    qk, v, entries = _window_case(WindowSpec.regular(2, 4), 4, 8, 80, np.float64)
+    index, where, regions, bias = entries[0]
+    with pytest.raises(ad.ShapeError):  # qk is not twice v's channels
+        _attend(qk[..., 1:], v, entries, 1.0)
+    with pytest.raises(ad.ShapeError):  # a bias that is not [n_k, heads, n_q]
+        _attend(qk, v, [(index, where, regions, bias[:, :, :-1]), entries[1]], 1.0)
+    with pytest.raises(ad.ShapeError):  # regions of another window layout
+        _attend(qk, v, [(index, where, regions[:, :-1], bias), entries[1]], 1.0)
+    with pytest.raises(ad.ShapeError):  # 2 + 3 heads do not split 12 channels
+        three = np.concatenate([entries[1][3], entries[1][3][:, :1]], axis=1)
+        _attend(qk, v, [entries[0], entries[1][:3] + (three,)], 1.0)
 
 
 def test_untaped_axial_attention_peaks_below_one_logits_tensor():

@@ -165,6 +165,22 @@ def test_infer_rejects_mis_shaped_weights_without_writing(tmp_path, demo_png):
     assert result.stderr.startswith(f"error: weight '{name}.weight' has shape (")
 
 
+def test_infer_rejects_mixed_dtype_weights_without_writing(tmp_path, demo_png):
+    # Each entry of a weight file carries its own dtype code.
+    store = init_params(preset_config("tiny_sr_x2"), seed=0)
+    store["body.conv.bias"] = Tensor(store["body.conv.bias"].data, dtype=np.float64)
+    weights = tmp_path / "mixed.catw"
+    save_weights(store, str(weights))
+    out_path = tmp_path / "never.png"
+    result = run_cli(
+        "infer", "--config", str(repo_root() / "configs" / "tiny_sr_x2.cfg"), "--weights", str(weights),
+        "--input", demo_png, "--output", str(out_path),
+    )
+    assert result.returncode == 1
+    assert not out_path.exists()
+    assert result.stderr.startswith("error: weight 'body.conv.bias' is float64, the other weights float32")
+
+
 def test_infer_non_finite_output_fails_without_writing(tmp_path, demo_png):
     config = str(repo_root() / "configs" / "tiny_sr_x2.cfg")
     store = init_params(preset_config("tiny_sr_x2"), seed=0)

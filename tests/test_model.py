@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crossagg import autodiff as ad
 from crossagg.autodiff import Tensor
 from crossagg.model import (
     ConfigError,
@@ -133,7 +134,9 @@ def test_untaped_shifted_axial_block_peak_memory():
     # orientation's windows early, and at 18.5 MiB with attention caching only
     # each orientation's heads of the position bias (keys-major, so the op
     # makes no per-call copy), filling that cache before the qkv projection
-    # and releasing the LN1 output once qkv exists.
+    # and releasing the LN1 output once qkv exists, and at 15.1 MiB with
+    # attention reading its windows from separate Q|K and V maps, writing
+    # the merged map a chunk at a time, and the MLP in row bands.
     config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
     store, spec = init_params(config, 0), config.spec_for_group(0)
     x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))
@@ -144,7 +147,30 @@ def test_untaped_shifted_axial_block_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20.0 * 2**20, peak / 2**20
+    assert peak < 15.5 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_banded_mlp_is_bit_identical_to_one_band(monkeypatch, dtype):
+    # 99 pixels in bands of 12-13 rows (a hidden row is 32 elements); bands
+    # of 14 would have left a 1-row band, whose GEMM may round differently.
+    config = _tiny_config(channels=16, mlp_ratio=2.0)
+    store = init_params(config, 0, dtype=dtype)
+    x = Tensor(rand((1, 9, 11, 16), 82, 1.0, dtype))
+    prefix = "body.group0.block0"
+    one_band = catb_forward(x, store, config, prefix, config.spec_for_group(0), shifted=False).data
+    calls, linear = [], ad.linear
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape)
+        return linear(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "linear", counted)
+    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 13 * 32 * np.dtype(dtype).itemsize)
+    banded = catb_forward(x, store, config, prefix, config.spec_for_group(0), shifted=False).data
+    mlp_rows = [shape[0] for shape in calls if len(shape) == 2 and shape[-1] == 16]
+    assert len(mlp_rows) == 8 and sum(mlp_rows) == 99 and min(mlp_rows) == 12, mlp_rows  # fc1 inputs
+    assert banded.dtype == dtype and np.array_equal(banded, one_band)
 
 
 @pytest.mark.skipif(
@@ -239,6 +265,19 @@ def test_cat_forward_rejects_a_mis_shaped_weight_before_running():
     store[f"{name}.bias"] = Tensor(np.zeros(1, dtype=np.float32))
     with pytest.raises(WeightFormatError, match=rf"'{name}.weight' has shape \({config.mlp_hidden}, 1\), the config needs \({config.mlp_hidden}, {config.channels}\)"):
         cat_forward(Tensor(np.zeros((1, 8, 8, 3), dtype=np.float32)), store, config)
+
+
+def test_cat_forward_rejects_mixed_dtype_weights_before_running(monkeypatch):
+    # load_weights keeps each entry's own dtype; one float64 entry among
+    # float32 ones is named before the first op runs.
+    config = preset_config("tiny_sr_x2")
+    store = init_params(config, seed=0)
+    store["body.conv.bias"] = Tensor(store["body.conv.bias"].data, dtype=np.float64)
+    ran = []
+    monkeypatch.setattr(ad, "conv2d_3x3", lambda *a, **k: ran.append(1))
+    with pytest.raises(WeightFormatError, match=r"'body.conv.bias' is float64, the other weights float32"):
+        cat_forward(Tensor(np.zeros((1, 8, 8, 3), dtype=np.float32)), store, config)
+    assert not ran
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from crossagg import autodiff as ad
 from crossagg.autodiff import GradientTape, Tensor, _reflect_index, backward
+from crossagg.reference import window_gather, window_merge
 from crossagg.windowing import (
     HORIZONTAL,
     VERTICAL,
@@ -17,7 +18,7 @@ from crossagg.windowing import (
     window_maps,
 )
 
-from helpers import assert_grads_match_fd, rand, taped_output_and_grads
+from helpers import assert_grads_match_fd, rand
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +288,8 @@ GATHER_CASES = [
 
 
 def _composed_windows(x, g, start, heads, d):
-    """The ops take_windows replaces: narrow, reflect pad, cyclic shift,
-    partition and head split."""
+    """What taking windows by ``index`` stands for: narrow, reflect pad,
+    cyclic shift, partition and head split."""
     t = ad.narrow(x, -1, start, heads * d)
     if g.pad_h or g.pad_w:
         t = ad.gather(t, _reflect_index(g.height, g.pad_h), axis=1)
@@ -300,7 +301,8 @@ def _composed_windows(x, g, start, heads, d):
 
 
 def _composed_merge(y, g, batch):
-    """The ops merge_windows replaces: head merge, merge, unshift and crop."""
+    """What reading each pixel's own slot stands for: head merge, merge,
+    unshift and crop."""
     t = ad.transpose(y, (0, 2, 1, 3))
     t = merge(ad.reshape(t, (t.shape[0], g.window_pixels, -1)), g, batch, g.padded_h, g.padded_w)
     if g.shifted:
@@ -320,83 +322,116 @@ def test_window_maps_inverse_reads_each_pixel_back(case):
     assert not index.flags.writeable and not where.flags.writeable
 
 
+# Taking windows and merging them back run inside autodiff.window_attention,
+# a chunk at a time; reference.window_gather and window_merge restate them as
+# plain numpy on the same maps. The tests below check the restatements
+# against the composed ops and the op's multi-orientation layout, gradients
+# and checks; test_attention checks the op against the restatements.
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", GATHER_CASES)
 def test_take_windows_is_bit_identical_to_composed_ops(case, dtype):
+    # Windows taken by ``index`` are the composed narrow, reflect pad, cyclic
+    # shift, partition and head split.
     g = resolve_geometry(*case[:4], shifted=case[4])
-    index, where, _ = window_maps(g)
+    index, _, _ = window_maps(g)
     heads, d = 2, 3
-    arrays = {"x": rand((2, g.height, g.width, 6 * heads * d), 70, 1.0, dtype)}  # batch 2, fused q/k/v map
+    x = rand((2, g.height, g.width, 6 * heads * d), 70, 1.0, dtype)  # batch 2, a fused q/k/v map
     for start in (0, heads * d, 5 * heads * d):
-        fused = taped_output_and_grads(lambda t: ad.take_windows(t["x"], index, where, start, heads, d), arrays)
-        composed = taped_output_and_grads(lambda t: _composed_windows(t["x"], g, start, heads, d), arrays)
-        assert fused[0].dtype == dtype and np.array_equal(fused[0], composed[0]), start
-        assert np.array_equal(fused[1]["x"], composed[1]["x"]), start
+        taken = window_gather(x, index, start, heads, d)
+        composed = _composed_windows(Tensor(x), g, start, heads, d).data
+        assert taken.dtype == dtype and np.array_equal(taken, composed), start
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", GATHER_CASES)
 def test_merge_windows_is_bit_identical_to_composed_ops(case, dtype):
+    # Each pixel's own slot, ``where[:H, :W]``, is the composed head merge,
+    # merge, unshift and crop.
     g = resolve_geometry(*case[:4], shifted=case[4])
     _, where, _ = window_maps(g)
-    arrays = {"y": rand((2 * g.num_windows, 2, g.window_pixels, 3), 71, 1.0, dtype)}
-    fused = taped_output_and_grads(lambda t: ad.merge_windows([t["y"]], [where], g.height, g.width), arrays)
-    composed = taped_output_and_grads(lambda t: _composed_merge(t["y"], g, 2), arrays)
-    assert fused[0].dtype == dtype and np.array_equal(fused[0], composed[0])
-    assert np.array_equal(fused[1]["y"], composed[1]["y"])
+    y = rand((2 * g.num_windows, 2, g.window_pixels, 3), 71, 1.0, dtype)
+    merged = window_merge(y, where, g.height, g.width)
+    composed = _composed_merge(Tensor(y), g, 2).data
+    assert merged.dtype == dtype and np.array_equal(merged, composed)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("spec", [WindowSpec.regular(2, 4), WindowSpec.axial(3)])
 def test_merging_both_orientations_equals_concatenated_merges(spec, dtype):
     # Each orientation's windows land in their own channel range of one map,
-    # as the concatenation of two one-orientation merges would place them.
-    height, width, d = 7, 10, 3
-    geometries = [resolve_geometry(spec, o, height, width, shifted=True) for o in (HORIZONTAL, VERTICAL)]
-    wheres = [window_maps(g)[1] for g in geometries]
-    ys = [Tensor(rand((2 * g.num_windows, heads, g.window_pixels, d), 74 + heads, 1.0, dtype))
-          for g, heads in zip(geometries, (2, 1))]
-    probe = rand((2, height, width, 3 * d), 76, 1.0, dtype)
+    # as the concatenation of two one-orientation calls would place them, and
+    # each gets the gradients that call would.
+    height, width, heads, d = 7, 10, 2, 3
+    entries = []
+    for i, orientation in enumerate((HORIZONTAL, VERTICAL)):
+        g = resolve_geometry(spec, orientation, height, width, shifted=True)
+        entries.append(window_maps(g) + (rand((g.window_pixels, heads, g.window_pixels), 74 + i, 1.0, dtype),))
+    qk = rand((2, height, width, 4 * heads * d), 76, 1.0, dtype)
+    v = rand((2, height, width, 2 * heads * d), 77, 1.0, dtype)
 
-    def output_and_grads(parts, part_wheres, r):
+    probe = rand((2, height, width, 2 * heads * d), 78, 1.0, dtype)
+
+    def output_and_grads(parts, qk, v, r):
+        tensors = [Tensor(qk), Tensor(v)] + [Tensor(e[3]) for e in parts]
         tape = GradientTape()
-        tape.watch(*parts)
+        tape.watch(*tensors)
         with tape:
-            out = ad.merge_windows(parts, part_wheres, height, width)
+            out = ad.window_attention(*tensors[:2], [e[:3] + (t,) for e, t in zip(parts, tensors[2:])], 0.5)
             loss = ad.sum_all(ad.mul(out, Tensor(r)))
         grads = backward(tape, loss)
-        return out.data, [grads[y].data for y in parts]
+        return out.data, [grads[t].data for t in tensors]
 
-    both, grads = output_and_grads(ys, wheres, probe)
-    first, (g_first,) = output_and_grads(ys[:1], wheres[:1], probe[..., : 2 * d])
-    second, (g_second,) = output_and_grads(ys[1:], wheres[1:], probe[..., 2 * d :])
-    assert both.dtype == dtype and np.array_equal(both, np.concatenate([first, second], axis=-1))
-    assert np.array_equal(grads[0], g_first) and np.array_equal(grads[1], g_second)
+    both, grads = output_and_grads(entries, qk, v, probe)
+    c = heads * d
+    for o in (0, 1):
+        lo, hi = o * c, (o + 1) * c
+        qk_o = np.concatenate([qk[..., lo:hi], qk[..., 2 * c + lo : 2 * c + hi]], axis=-1)
+        out, (g_qk, g_v, g_bias) = output_and_grads(entries[o : o + 1], qk_o, v[..., lo:hi], probe[..., lo:hi])
+        assert both.dtype == dtype and np.array_equal(both[..., lo:hi], out), o
+        assert np.array_equal(grads[0][..., lo:hi], g_qk[..., :c]), o
+        assert np.array_equal(grads[0][..., 2 * c + lo : 2 * c + hi], g_qk[..., c:]), o
+        assert np.array_equal(grads[1][..., lo:hi], g_v), o
+        assert np.array_equal(grads[2 + o], g_bias), o
 
 
 def test_merge_windows_rejects_mismatched_window_sets():
     g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 4, 8)
-    where = window_maps(g)[1]
-    y = Tensor(rand((2 * g.num_windows, 1, g.window_pixels, 2), 77))
-    with pytest.raises(ValueError):
-        ad.merge_windows([y], [where, where], 4, 8)
-    with pytest.raises(ValueError):
-        ad.merge_windows([y, Tensor(rand((g.num_windows, 1, g.window_pixels, 2), 78))], [where, where], 4, 8)
+    index, where, regions = window_maps(g)
+    bias = Tensor(rand((g.window_pixels, 1, g.window_pixels), 77))
+    qk, v = Tensor(rand((1, 4, 8, 4), 78)), Tensor(rand((1, 4, 8, 2), 79))
+    ad.window_attention(qk, v, [(index, where, regions, bias)], 1.0)  # one head of two channels fits
+    with pytest.raises(ValueError):  # no window set
+        ad.window_attention(qk, v, [], 1.0)
+    with pytest.raises(ValueError):  # a slot map of another window set
+        other = window_maps(resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 8))[1]
+        ad.window_attention(qk, v, [(index, other[:2], regions, bias)], 1.0)
+    with pytest.raises(ValueError):  # region ids of another window set
+        ad.window_attention(qk, v, [(index, where, regions[:1], bias)], 1.0)
 
 
 def test_gather_map_gradients_match_finite_differences():
-    g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 3, 5, shifted=True)
-    assert g.pad_h and g.pad_w and g.shifted
-    index, where, _ = window_maps(g)
-    assert_grads_match_fd(lambda t: ad.take_windows(t["x"], index, where, 2, 1, 2), {"x": rand((1, 3, 5, 4), 72)})
-    y = rand((g.num_windows, 1, g.window_pixels, 2), 73)
-    assert_grads_match_fd(lambda t: ad.merge_windows([t["y"]], [where], 3, 5), {"y": y})
+    # Through both orientations of a padded, shifted geometry: the gradients
+    # of q, k and v are scattered back through the slot maps and the adjoint
+    # of the reflect pad, and each bias gets its own.
+    spec = WindowSpec.regular(2, 4)
+    geometries = [resolve_geometry(spec, o, 3, 5, shifted=True) for o in (HORIZONTAL, VERTICAL)]
+    assert all(g.pad_h or g.pad_w for g in geometries) and all(g.shifted for g in geometries)
+    maps = [window_maps(g) for g in geometries]
+    arrays = {"qk": rand((1, 3, 5, 8), 72, 1.0), "v": rand((1, 3, 5, 4), 73, 1.0)}
+    for i, g in enumerate(geometries):
+        arrays[f"b{i}"] = rand((g.window_pixels, 1, g.window_pixels), 74 + i, 1.0)
+    assert_grads_match_fd(
+        lambda t: ad.window_attention(t["qk"], t["v"], [m + (t[f"b{i}"],) for i, m in enumerate(maps)], 0.7),
+        arrays,
+    )
 
 
 def test_take_windows_rejects_a_map_outside_the_input():
-    g = resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4)
-    index, where, _ = window_maps(g)
+    # Maps of a 4x4 map read pixels a 2x4 input does not have.
+    index, where, regions = window_maps(resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4))
+    bias = Tensor(np.zeros((4, 1, 4)))
     with pytest.raises(ValueError):
-        ad.take_windows(Tensor(np.zeros((1, 2, 4, 4))), index, where, 0, 2, 2)
-    with pytest.raises(ValueError):
-        ad.take_windows(Tensor(np.zeros((1, 4, 4, 4))), index, where, 2, 2, 2)
+        ad.window_attention(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 4, 2))), [(index, where, regions, bias)], 1.0)
+    ad.window_attention(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((1, 4, 4, 2))), [(index, where, regions, bias)], 1.0)
