@@ -589,8 +589,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tenso
     reshape, matmul, reshape and add). With ``gelu`` the output is
     GELU(x @ weight + bias), applied in the GEMM's buffer a chunk at a time
     by the numpy-only erf of :func:`gelu` (bit-identical to :func:`gelu` of the
-    affine map); the pre-activation and the cdf are kept only when a tape
-    records the op."""
+    affine map); the pre-activation is kept only when a tape records the
+    op, and the backward rebuilds the cdf from it (the same chunks and
+    passes, so the same bits)."""
     if weight.ndim != 2:
         raise ShapeError(f"linear: weight must be rank 2, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
@@ -602,18 +603,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tenso
     out = np.empty(x.shape[:-1] + (cout,), dtype=x.dtype)
     np.matmul(x.data.reshape(-1, cin), weight.data, out=out.reshape(-1, cout))
     out += bias.data
-    pre = cdf = None  # the backward keeps them only for GELU
+    pre = None  # the backward keeps it only for GELU
     if gelu:
-        keep = _recording((x, weight, bias))
         pre = out
-        if keep:
+        if _recording((x, weight, bias)):
             out = np.empty_like(pre)
-        cdf = _gelu_into(pre, out, keep)
+        _gelu_into(pre, out, keep=False)
     result = _freeze(out)
 
     def bwd(g, xd=x.data, wd=weight.data):
         if gelu:
-            g = _gelu_grad(g, pre, cdf)
+            g = _gelu_grad(g, pre, _gelu_into(pre, np.empty_like(pre), keep=True))
         g2 = g.reshape(-1, cout)
         gx = np.matmul(g2, wd.swapaxes(-1, -2)).reshape(xd.shape)
         gw = np.matmul(xd.reshape(-1, cin).swapaxes(-1, -2), g2)

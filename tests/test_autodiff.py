@@ -352,6 +352,21 @@ def test_linear_with_gelu_untaped_applies_gelu_in_its_own_buffer():
     assert peak < out.data.nbytes + ad.WINDOW_CHUNK_BYTES + (64 << 10), peak
 
 
+def test_linear_with_gelu_taped_keeps_only_its_pre_activation():
+    # The tape holds the output and the pre-activation; the backward
+    # rebuilds the cdf, so no third [rows, hidden] array stays alive.
+    x, w = Tensor(rand((512, 180), 95, 1.0, np.float32)), Tensor(rand((180, 720), 96, 0.1, np.float32))
+    b = Tensor(np.zeros(720, np.float32))
+    tape = GradientTape()
+    tape.watch(x, w, b)
+    tracemalloc.start()
+    with tape:
+        out = ad.linear(x, w, b, gelu=True)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert held < 2 * out.data.nbytes + (64 << 10), held
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_at_infinities(dtype):
     # gelu(-inf) is -0 and gelu(inf) inf; the slope is 0 at -inf and 1 at inf,
