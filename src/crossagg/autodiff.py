@@ -686,7 +686,7 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
     dtype, total = v.dtype, sum(heads)
     d = c // total
     # Rows of d channels: qk holds 2 * total of them per pixel, v and out total.
-    qk_rows, v_rows = qk.data.reshape(-1, d), v.data.reshape(-1, d)
+    qk_data, v_data = qk.data.reshape(-1, d), v.data.reshape(-1, d)
     out = np.empty_like(v.data)
     out_rows = out.reshape(-1, total, d)
     keep = weights or _recording((qk, v, *biases))
@@ -699,7 +699,6 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
         probs.append(np.empty((b, m, n, n), dtype=dtype) if keep else None)
         step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * dtype.itemsize))
         chunk = min(step, b)
-        head_rows = (first + np.arange(m))[:, None]  # [m, 1]
         buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered q, then k, then v
         logits = np.empty((n, chunk, m, n), dtype=dtype)  # keys-major
         q_t = np.empty((chunk, m, d, n), dtype=dtype)  # scale * q^T
@@ -710,28 +709,27 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
         for start in range(0, b, step):
             stop = min(start + step, b)
             cs = stop - start
-            image, window = np.divmod(np.arange(start, stop)[:, None], nw)
-            pix = (index[window[:, 0]] + image * (h * w))[:, None, :]  # [cs, 1, n]
+            window, image, q_rows, k_rows, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
             e = logits[:, :cs]
-            np.take(qk_rows, pix * (2 * total) + head_rows, axis=0, out=buf[:cs], mode="clip")
+            np.take(qk_data, q_rows, axis=0, out=buf[:cs], mode="clip")
             np.multiply(buf[:cs].swapaxes(-1, -2), scale, out=q_t[:cs])
-            np.take(qk_rows, pix * (2 * total) + total + head_rows, axis=0, out=buf[:cs], mode="clip")
+            np.take(qk_data, k_rows, axis=0, out=buf[:cs], mode="clip")
             np.matmul(buf[:cs], q_t[:cs], out=e.transpose(1, 2, 0, 3))
             e += bias.data[:, None]
-            r = regions[window[:, 0]]
+            r = regions[window]
             if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
                 # Built as a product: np.where and a masked np.add measured 2-25x slower.
                 e += ((r.T[:, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
             e -= e.max(axis=0)
             np.exp(e, out=e)
-            np.take(v_rows, pix * total + head_rows, axis=0, out=buf[:cs], mode="clip")
+            np.take(v_data, v_rows, axis=0, out=buf[:cs], mode="clip")
             v_ones[:cs, ..., :d] = buf[:cs]
             np.matmul(e.transpose(1, 2, 3, 0), v_ones[:cs], out=ev[:cs])
             s = ev[:cs, ..., d:]
             np.divide(ev[:cs, ..., :d], s, out=y[:cs].transpose(0, 2, 1, 3))
             if keep:
                 np.divide(e.transpose(1, 2, 3, 0), s, out=probs[-1][start:stop])
-            slot_pixel = own[window[:, 0]]
+            slot_pixel = own[window]
             valid = slot_pixel >= 0
             dst = slot_pixel + image * (h * w)
             if valid.all():
@@ -744,7 +742,7 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
     def bwd(g, qkd=qk.data, vd=v.data, probs=probs):
         dqk, dv = np.empty_like(qkd), np.empty_like(vd)  # every channel belongs to one orientation
         g_rows = g.reshape(-1, total, d)
-        qk_rows, v_rows = qkd.reshape(-1, d), vd.reshape(-1, d)
+        qk_data, v_data = qkd.reshape(-1, d), vd.reshape(-1, d)
         dbiases = []
         first = 0
         for (index, where, _, _), m, p in zip(windows, heads, probs):
@@ -757,17 +755,13 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
             # The gradient of each window slot at its padded pixel, [q | k | v] per head.
             gp = np.empty((nb, hp, wp, 3, m, d), dtype=g.dtype)
             gp_rows = gp.reshape(-1, 3, m, d)
-            head_rows = (first + np.arange(m))[:, None]
             dbias = np.zeros((n, m, n), dtype=g.dtype)
             step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * g.itemsize))
             for start in range(0, nb * nw, step):
                 stop = min(start + step, nb * nw)
-                image, window = np.divmod(np.arange(start, stop)[:, None], nw)
-                window = window[:, 0]
-                pix = (index[window] + image * (h * w))[:, None, :]
-                q = np.take(qk_rows, pix * (2 * total) + head_rows, axis=0)
-                k = np.take(qk_rows, pix * (2 * total) + total + head_rows, axis=0)
-                vw = np.take(v_rows, pix * total + head_rows, axis=0)
+                window, image, q_rows, k_rows, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+                q, k = np.take(qk_data, q_rows, axis=0), np.take(qk_data, k_rows, axis=0)
+                vw = np.take(v_data, v_rows, axis=0)
                 slot_pixel = own[window]
                 valid = slot_pixel >= 0
                 gw = np.zeros((stop - start, n, m, d), dtype=g.dtype)  # reflected copies get none
@@ -799,6 +793,20 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
     for p in probs:
         p.setflags(write=False)
     return (result, *probs)
+
+
+def _chunk_rows(index: np.ndarray, start: int, stop: int, pixels: int, total: int, first: int, heads: int):
+    """Windows [start, stop) of a batch of ``pixels``-pixel images, each image
+    holding the windows of ``index``: each window's row of the maps, its image
+    (a column), and the rows of d channels, [windows, heads, n], that its Q,
+    K and V read for heads [first, first + heads) of ``total``; the Q|K map
+    holds 2 * total rows per pixel, the V map total."""
+    b = np.arange(start, stop)
+    window, image = b % index.shape[0], b[:, None] // index.shape[0]
+    pix = (index[window] + image * pixels)[:, None, :]
+    head_rows = (first + np.arange(heads))[:, None]
+    q_rows = pix * (2 * total) + head_rows
+    return window, image, q_rows, q_rows + total, pix * total + head_rows
 
 
 def _own_pixels(where: np.ndarray, h: int, w: int, shape: tuple[int, int]) -> np.ndarray:
