@@ -685,105 +685,21 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
     scale = float(scale)
     dtype, total = v.dtype, sum(heads)
     d = c // total
-    # Rows of d channels: qk holds 2 * total of them per pixel, v and out total.
-    qk_data, v_data = qk.data.reshape(-1, d), v.data.reshape(-1, d)
     out = np.empty_like(v.data)
-    out_rows = out.reshape(-1, total, d)
     keep = weights or _recording((qk, v, *biases))
-    probs = []
-    first = 0
-    for (index, where, regions, bias), m in zip(windows, heads):
-        nw, n = index.shape
-        b = nb * nw
-        own = _own_pixels(where, h, w, index.shape)
-        probs.append(np.empty((b, m, n, n), dtype=dtype) if keep else None)
-        step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * dtype.itemsize))
-        chunk = min(step, b)
-        buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered q, then k, then v
-        logits = np.empty((n, chunk, m, n), dtype=dtype)  # keys-major
-        q_t = np.empty((chunk, m, d, n), dtype=dtype)  # scale * q^T
-        v_ones = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [v | 1]
-        v_ones[..., d] = 1
-        ev = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [E v | s]
-        y = np.empty((chunk, n, m, d), dtype=dtype)  # pixel-major, as the output map
-        for start in range(0, b, step):
-            stop = min(start + step, b)
-            cs = stop - start
-            window, image, q_rows, k_rows, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
-            e = logits[:, :cs]
-            np.take(qk_data, q_rows, axis=0, out=buf[:cs], mode="clip")
-            np.multiply(buf[:cs].swapaxes(-1, -2), scale, out=q_t[:cs])
-            np.take(qk_data, k_rows, axis=0, out=buf[:cs], mode="clip")
-            np.matmul(buf[:cs], q_t[:cs], out=e.transpose(1, 2, 0, 3))
-            e += bias.data[:, None]
-            r = regions[window]
-            if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
-                # Built as a product: np.where and a masked np.add measured 2-25x slower.
-                e += ((r.T[:, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
-            e -= e.max(axis=0)
-            np.exp(e, out=e)
-            np.take(v_data, v_rows, axis=0, out=buf[:cs], mode="clip")
-            v_ones[:cs, ..., :d] = buf[:cs]
-            np.matmul(e.transpose(1, 2, 3, 0), v_ones[:cs], out=ev[:cs])
-            s = ev[:cs, ..., d:]
-            np.divide(ev[:cs, ..., :d], s, out=y[:cs].transpose(0, 2, 1, 3))
-            if keep:
-                np.divide(e.transpose(1, 2, 3, 0), s, out=probs[-1][start:stop])
-            slot_pixel = own[window]
-            valid = slot_pixel >= 0
-            dst = slot_pixel + image * (h * w)
-            if valid.all():
-                out_rows[dst.ravel(), first : first + m] = y[:cs].reshape(-1, m, d)
-            else:
-                out_rows[dst[valid], first : first + m] = y[:cs][valid]
+    probs, first = [], 0
+    for (*maps, bias), m in zip(windows, heads):
+        nw, n = maps[0].shape
+        probs.append(np.empty((nb * nw, m, n, n), dtype=dtype) if keep else None)
+        _attend_windows(qk.data, v.data, out, maps, bias.data, first, d, scale, probs[-1])
         first += m
     result = _freeze(out)
 
     def bwd(g, qkd=qk.data, vd=v.data, probs=probs):
         dqk, dv = np.empty_like(qkd), np.empty_like(vd)  # every channel belongs to one orientation
-        g_rows = g.reshape(-1, total, d)
-        qk_data, v_data = qkd.reshape(-1, d), vd.reshape(-1, d)
-        dbiases = []
-        first = 0
-        for (index, where, _, _), m, p in zip(windows, heads, probs):
-            nw, n = index.shape
-            hp, wp = where.shape
-            own = _own_pixels(where, h, w, index.shape)
-            slot_at = np.empty(where.size, dtype=np.intp)  # the padded pixel of each slot
-            slot_at[where.ravel()] = np.arange(where.size)
-            slot_at = slot_at.reshape(nw, n)
-            # The gradient of each window slot at its padded pixel, [q | k | v] per head.
-            gp = np.empty((nb, hp, wp, 3, m, d), dtype=g.dtype)
-            gp_rows = gp.reshape(-1, 3, m, d)
-            dbias = np.zeros((n, m, n), dtype=g.dtype)
-            step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * g.itemsize))
-            for start in range(0, nb * nw, step):
-                stop = min(start + step, nb * nw)
-                window, image, q_rows, k_rows, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
-                q, k = np.take(qk_data, q_rows, axis=0), np.take(qk_data, k_rows, axis=0)
-                vw = np.take(v_data, v_rows, axis=0)
-                slot_pixel = own[window]
-                valid = slot_pixel >= 0
-                gw = np.zeros((stop - start, n, m, d), dtype=g.dtype)  # reflected copies get none
-                gw[valid] = g_rows[(slot_pixel + image * (h * w))[valid], first : first + m]
-                gw = gw.transpose(0, 2, 1, 3)
-                pw = p[start:stop]
-                dvw = np.matmul(pw.swapaxes(-1, -2), gw)
-                dl = np.matmul(gw, vw.swapaxes(-1, -2))
-                dl -= (dl * pw).sum(axis=-1, keepdims=True)
-                dl *= pw
-                dbias += dl.sum(axis=0).transpose(2, 0, 1)  # keys-major, as the bias
-                dl *= scale
-                at = slot_at[window] + image * (hp * wp)
-                gp_rows[at, 0] = np.matmul(dl, k).transpose(0, 2, 1, 3)
-                gp_rows[at, 1] = np.matmul(dl.swapaxes(-1, -2), q).transpose(0, 2, 1, 3)
-                gp_rows[at, 2] = dvw.transpose(0, 2, 1, 3)
-            folded = _fold_reflected(gp.reshape(nb, hp, wp, -1), h, w).reshape(nb, h, w, 3, m * d)
-            lo, hi = first * d, (first + m) * d
-            dqk[..., lo:hi] = folded[..., 0, :]
-            dqk[..., c + lo : c + hi] = folded[..., 1, :]
-            dv[..., lo:hi] = folded[..., 2, :]
-            dbiases.append(dbias)
+        dbiases, first = [], 0
+        for (*maps, _), m, p in zip(windows, heads, probs):
+            dbiases.append(_window_grads(g, qkd, vd, (dqk, dv), maps, p, first, d, scale))
             first += m
         return (dqk, dv, *dbiases)
 
@@ -793,6 +709,113 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
     for p in probs:
         p.setflags(write=False)
     return (result, *probs)
+
+
+def _attend_windows(qkd, vd, out, maps, bias, first, d, scale, probs) -> None:
+    """One orientation's part of :func:`window_attention`, a chunk of windows
+    at a time: heads [first, first + bias.shape[1]) of d channels, written
+    into ``out``; the probabilities go into ``probs`` unless it is None. Its
+    scratch dies with the call, before the next orientation allocates its
+    own."""
+    index, where, regions = maps
+    nb, h, w, c = vd.shape
+    (nw, n), m, total, dtype = index.shape, bias.shape[1], c // d, vd.dtype
+    b = nb * nw
+    # Rows of d channels: qk holds 2 * total of them per pixel, v and out total.
+    qk_data, v_data, out_rows = qkd.reshape(-1, d), vd.reshape(-1, d), out.reshape(-1, total, d)
+    own = _own_pixels(where, h, w, index.shape)
+    step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * dtype.itemsize))
+    chunk = min(step, b)
+    buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered q, then k, then v
+    logits = np.empty((n, chunk, m, n), dtype=dtype)  # keys-major
+    q_t = np.empty((chunk, m, d, n), dtype=dtype)  # scale * q^T
+    v_ones = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [v | 1]
+    v_ones[..., d] = 1
+    ev = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [E v | s]
+    y = np.empty((chunk, n, m, d), dtype=dtype)  # pixel-major, as the output map
+    for start in range(0, b, step):
+        stop = min(start + step, b)
+        cs = stop - start
+        window, image, q_rows, k_rows, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+        e = logits[:, :cs]
+        np.take(qk_data, q_rows, axis=0, out=buf[:cs], mode="clip")
+        np.multiply(buf[:cs].swapaxes(-1, -2), scale, out=q_t[:cs])
+        np.take(qk_data, k_rows, axis=0, out=buf[:cs], mode="clip")
+        np.matmul(buf[:cs], q_t[:cs], out=e.transpose(1, 2, 0, 3))
+        e += bias[:, None]
+        r = regions[window]
+        if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
+            # Built as a product: np.where and a masked np.add measured 2-25x slower.
+            e += ((r.T[:, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        np.take(v_data, v_rows, axis=0, out=buf[:cs], mode="clip")
+        v_ones[:cs, ..., :d] = buf[:cs]
+        np.matmul(e.transpose(1, 2, 3, 0), v_ones[:cs], out=ev[:cs])
+        s = ev[:cs, ..., d:]
+        np.divide(ev[:cs, ..., :d], s, out=y[:cs].transpose(0, 2, 1, 3))
+        if probs is not None:
+            np.divide(e.transpose(1, 2, 3, 0), s, out=probs[start:stop])
+        slot_pixel = own[window]
+        valid = slot_pixel >= 0
+        dst = slot_pixel + image * (h * w)
+        if valid.all():
+            out_rows[dst.ravel(), first : first + m] = y[:cs].reshape(-1, m, d)
+        else:
+            out_rows[dst[valid], first : first + m] = y[:cs][valid]
+
+
+def _window_grads(g, qkd, vd, grads, maps, p, first, d, scale) -> np.ndarray:
+    """The backward of one orientation's part of :func:`window_attention`,
+    heads [first, first + p.shape[1]) of d channels: writes their channels of
+    the Q|K and V gradients into ``grads`` and returns their bias gradient. A
+    chunk of windows at a time it gathers Q, K and V again and the output
+    gradient at each slot's own pixel (a reflected copy gets none), and puts
+    each slot's dq, dk and dv at the slot's padded pixel; the adjoint of the
+    reflect pad then folds those onto the map."""
+    dqk, dv = grads
+    index, where, _ = maps
+    nb, h, w, c = dv.shape
+    (nw, n), m, total = index.shape, p.shape[1], c // d
+    hp, wp = where.shape
+    g_rows = g.reshape(-1, total, d)
+    qk_data, v_data = qkd.reshape(-1, d), vd.reshape(-1, d)
+    own = _own_pixels(where, h, w, index.shape)
+    slot_at = np.empty(where.size, dtype=np.intp)  # the padded pixel of each slot
+    slot_at[where.ravel()] = np.arange(where.size)
+    slot_at = slot_at.reshape(nw, n)
+    # The gradient of each window slot at its padded pixel, [q | k | v] per head.
+    gp = np.empty((nb, hp, wp, 3, m, d), dtype=g.dtype)
+    gp_rows = gp.reshape(-1, 3, m, d)
+    dbias = np.zeros((n, m, n), dtype=g.dtype)
+    step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * g.itemsize))
+    for start in range(0, nb * nw, step):
+        stop = min(start + step, nb * nw)
+        window, image, q_rows, k_rows, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+        q, k = np.take(qk_data, q_rows, axis=0), np.take(qk_data, k_rows, axis=0)
+        vw = np.take(v_data, v_rows, axis=0)
+        slot_pixel = own[window]
+        valid = slot_pixel >= 0
+        gw = np.zeros((stop - start, n, m, d), dtype=g.dtype)
+        gw[valid] = g_rows[(slot_pixel + image * (h * w))[valid], first : first + m]
+        gw = gw.transpose(0, 2, 1, 3)
+        pw = p[start:stop]
+        dvw = np.matmul(pw.swapaxes(-1, -2), gw)
+        dl = np.matmul(gw, vw.swapaxes(-1, -2))
+        dl -= (dl * pw).sum(axis=-1, keepdims=True)
+        dl *= pw
+        dbias += dl.sum(axis=0).transpose(2, 0, 1)  # keys-major, as the bias
+        dl *= scale
+        at = slot_at[window] + image * (hp * wp)
+        gp_rows[at, 0] = np.matmul(dl, k).transpose(0, 2, 1, 3)
+        gp_rows[at, 1] = np.matmul(dl.swapaxes(-1, -2), q).transpose(0, 2, 1, 3)
+        gp_rows[at, 2] = dvw.transpose(0, 2, 1, 3)
+    folded = _fold_reflected(gp.reshape(nb, hp, wp, -1), h, w).reshape(nb, h, w, 3, m * d)
+    lo, hi = first * d, (first + m) * d
+    dqk[..., lo:hi] = folded[..., 0, :]
+    dqk[..., c + lo : c + hi] = folded[..., 1, :]
+    dv[..., lo:hi] = folded[..., 2, :]
+    return dbias
 
 
 def _chunk_rows(index: np.ndarray, start: int, stop: int, pixels: int, total: int, first: int, heads: int):
