@@ -216,11 +216,8 @@ def rwin_self_attention(
         geometries.append(g)
         biases.append(held[1])
 
-    # Q|K and V from column slices of the fused weight, as two maps: the op
-    # below reads its windows from both, and the locality complement
-    # convolves V itself. Untaped, the LN1 output is freed once both exist,
-    # Q|K once attention returns, V once the locality complement has read it,
-    # and the complement once it is added.
+    # Two maps from column slices of the fused weight: the op reads its
+    # windows from both, and the locality complement convolves V itself.
     w, b = params.qkv_weight, params.qkv_bias
     qk = ad.linear(x, ad.narrow(w, 1, 0, 2 * c), ad.narrow(b, 0, 0, 2 * c))
     v = ad.linear(x, ad.narrow(w, 1, 2 * c, c), ad.narrow(b, 0, 2 * c, c))

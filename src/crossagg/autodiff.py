@@ -678,8 +678,9 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
     for index, where, regions, bias in windows:
         nw, n = index.shape
         if bias.shape != (n, bias.shape[1], n) or regions.shape != index.shape:
-            raise ShapeError(f"window_attention: bias {bias.shape} or regions {regions.shape} do not fit windows {index.shape}")
-        if where.size != index.size or where.shape[0] < h or where.shape[1] < w or not 0 <= index.min() <= index.max() < h * w:
+            raise ShapeError(f"window_attention: bias {bias.shape} or regions {regions.shape} do not fit {index.shape}")
+        fits = where.size == index.size and where.shape[0] >= h and where.shape[1] >= w
+        if not fits or not 0 <= index.min() <= index.max() < h * w:
             raise ShapeError(f"window_attention: maps {index.shape} and {where.shape} do not fit a {h}x{w} map")
     _check_same_dtype(qk, v, *biases)
     scale = float(scale)

@@ -302,7 +302,7 @@ def catb_forward(
         heads=config.num_heads,
     )
     # The LN1 output is passed unnamed, so that attention can free it once its
-    # qkv projection exists; the attention output lives only until the add.
+    # Q|K and V projections exist; the attention output lives only until the add.
     norm1 = (store[f"{prefix}.norm1.gamma"], store[f"{prefix}.norm1.beta"])
     x = ad.add(rwin_self_attention(ad.layer_norm(x, *norm1), attn, spec, shifted=shifted, cache=cache), x)
     h = ad.layer_norm(x, store[f"{prefix}.norm2.gamma"], store[f"{prefix}.norm2.beta"])
@@ -362,8 +362,7 @@ def cat_forward(img: Tensor, store: Mapping[str, Tensor], config: ModelConfig) -
             f"input shape {img.shape} does not match configured in_channels={config.in_channels}"
         )
     schema = parameter_schema(config)
-    dtypes = Counter(store[name].dtype for name, _, _ in schema)
-    dtype = dtypes.most_common(1)[0][0]
+    dtype = Counter(store[name].dtype for name, _, _ in schema).most_common(1)[0][0]
     for name, shape, _ in schema:
         if store[name].shape != shape:
             raise WeightFormatError(f"weight '{name}' has shape {store[name].shape}, the config needs {shape}")

@@ -126,17 +126,10 @@ def test_axial_group_resolves_paired_orientations():
 
 
 def test_untaped_shifted_axial_block_peak_memory():
-    # One stock-width block (C=180, axial sl=4, shifted) at 64x64: the numpy
-    # heap peaked at 41.2 MiB with the composed window layout and the MLP ops
-    # building full-size temporaries, at 35.7 MiB with the gather maps and
-    # ops that write into buffers they own, and at 22.5 MiB with GELU in fc1's
-    # buffer, the depthwise conv in row bands and attention freeing each
-    # orientation's windows early, and at 18.5 MiB with attention caching only
-    # each orientation's heads of the position bias (keys-major, so the op
-    # makes no per-call copy), filling that cache before the qkv projection
-    # and releasing the LN1 output once qkv exists, and at 15.1 MiB with
-    # attention reading its windows from separate Q|K and V maps, writing
-    # the merged map a chunk at a time, and the MLP in row bands.
+    # One stock-width block (C=180, axial sl=4, shifted) at 64x64 peaks at
+    # 14.5 MiB of numpy heap: Q|K, V and the merged attention output, plus
+    # chunk-sized scratch. No map exists at full size in the window layout
+    # or at the MLP's hidden width.
     config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
     store, spec = init_params(config, 0), config.spec_for_group(0)
     x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))

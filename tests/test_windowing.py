@@ -431,7 +431,7 @@ def test_gather_map_gradients_match_finite_differences():
 def test_take_windows_rejects_a_map_outside_the_input():
     # Maps of a 4x4 map read pixels a 2x4 input does not have.
     index, where, regions = window_maps(resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4))
-    bias = Tensor(np.zeros((4, 1, 4)))
+    windows = [(index, where, regions, Tensor(np.zeros((4, 1, 4))))]
     with pytest.raises(ValueError):
-        ad.window_attention(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 4, 2))), [(index, where, regions, bias)], 1.0)
-    ad.window_attention(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((1, 4, 4, 2))), [(index, where, regions, bias)], 1.0)
+        ad.window_attention(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 4, 2))), windows, 1.0)
+    ad.window_attention(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((1, 4, 4, 2))), windows, 1.0)
