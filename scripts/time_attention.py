@@ -4,9 +4,11 @@
 
 Replays the calls a ``cat_forward`` on one side x side image makes: one per
 block of every group, over both head orientations, with the window geometries
-the model resolves (odd blocks shifted) and their ``window_maps``. The Q|K and
-V maps and each orientation's bias are seeded normal float32 arrays of the
-model's shapes, made once per pair of geometries before timing. Prints one JSON object: the
+the model resolves (odd blocks shifted) and their ``window_maps``. The input
+map x, the V map and each orientation's bias are seeded normal float32 arrays
+of the model's shapes, and the [C, 2C] Q|K weight is seeded normal over
+sqrt(C), so that Q and K have unit scale; the biases are made once per pair of
+geometries before timing. Prints one JSON object: the
 seconds of each replay of the whole forward's calls and their median. BLAS is
 pinned to one thread before numpy loads, as in ``time_restore.py``. A replay
 takes a few seconds, so an A/B of the kernel between two checkouts fits well
@@ -32,10 +34,12 @@ from crossagg.windowing import HORIZONTAL, VERTICAL, resolve_geometry, window_ma
 
 
 def forward_calls(config, side, seed):
-    """(qk, v, windows) of every window_attention call in one forward."""
+    """(x, w_qk, b_qk, v, windows) of every window_attention call in one forward."""
     heads, c = config.num_heads // 2, config.channels
     rng = np.random.default_rng(seed)
-    qk = Tensor(rng.standard_normal((1, side, side, 2 * c)), dtype=np.float32)
+    x = Tensor(rng.standard_normal((1, side, side, c)), dtype=np.float32)
+    w_qk = Tensor(rng.standard_normal((c, 2 * c)) / math.sqrt(c), dtype=np.float32)
+    b_qk = Tensor(np.zeros(2 * c), dtype=np.float32)
     v = Tensor(rng.standard_normal((1, side, side, c)), dtype=np.float32)
     windows, calls = {}, []
     for group in range(config.num_groups):
@@ -48,7 +52,7 @@ def forward_calls(config, side, seed):
                     n = g.window_pixels
                     bias = Tensor(rng.standard_normal((n, heads, n)), dtype=np.float32)  # keys-major
                     windows[pair].append(window_maps(g) + (bias,))
-            calls.append((qk, v, windows[pair]))
+            calls.append((x, w_qk, b_qk, v, windows[pair]))
     return calls
 
 
@@ -66,8 +70,8 @@ def main():
     seconds = []
     for _ in range(args.reps):
         t0 = time.perf_counter()
-        for qk, v, windows in calls:
-            ad.window_attention(qk, v, windows, scale)
+        for *arrays, windows in calls:
+            ad.window_attention(*arrays, windows, scale)
         seconds.append(time.perf_counter() - t0)
     report = {
         "config": args.config,

@@ -10,25 +10,27 @@ evaluated on the relative offset between the two pixels, normalized to
 kernel, a 3x3 depthwise convolution of the full-resolution value map is added
 to the merged head outputs before the final projection.
 
-Queries and keys are projected into one Q|K map and values into a V map,
-each by one GEMM against column slices of the stored fused qkv weight. The
-per-window formula is one primitive, :func:`autodiff.window_attention`: for
-both orientations, a chunk of windows at a time, it gathers the chunk's Q, K
-and V through one cached map per geometry (pad, shift and partition in one),
-holds the logits keys-major, divides by the softmax normaliser after the PV
-GEMM, which matches the composed ops within float rounding, and writes the
-chunk's output straight into the merged [N, H, W, C] map. The full [windows,
-heads, n, n] probabilities exist only when a tape records the op or a probe
-asks for the weights.
+Values are projected into a V map by one GEMM against a column slice of the
+stored fused qkv weight; queries and keys are projected inside the per-window
+primitive, :func:`autodiff.window_attention`, from the block input and the
+Q|K column slices of that weight. For both orientations, a chunk of windows
+at a time, it gathers the chunk's input rows through one cached map per
+geometry (pad, shift and partition in one) and projects them into Q and K by
+one GEMM, gathers the chunk's V, holds the logits keys-major, divides by the
+softmax normaliser after the PV GEMM, which matches the composed ops within
+float rounding, and writes the chunk's output straight into the merged [N, H,
+W, C] map. The full [windows, heads, n, n] probabilities exist only when a
+tape records the op or a probe asks for the weights.
 
 What one call holds, untaped: the per-forward cache keeps the gather maps of
 each geometry and, per orientation, the position bias of that orientation's
 heads, built keys-major ([n_k, heads/2, n_q], the layout the op adds) by one
-call of :func:`relative_position_bias`. Both are filled before the
-projections, so the long-lived arrays sit below the block's large transients
-in the heap. The input is released once Q|K and V exist, Q|K once attention
-returns, and V once the locality complement has convolved it; no map exists
-in the window layout at full size.
+call of :func:`relative_position_bias`. Both are filled before the V
+projection, so the long-lived arrays sit below the block's large transients
+in the heap. The input, V and the merged output are the only full-size maps:
+no Q|K map exists, the input is released once attention returns, and V once
+the locality complement, which pads it one band of rows at a time, has
+convolved it; no map exists in the window layout at full size.
 """
 
 from __future__ import annotations
@@ -181,10 +183,11 @@ def rwin_self_attention(
     after the weights change (e.g. across an Adam step) or under a new tape
     rebuilds it instead of returning stale values or a bias the tape cannot
     differentiate. Both orientations' cache entries are filled before the
-    Q|K and V projections, so that these long-lived arrays are allocated
-    before the block's largest transients; ``x`` is released once both maps
-    exist. ``probe``, if given, receives the attention weights and the
-    geometry of each orientation.
+    V projection, so that these long-lived arrays are allocated before the
+    block's largest transients; ``x`` is released once window attention,
+    which projects Q and K from it a chunk at a time, returns. ``probe``, if
+    given, receives the attention weights and the geometry of each
+    orientation.
     """
     if x.ndim != 4:
         raise ValueError(f"attention expects rank 4 input, got {x.shape}")
@@ -216,21 +219,22 @@ def rwin_self_attention(
         geometries.append(g)
         biases.append(held[1])
 
-    # Two maps from column slices of the fused weight: the op reads its
-    # windows from both, and the locality complement convolves V itself.
+    # V is one map from a column slice of the fused weight, which the op
+    # reads its windows from and the locality complement convolves; the op
+    # projects Q and K itself, a chunk of windows at a time, from x and the
+    # Q|K columns.
     w, b = params.qkv_weight, params.qkv_bias
-    qk = ad.linear(x, ad.narrow(w, 1, 0, 2 * c), ad.narrow(b, 0, 0, 2 * c))
     v = ad.linear(x, ad.narrow(w, 1, 2 * c, c), ad.narrow(b, 0, 2 * c, c))
-    del x
+    qk = (ad.narrow(w, 1, 0, 2 * c), ad.narrow(b, 0, 0, 2 * c))
     windows = [cache[("maps", g)] + (bias,) for g, bias in zip(geometries, biases)]
     if probe is None:
-        y = ad.window_attention(qk, v, windows, scale)
+        y = ad.window_attention(x, *qk, v, windows, scale)
     else:
-        y, *weights = ad.window_attention(qk, v, windows, scale, weights=True)
+        y, *weights = ad.window_attention(x, *qk, v, windows, scale, weights=True)
         for g, p in zip(geometries, weights):
             probe.setdefault("weights", {})[g.orientation] = p
             probe.setdefault("geometries", {})[g.orientation] = g
-    del qk
+    del x
     if params.lcm_weight is not None:
         lcm = locality_complement(v, params)
         del v

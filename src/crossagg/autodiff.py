@@ -350,9 +350,10 @@ def abs_val(x: Tensor) -> Tensor:
     return out
 
 
-# Byte budget of one chunk of window_attention's logits or of gelu's scratch.
-# Chunks are independent, so the size bounds memory without changing a single
-# output bit; 256 KiB to 4 MiB measured the same speed.
+# Byte budget of one chunk of window_attention's logits and projected rows,
+# of one band of conv2d_3x3's padded rows and products, or of gelu's scratch.
+# Chunks and bands are independent, so the size bounds memory without
+# changing a single output bit; 256 KiB to 4 MiB measured the same speed.
 WINDOW_CHUNK_BYTES = 1 << 20
 
 # float32 erf(x / sqrt(2)) = K u N(s) / D(s) with u = x clipped to +-4 sqrt(2)
@@ -614,13 +615,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tenso
     def bwd(g, xd=x.data, wd=weight.data):
         if gelu:
             g = _gelu_grad(g, pre, _gelu_into(pre, np.empty_like(pre), keep=True))
-        g2 = g.reshape(-1, cout)
-        gx = np.matmul(g2, wd.swapaxes(-1, -2)).reshape(xd.shape)
-        gw = np.matmul(xd.reshape(-1, cin).swapaxes(-1, -2), g2)
-        return (gx, gw, _unbroadcast(g, (cout,)))
+        return _affine_grads(g, xd, wd)
 
     _record(result, (x, weight, bias), bwd)
     return result
+
+
+def _affine_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients of x, the weight and the bias of ``x @ wd + bias``
+    from the output gradient ``g``: two 2-D GEMMs and a sum over rows."""
+    cin, cout = wd.shape
+    g2 = g.reshape(-1, cout)
+    gx = np.matmul(g2, wd.swapaxes(-1, -2)).reshape(xd.shape)
+    gw = np.matmul(xd.reshape(-1, cin).swapaxes(-1, -2), g2)
+    return (gx, gw, _unbroadcast(g, (cout,)))
 
 
 # Finite additive mask: large enough to underflow to an exact softmax zero,
@@ -628,13 +636,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tenso
 MASK_VALUE = -1e9
 
 
-def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: float, weights: bool = False):
+def window_attention(
+    x: Tensor, w_qk: Tensor, b_qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: float, weights: bool = False
+):
     """Window attention ``softmax(scale * q k^T + bias + mask) v`` of every
-    head orientation, read from and written to full-resolution maps.
+    head orientation, read from and written to full-resolution maps, with
+    the queries and keys projected inside the op.
 
-    ``qk`` is [N, H, W, 2C], the queries in its first C channels and the keys
-    in its last C, and ``v`` is [N, H, W, C]. ``windows`` holds one ``(index,
-    where, regions, bias)`` per orientation, in head order: the maps of
+    ``x`` is [N, H, W, Cin]; ``q | k = x @ w_qk + b_qk`` with ``w_qk`` [Cin,
+    2C] and ``b_qk`` [2C], the queries in the first C columns and the keys in
+    the last C; ``v`` is [N, H, W, C]. ``windows`` holds one ``(index, where,
+    regions, bias)`` per orientation, in head order: the maps of
     :func:`windowing.window_maps` and that orientation's bias. ``index``
     [nw, n] is the pixel each window slot reads; ``where`` [Hp, Wp] the slot
     of each pixel of the reflect-padded map, whose [:H, :W] corner is each
@@ -648,29 +660,42 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
     which every window holds one id (as in an unshifted geometry, whose ids
     are all 0) gets no mask.
 
-    A chunk of windows at a time, the op gathers the chunk's Q and K from
-    ``qk`` and its V from ``v`` into chunk-sized scratch, and writes the
-    chunk's output into the [N, H, W, C] result at each pixel's own slot; no
-    map exists in the window layout at full size. The logits are held
-    keys-major, [n_k, windows, heads, n_q], so that the bias add, the row max,
-    its subtraction and the exp are each one numpy call over long contiguous
-    runs. The scale goes into one scaled copy of q^T, and the softmax is not
-    normalized: one GEMM of the exponentials E against ``[v | 1]`` gives both
-    E v and, in its last column, each row's normaliser s, and the division by
-    s runs over the [n, d] output. This reassociates the composed formula
-    (matmul, mul, add, add, softmax, matmul) within float rounding; the result
-    does not depend on how the windows are chunked or on whether a tape
-    records the op.
+    Per orientation the op takes its heads' Q and K columns of ``w_qk`` and
+    ``b_qk`` once. Then, a chunk of windows at a time, it gathers the chunk's
+    rows of ``x`` and projects them into chunk-sized scratch with one GEMM
+    plus the bias, gathers the chunk's V from ``v``, and writes the chunk's
+    output into the [N, H, W, C] result at each pixel's own slot; no Q|K map
+    and no map in the window layout exists at full size. A reflected pixel
+    is projected once per slot that reads it. Each Q and K element is the
+    same row-times-column sum as in one GEMM over the whole map, but OpenBLAS
+    may round a row of one GEMM shape in another kernel than the same row of
+    another, so the chunking can move the last bit of a Q or K element (seen
+    with C = 48 and 8-pixel windows, not with the stock C = 180). The logits
+    are held keys-major, [n_k, windows, heads, n_q], so that the bias add,
+    the row max, its subtraction and the exp are each one numpy call over
+    long contiguous runs. The scale goes into one scaled copy of q^T, and the
+    softmax is not normalized: one GEMM of the exponentials E against ``[v |
+    1]`` gives both E v and, in its last column, each row's normaliser s, and
+    the division by s runs over the [n, d] output. This reassociates the
+    composed formula (matmul, mul, add, add, softmax, matmul) within float
+    rounding; the result does not depend on whether a tape records the op.
 
     The [N * nw, heads, n, n] probabilities E / s of each orientation are
     kept only when a tape records the op or ``weights`` is set; then ``(out,
     p_0, p_1, ...)`` is returned, one read-only array per orientation. A tape
-    also keeps ``qk`` and ``v``: the backward gathers each chunk's windows
-    again and scatters dq, dk and dv through the adjoint of the reflect pad.
+    also keeps ``x`` and ``v`` (not Q|K): the backward projects and gathers
+    each chunk again, scatters dq, dk and dv through the adjoint of the
+    reflect pad, and turns the assembled [N, H, W, 2C] dq|dk into the
+    gradients of ``x``, ``w_qk`` and ``b_qk`` with the GEMMs of
+    :func:`linear`'s backward.
     """
-    if qk.ndim != 4 or v.ndim != 4 or qk.shape != v.shape[:3] + (2 * v.shape[3],):
-        raise ShapeError(f"window_attention: qk {qk.shape} and v {v.shape} are not [N, H, W, 2C] and [N, H, W, C]")
+    if x.ndim != 4 or v.ndim != 4 or x.shape[:3] != v.shape[:3]:
+        raise ShapeError(f"window_attention: x {x.shape} and v {v.shape} are not [N, H, W, Cin] and [N, H, W, C]")
     nb, h, w, c = v.shape
+    if w_qk.shape != (x.shape[3], 2 * c) or b_qk.shape != (2 * c,):
+        raise ShapeError(
+            f"window_attention: w_qk {w_qk.shape} and b_qk {b_qk.shape} do not map {x.shape[3]} to 2 * {c} channels"
+        )
     biases = [entry[3] for entry in windows]
     heads = [bias.shape[1] if bias.ndim == 3 else 0 for bias in biases]
     if not windows or min(heads) < 1 or c % sum(heads):
@@ -682,29 +707,33 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
         fits = where.size == index.size and where.shape[0] >= h and where.shape[1] >= w
         if not fits or not 0 <= index.min() <= index.max() < h * w:
             raise ShapeError(f"window_attention: maps {index.shape} and {where.shape} do not fit a {h}x{w} map")
-    _check_same_dtype(qk, v, *biases)
+    _check_same_dtype(x, w_qk, b_qk, v, *biases)
     scale = float(scale)
     dtype, total = v.dtype, sum(heads)
     d = c // total
     out = np.empty_like(v.data)
-    keep = weights or _recording((qk, v, *biases))
+    inputs = (x, w_qk, b_qk, v, *biases)
+    keep = weights or _recording(inputs)
     probs, first = [], 0
     for (*maps, bias), m in zip(windows, heads):
         nw, n = maps[0].shape
         probs.append(np.empty((nb * nw, m, n, n), dtype=dtype) if keep else None)
-        _attend_windows(qk.data, v.data, out, maps, bias.data, first, d, scale, probs[-1])
+        qk_o = _orientation_qk(w_qk.data, b_qk.data, first, m, d)
+        _attend_windows(x.data, qk_o, v.data, out, maps, bias.data, first, d, scale, probs[-1])
         first += m
     result = _freeze(out)
 
-    def bwd(g, qkd=qk.data, vd=v.data, probs=probs):
-        dqk, dv = np.empty_like(qkd), np.empty_like(vd)  # every channel belongs to one orientation
+    def bwd(g, xd=x.data, wd=w_qk.data, bd=b_qk.data, vd=v.data, probs=probs):
+        # Every channel belongs to one orientation, which writes it.
+        dqk, dv = np.empty(vd.shape[:3] + (2 * c,), dtype=vd.dtype), np.empty_like(vd)
         dbiases, first = [], 0
         for (*maps, _), m, p in zip(windows, heads, probs):
-            dbiases.append(_window_grads(g, qkd, vd, (dqk, dv), maps, p, first, d, scale))
+            qk_o = _orientation_qk(wd, bd, first, m, d)
+            dbiases.append(_window_grads(g, xd, qk_o, vd, (dqk, dv), maps, p, first, d, scale))
             first += m
-        return (dqk, dv, *dbiases)
+        return (*_affine_grads(dqk, xd, wd), dv, *dbiases)
 
-    _record(result, (qk, v, *biases), bwd)
+    _record(result, inputs, bwd)
     if not weights:
         return result
     for p in probs:
@@ -712,22 +741,51 @@ def window_attention(qk: Tensor, v: Tensor, windows: Sequence[tuple], scale: flo
     return (result, *probs)
 
 
-def _attend_windows(qkd, vd, out, maps, bias, first, d, scale, probs) -> None:
+def _orientation_qk(wd: np.ndarray, bd: np.ndarray, first: int, heads: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Q then K columns of heads [first, first + heads), d channels each,
+    of a [Cin, 2C] weight and its [2C] bias, as one [Cin, 2 * heads * d]
+    weight and its bias."""
+    c = bd.shape[0] // 2
+    lo, hi = first * d, (first + heads) * d
+    return (
+        np.concatenate([wd[:, lo:hi], wd[:, c + lo : c + hi]], axis=1),
+        np.concatenate([bd[lo:hi], bd[c + lo : c + hi]]),
+    )
+
+
+def _project_chunk(x_rows, qk_o, pix, xw, proj, heads, d):
+    """Q and K, [windows, heads, n, d] views into ``proj``, of the windows
+    whose slots read the pixels ``pix`` [windows, n]: their rows of ``x``
+    gathered into ``xw``, then one GEMM plus the bias."""
+    rows = pix.size
+    np.take(x_rows, pix.ravel(), axis=0, out=xw[:rows], mode="clip")
+    np.matmul(xw[:rows], qk_o[0], out=proj[:rows])
+    proj[:rows] += qk_o[1]
+    qk = proj[:rows].reshape(pix.shape + (2, heads, d)).transpose(2, 0, 3, 1, 4)
+    return qk[0], qk[1]
+
+
+def _attend_windows(xd, qk_o, vd, out, maps, bias, first, d, scale, probs) -> None:
     """One orientation's part of :func:`window_attention`, a chunk of windows
-    at a time: heads [first, first + bias.shape[1]) of d channels, written
-    into ``out``; the probabilities go into ``probs`` unless it is None. Its
+    at a time: heads [first, first + bias.shape[1]) of d channels, their Q
+    and K projected from ``xd`` by ``qk_o`` (weight, bias), written into
+    ``out``; the probabilities go into ``probs`` unless it is None. Its
     scratch dies with the call, before the next orientation allocates its
     own."""
     index, where, regions = maps
     nb, h, w, c = vd.shape
     (nw, n), m, total, dtype = index.shape, bias.shape[1], c // d, vd.dtype
     b = nb * nw
-    # Rows of d channels: qk holds 2 * total of them per pixel, v and out total.
-    qk_data, v_data, out_rows = qkd.reshape(-1, d), vd.reshape(-1, d), out.reshape(-1, total, d)
+    # Rows of d channels: v and out hold total of them per pixel.
+    x_rows, v_data, out_rows = xd.reshape(-1, xd.shape[3]), vd.reshape(-1, d), out.reshape(-1, total, d)
     own = _own_pixels(where, h, w, index.shape)
-    step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * dtype.itemsize))
+    # A chunk's logits and its gathered and projected rows, n * (m * n + cin +
+    # 2 * m * d) elements per window, within the budget.
+    step = max(1, WINDOW_CHUNK_BYTES // (n * (m * n + x_rows.shape[1] + 2 * m * d) * dtype.itemsize))
     chunk = min(step, b)
-    buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered q, then k, then v
+    xw = np.empty((chunk * n, x_rows.shape[1]), dtype=dtype)  # gathered rows of x
+    proj = np.empty((chunk * n, 2 * m * d), dtype=dtype)  # their q | k
+    buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered v
     logits = np.empty((n, chunk, m, n), dtype=dtype)  # keys-major
     q_t = np.empty((chunk, m, d, n), dtype=dtype)  # scale * q^T
     v_ones = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [v | 1]
@@ -737,12 +795,11 @@ def _attend_windows(qkd, vd, out, maps, bias, first, d, scale, probs) -> None:
     for start in range(0, b, step):
         stop = min(start + step, b)
         cs = stop - start
-        window, image, q_rows, k_rows, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+        window, image, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
         e = logits[:, :cs]
-        np.take(qk_data, q_rows, axis=0, out=buf[:cs], mode="clip")
-        np.multiply(buf[:cs].swapaxes(-1, -2), scale, out=q_t[:cs])
-        np.take(qk_data, k_rows, axis=0, out=buf[:cs], mode="clip")
-        np.matmul(buf[:cs], q_t[:cs], out=e.transpose(1, 2, 0, 3))
+        q, k = _project_chunk(x_rows, qk_o, pix, xw, proj, m, d)
+        np.multiply(q.swapaxes(-1, -2), scale, out=q_t[:cs])
+        np.matmul(k, q_t[:cs], out=e.transpose(1, 2, 0, 3))
         e += bias[:, None]
         r = regions[window]
         if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
@@ -766,21 +823,21 @@ def _attend_windows(qkd, vd, out, maps, bias, first, d, scale, probs) -> None:
             out_rows[dst[valid], first : first + m] = y[:cs][valid]
 
 
-def _window_grads(g, qkd, vd, grads, maps, p, first, d, scale) -> np.ndarray:
+def _window_grads(g, xd, qk_o, vd, grads, maps, p, first, d, scale) -> np.ndarray:
     """The backward of one orientation's part of :func:`window_attention`,
     heads [first, first + p.shape[1]) of d channels: writes their channels of
     the Q|K and V gradients into ``grads`` and returns their bias gradient. A
-    chunk of windows at a time it gathers Q, K and V again and the output
-    gradient at each slot's own pixel (a reflected copy gets none), and puts
-    each slot's dq, dk and dv at the slot's padded pixel; the adjoint of the
-    reflect pad then folds those onto the map."""
+    chunk of windows at a time it projects Q and K and gathers V again, and
+    the output gradient at each slot's own pixel (a reflected copy gets
+    none), and puts each slot's dq, dk and dv at the slot's padded pixel; the
+    adjoint of the reflect pad then folds those onto the map."""
     dqk, dv = grads
     index, where, _ = maps
     nb, h, w, c = dv.shape
     (nw, n), m, total = index.shape, p.shape[1], c // d
     hp, wp = where.shape
     g_rows = g.reshape(-1, total, d)
-    qk_data, v_data = qkd.reshape(-1, d), vd.reshape(-1, d)
+    x_rows, v_data = xd.reshape(-1, xd.shape[3]), vd.reshape(-1, d)
     own = _own_pixels(where, h, w, index.shape)
     slot_at = np.empty(where.size, dtype=np.intp)  # the padded pixel of each slot
     slot_at[where.ravel()] = np.arange(where.size)
@@ -789,11 +846,16 @@ def _window_grads(g, qkd, vd, grads, maps, p, first, d, scale) -> np.ndarray:
     gp = np.empty((nb, hp, wp, 3, m, d), dtype=g.dtype)
     gp_rows = gp.reshape(-1, 3, m, d)
     dbias = np.zeros((n, m, n), dtype=g.dtype)
+    # Chunks of logits alone: the bias gradient is summed chunk by chunk, so
+    # this chunking fixes its bits.
     step = max(1, WINDOW_CHUNK_BYTES // (m * n * n * g.itemsize))
+    chunk = min(step, nb * nw)
+    xw = np.empty((chunk * n, x_rows.shape[1]), dtype=g.dtype)
+    proj = np.empty((chunk * n, 2 * m * d), dtype=g.dtype)
     for start in range(0, nb * nw, step):
         stop = min(start + step, nb * nw)
-        window, image, q_rows, k_rows, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
-        q, k = np.take(qk_data, q_rows, axis=0), np.take(qk_data, k_rows, axis=0)
+        window, image, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+        q, k = _project_chunk(x_rows, qk_o, pix, xw, proj, m, d)
         vw = np.take(v_data, v_rows, axis=0)
         slot_pixel = own[window]
         valid = slot_pixel >= 0
@@ -822,15 +884,13 @@ def _window_grads(g, qkd, vd, grads, maps, p, first, d, scale) -> np.ndarray:
 def _chunk_rows(index: np.ndarray, start: int, stop: int, pixels: int, total: int, first: int, heads: int):
     """Windows [start, stop) of a batch of ``pixels``-pixel images, each image
     holding the windows of ``index``: each window's row of the maps, its image
-    (a column), and the rows of d channels, [windows, heads, n], that its Q,
-    K and V read for heads [first, first + heads) of ``total``; the Q|K map
-    holds 2 * total rows per pixel, the V map total."""
+    (a column), the pixel [windows, n] each of its slots reads, and the rows
+    of d channels, [windows, heads, n], that its V reads for heads [first,
+    first + heads) of ``total`` per pixel."""
     b = np.arange(start, stop)
     window, image = b % index.shape[0], b[:, None] // index.shape[0]
-    pix = (index[window] + image * pixels)[:, None, :]
-    head_rows = (first + np.arange(heads))[:, None]
-    q_rows = pix * (2 * total) + head_rows
-    return window, image, q_rows, q_rows + total, pix * total + head_rows
+    pix = index[window] + image * pixels
+    return window, image, pix, pix[:, None, :] * total + (first + np.arange(heads))[:, None]
 
 
 def _own_pixels(where: np.ndarray, h: int, w: int, shape: tuple[int, int]) -> np.ndarray:
@@ -929,6 +989,17 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False)
 
     ``kernel`` is [3, 3, Cin, Cout]; in depthwise mode it is [3, 3, C, 1] and
     each channel is filtered independently (Cin == Cout == C).
+
+    The output is computed a band of rows at a time: each band of input rows
+    plus a one-row halo above and below is copied into a zero-bordered band
+    buffer, and each tap's product with the band goes through one band
+    scratch and is added to the output, in tap order, then the bias. A band's
+    rows and their product scratch hold at most WINDOW_CHUNK_BYTES (one row
+    at least), its halo aside. No zero-padded copy of the whole input and no
+    full-size product exists, and the output has the bits of a full-size sum
+    of taps: a dense tap is one [W, Cin] x [Cin, Cout] GEMM per row, as over
+    the whole padded map. Under a tape the op keeps its input; the backward
+    builds the padded copy only while it runs.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d_3x3 expects input rank 4, got {x.shape}")
@@ -951,35 +1022,40 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False)
         raise ShapeError(f"conv2d_3x3: bias shape {bias.shape} does not match output channels {cout}")
     _check_same_dtype(x, kernel, bias)
 
-    xp = np.zeros((n, h + 2, w + 2, cin), dtype=x.dtype)
-    xp[:, 1 : h + 1, 1 : w + 1, :] = x.data
+    xd, kd = x.data, kernel.data
     out_data = np.zeros((n, h, w, cout), dtype=x.dtype)
-    kd = kernel.data
+    rows = min(h, max(1, WINDOW_CHUNK_BYTES // (n * ((w + 2) * cin + w * cout) * x.dtype.itemsize)))
+    band = np.zeros((n, rows + 2, w + 2, cin), dtype=x.dtype)  # its border columns stay zero
     if depthwise:
-        # The taps' products go through one scratch band of rows under
-        # WINDOW_CHUNK_BYTES; each output element sums the same taps in the
-        # same order as a full-size product per tap would. Rows are viewed
-        # as [w * C] runs against the taps tiled to that length, so each
-        # product is one long ufunc loop per row rather than one per pixel.
-        band = max(1, WINDOW_CHUNK_BYTES // (n * w * cin * x.dtype.itemsize))
-        scratch = np.empty((n, min(band, h), w * cin), dtype=x.dtype)
-        rows_p, rows_out = xp.reshape(n, h + 2, (w + 2) * cin), out_data.reshape(n, h, w * cin)
-        taps = np.tile(kd[..., 0], (1, 1, w))  # [3, 3, w * C]
-        for r in range(0, h, band):
-            rows = min(band, h - r)
-            acc, prod = rows_out[:, r : r + rows], scratch[:, :rows]
-            for u in range(3):
-                for v in range(3):
-                    np.multiply(rows_p[:, r + u : r + u + rows, v * cin : (v + w) * cin], taps[u, v], out=prod)
-                    acc += prod
+        # Rows are viewed as [w * C] runs against the taps tiled to that
+        # length, so each product is one long ufunc loop per row rather than
+        # one per pixel.
+        scratch = np.empty((n, rows, w * cin), dtype=x.dtype)
+        band_rows, out_rows = band.reshape(n, rows + 2, (w + 2) * cin), out_data.reshape(n, h, w * cin)
+        taps = np.empty((3, 3, w, cin), dtype=x.dtype)
+        taps[...] = kd[:, :, None, :, 0]
+        taps = taps.reshape(3, 3, w * cin)
     else:
+        scratch = np.empty((n, rows, w, cout), dtype=x.dtype)
+    for r in range(0, h, rows):
+        m = min(rows, h - r)
+        band[:, 0, 1 : w + 1] = xd[:, r - 1] if r > 0 else 0
+        band[:, 1 : m + 1, 1 : w + 1] = xd[:, r : r + m]
+        band[:, m + 1, 1 : w + 1] = xd[:, r + m] if r + m < h else 0
+        prod, acc = scratch[:, :m], (out_rows if depthwise else out_data)[:, r : r + m]
         for u in range(3):
             for v in range(3):
-                out_data += xp[:, u : u + h, v : v + w, :] @ kd[u, v]
-    out_data += bias.data
+                if depthwise:
+                    np.multiply(band_rows[:, u : u + m, v * cin : (v + w) * cin], taps[u, v], out=prod)
+                else:
+                    np.matmul(band[:, u : u + m, v : v + w], kd[u, v], out=prod)
+                acc += prod
+        out_data[:, r : r + m] += bias.data
     out = _freeze(out_data)
 
-    def bwd(g, xp=xp, kd=kd, n=n, h=h, w=w, cin=cin, depthwise=depthwise):
+    def bwd(g, xd=xd, kd=kd, depthwise=depthwise):
+        xp = np.zeros((n, h + 2, w + 2, cin), dtype=xd.dtype)
+        xp[:, 1 : h + 1, 1 : w + 1, :] = xd
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(kd)
         if not depthwise:

@@ -406,15 +406,18 @@ _SSIM_K2 = 0.03
 
 
 def _gaussian_window() -> np.ndarray:
+    """The normalized 1-D Gaussian g; the 2-D window is its outer product."""
     half = (_SSIM_WINDOW - 1) / 2.0
     g = np.exp(-((np.arange(_SSIM_WINDOW) - half) ** 2) / (2.0 * _SSIM_SIGMA**2))
-    g /= g.sum()
-    return np.outer(g, g)
+    return g / g.sum()
 
 
-def _filter_valid(a: np.ndarray, window: np.ndarray) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(a, window.shape)
-    return np.tensordot(view, window, axes=([2, 3], [0, 1]))
+def _filter_valid(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Valid correlation of ``a`` with the window g g^T, separably: down
+    the columns, then along the rows, so that no [H, W, k, k] copy of the
+    windows is made."""
+    rows = np.lib.stride_tricks.sliding_window_view(a, g.size, axis=0) @ g
+    return np.lib.stride_tricks.sliding_window_view(rows, g.size, axis=1) @ g
 
 
 def ssim(a, b, channel_mode: str = "rgb", crop: int = 0) -> float:

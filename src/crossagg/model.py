@@ -301,8 +301,9 @@ def catb_forward(
         pos_net=_pos_net(store),
         heads=config.num_heads,
     )
-    # The LN1 output is passed unnamed, so that attention can free it once its
-    # Q|K and V projections exist; the attention output lives only until the add.
+    # The LN1 output is passed unnamed, so that attention can free it once
+    # window attention, its last reader, returns; the attention output lives
+    # only until the add.
     norm1 = (store[f"{prefix}.norm1.gamma"], store[f"{prefix}.norm1.beta"])
     x = ad.add(rwin_self_attention(ad.layer_norm(x, *norm1), attn, spec, shifted=shifted, cache=cache), x)
     h = ad.layer_norm(x, store[f"{prefix}.norm2.gamma"], store[f"{prefix}.norm2.beta"])

@@ -98,9 +98,11 @@ def check_softmax_rows():
     index, where, regions = window_maps(g)
     heads, n = 2, g.window_pixels
     r = _rng(1)
-    qk, v = (Tensor(r.normal(scale=3.0, size=(2, 6, 10, k * heads * 3))) for k in (2, 1))
+    c = heads * 3
+    x, v = (Tensor(r.normal(scale=3.0, size=(2, 6, 10, c))) for _ in range(2))
+    w_qk, b_qk = Tensor(r.normal(scale=c**-0.5, size=(c, 2 * c))), Tensor(r.normal(size=2 * c))
     bias = Tensor(r.normal(size=(n, heads, n)))
-    _, p = ad.window_attention(qk, v, [(index, where, regions, bias)], 1.0, weights=True)
+    _, p = ad.window_attention(x, w_qk, b_qk, v, [(index, where, regions, bias)], 1.0, weights=True)
     assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
     differ = np.broadcast_to(np.tile(regions[:, :, None] != regions[:, None, :], (2, 1, 1))[:, None], p.shape)
     assert differ.any() and np.all(p[differ] == 0.0)

@@ -486,7 +486,8 @@ ORACLE_TOL = {np.float64: 1e-12, np.float32: 2e-6}
 
 
 def _window_case(spec, height, width, seed, dtype, heads=2, d=3, batch=2, shifted=True):
-    """qk [N, H, W, 2C] and v [N, H, W, C] arrays and, per orientation of
+    """The op's arrays, x [N, H, W, C], w_qk [C, 2C], b_qk [2C] and v [N, H,
+    W, C] (Q|K then has unit-scale entries), and, per orientation of
     ``spec``, the op's window entry: the gather maps and a random keys-major
     bias as a numpy array."""
     entries = []
@@ -495,25 +496,30 @@ def _window_case(spec, height, width, seed, dtype, heads=2, d=3, batch=2, shifte
         bias = rand((g.window_pixels, heads, g.window_pixels), seed + 2 + i, 1.0, dtype)
         entries.append(window_maps(g) + (bias,))
     c = 2 * heads * d
-    qk = rand((batch, height, width, 2 * c), seed, 1.0, dtype)
-    return qk, rand((batch, height, width, c), seed + 1, 1.0, dtype), entries
+    x = rand((batch, height, width, c), seed, 1.0, dtype)
+    w_qk = rand((c, 2 * c), seed + 4, 1.0 / math.sqrt(c), dtype)
+    b_qk = rand((2 * c,), seed + 5, 0.5, dtype)
+    return (x, w_qk, b_qk, rand((batch, height, width, c), seed + 1, 1.0, dtype)), entries
 
 
-def _attend(qk, v, entries, scale, **kwargs):
+def _attend(arrays, entries, scale, **kwargs):
     """window_attention on numpy inputs, each bias made a tensor."""
     windows = [entry[:3] + (Tensor(entry[3]),) for entry in entries]
-    return ad.window_attention(Tensor(qk), Tensor(v), windows, scale, **kwargs)
+    return ad.window_attention(*(Tensor(a) for a in arrays), windows, scale, **kwargs)
 
 
-def _assert_matches_oracle(out, qk, v, entries, scale):
-    want = window_attention_oracle(qk, v, entries, scale)
+def _assert_matches_oracle(out, arrays, entries, scale):
+    x, w_qk, b_qk, v = arrays
+    want = window_attention_oracle(x @ w_qk + b_qk, v, entries, scale)
     err = np.abs(out - want).max() / np.abs(want).max()
     assert err <= ORACLE_TOL[out.dtype.type], err
 
 
-def _chunk_windows(monkeypatch, windows, heads, n, dtype):
-    """Make window_attention evaluate ``windows`` windows of n pixels per chunk."""
-    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", windows * heads * n * n * np.dtype(dtype).itemsize)
+def _chunk_windows(monkeypatch, windows, heads, n, dtype, cin, d):
+    """Make window_attention evaluate ``windows`` windows of n pixels per
+    chunk: their logits and their rows of x (cin channels) and of q | k."""
+    per_window = n * (heads * n + cin + 2 * heads * d) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", windows * per_window)
 
 
 # Padded and shifted: 7x10 pads both 2x4 orientations, 7x5 both axial ones.
@@ -525,29 +531,44 @@ def test_window_attention_partial_last_chunk_is_bit_identical(monkeypatch, dtype
     # The output does not depend on how the windows are chunked: one window
     # per chunk, chunks of 5 with a partial last one, and one chunk of all.
     for spec, height, width in PADDED_SHIFTED:
-        qk, v, entries = _window_case(spec, height, width, 50, dtype)
+        arrays, entries = _window_case(spec, height, width, 50, dtype)
         n = entries[0][0].shape[1]
         assert any((2 * index.shape[0]) % 5 for index, *_ in entries)  # a partial last chunk
         outs = []
         for windows in (1, 5, 10**6):
-            _chunk_windows(monkeypatch, windows, 2, n, dtype)
-            outs.append(_attend(qk, v, entries, 0.5).data)
-        assert outs[0].dtype == dtype and outs[0].shape == v.shape
+            _chunk_windows(monkeypatch, windows, 2, n, dtype, 12, 3)
+            outs.append(_attend(arrays, entries, 0.5).data)
+        assert outs[0].dtype == dtype and outs[0].shape == arrays[3].shape
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2]), spec
-        _assert_matches_oracle(outs[1], qk, v, entries, 0.5)
+        _assert_matches_oracle(outs[1], arrays, entries, 0.5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_window_attention_chunked_projection_stays_within_the_oracle(monkeypatch, dtype):
+    # With C = 48 and 2x4 windows, OpenBLAS rounds some rows of a chunk's
+    # Q|K GEMM in another kernel than one GEMM over all windows does: the
+    # outputs of one window per chunk and of one chunk differ in the last
+    # bits, and both stay within the oracle's tolerance.
+    arrays, entries = _window_case(WindowSpec.regular(2, 4), 16, 24, 50, dtype, d=12)
+    outs = []
+    for windows in (1, 10**6):
+        _chunk_windows(monkeypatch, windows, 2, 8, dtype, 48, 12)
+        outs.append(_attend(arrays, entries, 0.5).data)
+        _assert_matches_oracle(outs[-1], arrays, entries, 0.5)
+    assert np.abs(outs[0] - outs[1]).max() <= ORACLE_TOL[dtype] * np.abs(outs[1]).max()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype):
-    qk, v, entries = _window_case(WindowSpec.axial(4), 24, 16, 60, dtype, d=4)
+    arrays, entries = _window_case(WindowSpec.axial(4), 24, 16, 60, dtype, d=4)
     nw, n = entries[0][0].shape
     per_chunk = 4
     assert nw % per_chunk != 0  # a chunk holds the last windows of image 0 and the first of image 1
-    _chunk_windows(monkeypatch, per_chunk, 2, n, dtype)
+    _chunk_windows(monkeypatch, per_chunk, 2, n, dtype, 16, 4)
     scale = 1.0 / math.sqrt(4)
-    _assert_matches_oracle(_attend(qk, v, entries, scale).data, qk, v, entries, scale)
-    out, *weights = _attend(qk, v, entries, scale, weights=True)
-    _assert_matches_oracle(out.data, qk, v, entries, scale)
+    _assert_matches_oracle(_attend(arrays, entries, scale).data, arrays, entries, scale)
+    out, *weights = _attend(arrays, entries, scale, weights=True)
+    _assert_matches_oracle(out.data, arrays, entries, scale)
     assert len(weights) == 2
     for (index, _, regions, _), p in zip(entries, weights):
         assert p.shape == (2 * index.shape[0], 2, index.shape[1], index.shape[1])
@@ -556,50 +577,102 @@ def test_window_attention_shifted_mask_across_batch_boundary(monkeypatch, dtype)
         assert differ.any() and np.all(p[np.broadcast_to(differ, p.shape)] == 0.0)
 
 
+def _taped_attention(arrays, entries, scale):
+    """The op's output recorded on a tape, the tape and the input tensors."""
+    tensors = [Tensor(a) for a in arrays] + [Tensor(entry[3]) for entry in entries]
+    tape = GradientTape()
+    tape.watch(*tensors)
+    with tape:
+        out = ad.window_attention(*tensors[:4], [e[:3] + (t,) for e, t in zip(entries, tensors[4:])], scale)
+    return out, tape, tensors
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_attention_taped_untaped_and_weights_outputs_are_equal(monkeypatch, dtype):
-    qk, v, entries = _window_case(WindowSpec.axial(4), 24, 16, 65, dtype, d=4)
-    _chunk_windows(monkeypatch, 4, 2, entries[0][0].shape[1], dtype)
-    untaped = _attend(qk, v, entries, 0.5).data
-    probed, *weights = _attend(qk, v, entries, 0.5, weights=True)
-    tensors = [Tensor(qk), Tensor(v)] + [Tensor(entry[3]) for entry in entries]
-    with GradientTape() as tape:
-        tape.watch(*tensors)
-        taped = ad.window_attention(*tensors[:2], [e[:3] + (t,) for e, t in zip(entries, tensors[2:])], 0.5)
+    arrays, entries = _window_case(WindowSpec.axial(4), 24, 16, 65, dtype, d=4)
+    _chunk_windows(monkeypatch, 4, 2, entries[0][0].shape[1], dtype, 16, 4)
+    untaped = _attend(arrays, entries, 0.5).data
+    probed, *weights = _attend(arrays, entries, 0.5, weights=True)
+    taped = _taped_attention(arrays, entries, 0.5)[0]
     assert np.array_equal(untaped, probed.data) and np.array_equal(untaped, taped.data)
     # The probabilities are the ones the output was normalized by: P v = out.
-    d = 4
+    d, v = 4, arrays[3]
     for o, ((index, where, _, _), p) in enumerate(zip(entries, weights)):
         merged = window_merge(p @ window_gather(v, index, 2 * o * d, 2, d), where, 24, 16)
         part = untaped[..., 2 * o * d : 2 * (o + 1) * d]
         assert np.allclose(merged, part, rtol=0, atol=ORACLE_TOL[dtype] * np.abs(untaped).max())
 
 
+def _held_arrays(obj):
+    """Every numpy array reachable from ``obj`` through tuples, lists and
+    tensors."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, Tensor):
+        return [obj.data]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _held_arrays(item)]
+    return []
+
+
+def test_window_attention_tape_keeps_no_qk_map():
+    # Under a tape the op keeps x and v, not a [N, H, W, 2C] Q|K map: the
+    # backward projects each chunk's Q and K again.
+    arrays, entries = _window_case(WindowSpec.axial(4), 24, 16, 66, np.float32, d=4)
+    out, tape, tensors = _taped_attention(arrays, entries, 0.5)
+    fn = tape._nodes[-1].backward_fn
+    held = _held_arrays(list(fn.__defaults__ or ()) + [cell.cell_contents for cell in fn.__closure__ or ()])
+    c = out.shape[-1]
+    assert not any(a.ndim == 4 and a.shape[-1] == 2 * c for a in held)
+    shapes = [(2 * index.shape[0], 2) + 2 * index.shape[1:] for index, *_ in entries]
+    probs = [a for a in held if a.shape in shapes]
+    assert len(probs) == 2  # each orientation's probabilities
+    # Every other float array it keeps is an input: x, w_qk, b_qk, v, the biases.
+    others = [a for a in held if a.dtype.kind == "f" and not any(a is p for p in probs)]
+    assert all(any(a is t.data for t in tensors) for a in others)
+
+
 def test_window_attention_gradients_match_finite_differences(monkeypatch):
-    # One orientation of two heads, one window per chunk; window 1 masks
-    # pixel 0 from pixels 1 and 2.
-    g = resolve_geometry(WindowSpec.regular(1, 3), HORIZONTAL, 2, 3)
-    index, where, _ = window_maps(g)
-    regions = np.array([[0, 0, 0], [0, 1, 1]], dtype=np.int8)
-    _chunk_windows(monkeypatch, 1, 2, 3, np.float64)
+    # x, the Q|K weight and bias, v and both biases, through both orientations
+    # of a padded, shifted geometry, one window per chunk.
+    spec = WindowSpec.regular(2, 4)
+    geometries = [resolve_geometry(spec, o, 5, 5, shifted=True) for o in (HORIZONTAL, VERTICAL)]
+    assert all(g.pad_h and g.pad_w and g.shifted for g in geometries)
+    maps = [window_maps(g) for g in geometries]
+    _chunk_windows(monkeypatch, 1, 1, 8, np.float64, 3, 2)
+    arrays = {
+        "x": rand((2, 5, 5, 3), 70, 1.0),
+        "w": rand((3, 8), 73, 0.5),
+        "b": rand((8,), 74, 0.5),
+        "v": rand((2, 5, 5, 4), 71, 1.0),
+    }
+    for i, g in enumerate(geometries):
+        arrays[f"b{i}"] = rand((g.window_pixels, 1, g.window_pixels), 75 + i, 1.0)
     assert_grads_match_fd(
-        lambda t: ad.window_attention(t["qk"], t["v"], [(index, where, regions, t["bias"])], 0.7),
-        {"qk": rand((2, 2, 3, 8), 70, 1.0), "v": rand((2, 2, 3, 4), 71, 1.0), "bias": rand((3, 2, 3), 72, 1.0)},
+        lambda t: ad.window_attention(
+            t["x"], t["w"], t["b"], t["v"], [m + (t[f"b{i}"],) for i, m in enumerate(maps)], 0.7
+        ),
+        arrays,
     )
 
 
 def test_window_attention_rejects_bad_shapes():
-    qk, v, entries = _window_case(WindowSpec.regular(2, 4), 4, 8, 80, np.float64)
+    arrays, entries = _window_case(WindowSpec.regular(2, 4), 4, 8, 80, np.float64)
+    x, w_qk, b_qk, v = arrays
     index, where, regions, bias = entries[0]
-    with pytest.raises(ad.ShapeError):  # qk is not twice v's channels
-        _attend(qk[..., 1:], v, entries, 1.0)
+    with pytest.raises(ad.ShapeError):  # w_qk does not map to twice v's channels
+        _attend((x, w_qk[:, 1:], b_qk[1:], v), entries, 1.0)
+    with pytest.raises(ad.ShapeError):  # w_qk does not read x's channels
+        _attend((x[..., 1:], w_qk, b_qk, v), entries, 1.0)
+    with pytest.raises(ad.ShapeError):  # x and v of different images
+        _attend((x[:, 1:], w_qk, b_qk, v), entries, 1.0)
     with pytest.raises(ad.ShapeError):  # a bias that is not [n_k, heads, n_q]
-        _attend(qk, v, [(index, where, regions, bias[:, :, :-1]), entries[1]], 1.0)
+        _attend(arrays, [(index, where, regions, bias[:, :, :-1]), entries[1]], 1.0)
     with pytest.raises(ad.ShapeError):  # regions of another window layout
-        _attend(qk, v, [(index, where, regions[:, :-1], bias), entries[1]], 1.0)
+        _attend(arrays, [(index, where, regions[:, :-1], bias), entries[1]], 1.0)
     with pytest.raises(ad.ShapeError):  # 2 + 3 heads do not split 12 channels
         three = np.concatenate([entries[1][3], entries[1][3][:, :1]], axis=1)
-        _attend(qk, v, [entries[0], entries[1][:3] + (three,)], 1.0)
+        _attend(arrays, [entries[0], entries[1][:3] + (three,)], 1.0)
 
 
 def test_untaped_axial_attention_peaks_below_one_logits_tensor():

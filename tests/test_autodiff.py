@@ -458,7 +458,8 @@ def test_conv_kernel_shape_error():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_depthwise_conv_in_bands_is_bit_identical_to_a_sum_of_taps(monkeypatch, dtype):
     n, h, w, c = 2, 7, 5, 3
-    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 3 * n * w * c * np.dtype(dtype).itemsize)  # bands of 3, 3, 1 rows
+    # Bands of 3, 3 and 1 rows: a band row and its product row per row.
+    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 3 * n * (2 * w + 2) * c * np.dtype(dtype).itemsize)
     x, k, b = rand((n, h, w, c), 46, 1.0, dtype), rand((3, 3, c, 1), 47, 1.0, dtype), rand((c,), 48, 1.0, dtype)
     xp = np.zeros((n, h + 2, w + 2, c), dtype=dtype)
     xp[:, 1:-1, 1:-1] = x
@@ -469,6 +470,86 @@ def test_depthwise_conv_in_bands_is_bit_identical_to_a_sum_of_taps(monkeypatch, 
     want += b
     out = ad.conv2d_3x3(Tensor(x), Tensor(k), Tensor(b), depthwise=True).data
     assert out.dtype == dtype and np.array_equal(out, want) and np.array_equal(np.signbit(out), np.signbit(want))
+
+
+def _conv_full_padded(x, k, b, g, depthwise):
+    """The convolution over one zero-padded copy of the whole input, with a
+    full-size product per tap, and its per-tap GEMM backward for the output
+    gradient ``g``: (out, gx, gk, gb)."""
+    n, h, w, cin = x.shape
+    xp = np.zeros((n, h + 2, w + 2, cin), dtype=x.dtype)
+    xp[:, 1 : h + 1, 1 : w + 1] = x
+    out = np.zeros(g.shape, dtype=x.dtype)
+    for u in range(3):
+        for v in range(3):
+            patch = xp[:, u : u + h, v : v + w]
+            out += patch * k[u, v, :, 0] if depthwise else patch @ k[u, v]
+    out += b
+    gxp, gk = np.zeros_like(xp), np.zeros_like(k)
+    g2 = g.reshape(n * h * w, -1)
+    for u in range(3):
+        for v in range(3):
+            patch = xp[:, u : u + h, v : v + w]
+            if depthwise:
+                gk[u, v, :, 0] = (patch * g).sum(axis=(0, 1, 2))
+                gxp[:, u : u + h, v : v + w] += g * k[u, v, :, 0]
+            else:
+                cols = np.ascontiguousarray(patch).reshape(n * h * w, cin)
+                gk[u, v] = cols.T @ g2
+                gxp[:, u : u + h, v : v + w] += (g2 @ k[u, v].T).reshape(n, h, w, cin)
+    return out, gxp[:, 1 : h + 1, 1 : w + 1], gk, g.sum(axis=(0, 1, 2))
+
+
+# (x shape, Cout, depthwise): 7 rows in bands of 3, 3 and 1; one row; one
+# column; Cin = 3 as shallow.conv; Cout = 3 as head.post.
+BAND_CASES = [
+    ((2, 7, 5, 4), 6, False),
+    ((2, 7, 5, 4), 4, True),
+    ((2, 1, 6, 4), 5, False),
+    ((1, 1, 6, 4), 4, True),
+    ((2, 5, 1, 4), 5, False),
+    ((2, 5, 1, 4), 4, True),
+    ((1, 6, 9, 3), 8, False),
+    ((1, 6, 9, 8), 3, False),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape, cout, depthwise", BAND_CASES)
+def test_conv_in_bands_is_bit_identical_to_a_full_padded_copy(monkeypatch, dtype, x_shape, cout, depthwise):
+    n, h, w, cin = x_shape
+    k = rand((3, 3, cin, 1 if depthwise else cout), 101, 1.0, dtype)
+    arrays = {"x": rand(x_shape, 100, 1.0, dtype), "k": k, "b": rand((cout,), 102, 1.0, dtype)}
+    g = np.random.default_rng(7).normal(size=(n, h, w, cout)).astype(dtype)  # taped_output_and_grads' probe
+    want = _conv_full_padded(arrays["x"], k, arrays["b"], g, depthwise)
+    row = n * ((w + 2) * cin + w * cout) * np.dtype(dtype).itemsize  # a band row and its product row
+    for rows in (1, 3, h):
+        monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", rows * row)
+        conv = lambda t: ad.conv2d_3x3(t["x"], t["k"], t["b"], depthwise=depthwise)  # noqa: E731
+        untaped = conv({name: Tensor(a) for name, a in arrays.items()}).data
+        out, grads = taped_output_and_grads(conv, arrays)
+        assert untaped.dtype == dtype and np.array_equal(untaped, want[0]) and np.array_equal(out, want[0]), rows
+        for name, expected in zip(("x", "k", "b"), want[1:]):
+            assert np.array_equal(grads[name], expected), (rows, name)
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_conv_untaped_holds_its_output_and_one_band(monkeypatch, depthwise):
+    # No zero-padded copy of the whole input and no full-size product: the
+    # op allocates its output, a band of rows with its halo and a band's
+    # product scratch (and, depthwise, the taps tiled along a row), plus
+    # numpy's ufunc buffers.
+    n, h, w, c, rows = 1, 64, 64, 16, 4
+    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", rows * n * (2 * w + 2) * c * 4)
+    x = Tensor(rand((n, h, w, c), 103, 1.0, np.float32))
+    k = Tensor(rand((3, 3, c, 1 if depthwise else c), 104, 1.0, np.float32))
+    b = Tensor(np.zeros(c, np.float32))
+    tracemalloc.start()
+    out = ad.conv2d_3x3(x, k, b, depthwise=depthwise)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    band = n * (rows + 2) * (w + 2) * c * 4 + n * rows * w * c * 4 + 9 * w * c * 4
+    assert peak < out.data.nbytes + band + (64 << 10), (peak, out.data.nbytes, band)
 
 
 def _conv_backward_einsum(x, k, g):

@@ -26,6 +26,8 @@ from crossagg.model import (
     residual_group_forward,
     save_weights,
 )
+from crossagg.harness import overfit_target
+from crossagg.imaging import bicubic_resize
 from crossagg.windowing import HORIZONTAL, VERTICAL, resolve_geometry
 
 from helpers import forward_drift, rand, repo_root
@@ -127,9 +129,10 @@ def test_axial_group_resolves_paired_orientations():
 
 def test_untaped_shifted_axial_block_peak_memory():
     # One stock-width block (C=180, axial sl=4, shifted) at 64x64 peaks at
-    # 14.5 MiB of numpy heap: Q|K, V and the merged attention output, plus
-    # chunk-sized scratch. No map exists at full size in the window layout
-    # or at the MLP's hidden width.
+    # 12.4 MiB of numpy heap, inside window attention: the LN1 output, V and
+    # the merged attention output, plus one chunk's scratch. No Q|K map and
+    # no zero-padded copy of V exist, and no map exists at full size in the
+    # window layout or at the MLP's hidden width.
     config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
     store, spec = init_params(config, 0), config.spec_for_group(0)
     x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))
@@ -140,7 +143,7 @@ def test_untaped_shifted_axial_block_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15.5 * 2**20, peak / 2**20
+    assert peak < 13.4 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -628,3 +631,23 @@ def test_float32_forward_drift_stays_within_twice_the_recorded():
     )
     got = forward_drift("cat_r_x2", 32, jitter=0.02)
     assert got["max_drift"] <= 2 * case["change"]["max_drift"], got  # False for a NaN drift too
+
+
+def test_position_bias_output_bias_gets_only_rounding_noise():
+    # posbias.fc3.bias adds one constant per head to every logit of that
+    # head, which leaves each softmax row unchanged: its gradient is exactly 0
+    # in exact arithmetic and only rounding noise in float, so a per-tensor
+    # gradient comparison between two trees must judge it by an absolute
+    # bound. The first float64 step of the overfit demo (run_overfit).
+    config = preset_config("tiny_sr_x2")
+    store = init_params(config, 0, dtype=np.float64)
+    hr = overfit_target()
+    x = Tensor(np.clip(bicubic_resize(hr, config.scale, "down"), 0.0, 1.0)[None], dtype=np.float64)
+    tape = ad.GradientTape()
+    tape.watch(store.values())
+    with tape:
+        loss = ad.mean_all(ad.abs_val(ad.sub(cat_forward(x, store, config), Tensor(hr[None], dtype=np.float64))))
+    grads = ad.backward(tape, loss)
+    weight = np.abs(grads[store["posbias.fc3.weight"]].data).max()
+    assert weight > 0
+    assert np.abs(grads[store["posbias.fc3.bias"]].data).max() <= 1e-9 * weight

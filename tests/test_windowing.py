@@ -362,68 +362,87 @@ def test_merge_windows_is_bit_identical_to_composed_ops(case, dtype):
 def test_merging_both_orientations_equals_concatenated_merges(spec, dtype):
     # Each orientation's windows land in their own channel range of one map,
     # as the concatenation of two one-orientation calls would place them, and
-    # each gets the gradients that call would.
+    # each gets the gradients that call would: the same bits for its Q|K
+    # columns, V channels and bias, and the sum of both calls' x gradients.
     height, width, heads, d = 7, 10, 2, 3
     entries = []
     for i, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, height, width, shifted=True)
         entries.append(window_maps(g) + (rand((g.window_pixels, heads, g.window_pixels), 74 + i, 1.0, dtype),))
-    qk = rand((2, height, width, 4 * heads * d), 76, 1.0, dtype)
-    v = rand((2, height, width, 2 * heads * d), 77, 1.0, dtype)
+    c = heads * d  # one orientation's channels
+    x = rand((2, height, width, 2 * c), 76, 1.0, dtype)
+    w_qk, b_qk = rand((2 * c, 4 * c), 79, 0.3, dtype), rand((4 * c,), 80, 0.5, dtype)
+    v = rand((2, height, width, 2 * c), 77, 1.0, dtype)
 
-    probe = rand((2, height, width, 2 * heads * d), 78, 1.0, dtype)
+    probe = rand((2, height, width, 2 * c), 78, 1.0, dtype)
 
-    def output_and_grads(parts, qk, v, r):
-        tensors = [Tensor(qk), Tensor(v)] + [Tensor(e[3]) for e in parts]
+    def output_and_grads(parts, w, b, v, r):
+        tensors = [Tensor(x), Tensor(w), Tensor(b), Tensor(v)] + [Tensor(e[3]) for e in parts]
         tape = GradientTape()
         tape.watch(*tensors)
         with tape:
-            out = ad.window_attention(*tensors[:2], [e[:3] + (t,) for e, t in zip(parts, tensors[2:])], 0.5)
+            out = ad.window_attention(*tensors[:4], [e[:3] + (t,) for e, t in zip(parts, tensors[4:])], 0.5)
             loss = ad.sum_all(ad.mul(out, Tensor(r)))
         grads = backward(tape, loss)
         return out.data, [grads[t].data for t in tensors]
 
-    both, grads = output_and_grads(entries, qk, v, probe)
-    c = heads * d
+    both, grads = output_and_grads(entries, w_qk, b_qk, v, probe)
+    g_x = np.zeros_like(x)
     for o in (0, 1):
         lo, hi = o * c, (o + 1) * c
-        qk_o = np.concatenate([qk[..., lo:hi], qk[..., 2 * c + lo : 2 * c + hi]], axis=-1)
-        out, (g_qk, g_v, g_bias) = output_and_grads(entries[o : o + 1], qk_o, v[..., lo:hi], probe[..., lo:hi])
+        cols = np.r_[lo:hi, 2 * c + lo : 2 * c + hi]  # the orientation's Q then K columns
+        part = output_and_grads(entries[o : o + 1], w_qk[:, cols], b_qk[cols], v[..., lo:hi], probe[..., lo:hi])
+        out, (g_x_o, g_w, g_b, g_v, g_bias) = part
         assert both.dtype == dtype and np.array_equal(both[..., lo:hi], out), o
-        assert np.array_equal(grads[0][..., lo:hi], g_qk[..., :c]), o
-        assert np.array_equal(grads[0][..., 2 * c + lo : 2 * c + hi], g_qk[..., c:]), o
-        assert np.array_equal(grads[1][..., lo:hi], g_v), o
-        assert np.array_equal(grads[2 + o], g_bias), o
+        assert np.array_equal(grads[1][:, cols], g_w) and np.array_equal(grads[2][cols], g_b), o
+        assert np.array_equal(grads[3][..., lo:hi], g_v), o
+        assert np.array_equal(grads[4 + o], g_bias), o
+        g_x += g_x_o
+    assert np.allclose(grads[0], g_x, rtol=0, atol=16 * np.finfo(dtype).eps * np.abs(g_x).max())
+
+
+def _projection(cin, c):
+    """A zero Q|K weight and bias that map ``cin`` channels to 2 * ``c``."""
+    return Tensor(np.zeros((cin, 2 * c))), Tensor(np.zeros(2 * c))
 
 
 def test_merge_windows_rejects_mismatched_window_sets():
     g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 4, 8)
     index, where, regions = window_maps(g)
     bias = Tensor(rand((g.window_pixels, 1, g.window_pixels), 77))
-    qk, v = Tensor(rand((1, 4, 8, 4), 78)), Tensor(rand((1, 4, 8, 2), 79))
-    ad.window_attention(qk, v, [(index, where, regions, bias)], 1.0)  # one head of two channels fits
+    x, v = Tensor(rand((1, 4, 8, 3), 78)), Tensor(rand((1, 4, 8, 2), 79))
+    qk = _projection(3, 2)
+    ad.window_attention(x, *qk, v, [(index, where, regions, bias)], 1.0)  # one head of two channels fits
     with pytest.raises(ValueError):  # no window set
-        ad.window_attention(qk, v, [], 1.0)
+        ad.window_attention(x, *qk, v, [], 1.0)
     with pytest.raises(ValueError):  # a slot map of another window set
         other = window_maps(resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 8))[1]
-        ad.window_attention(qk, v, [(index, other[:2], regions, bias)], 1.0)
+        ad.window_attention(x, *qk, v, [(index, other[:2], regions, bias)], 1.0)
     with pytest.raises(ValueError):  # region ids of another window set
-        ad.window_attention(qk, v, [(index, where, regions[:1], bias)], 1.0)
+        ad.window_attention(x, *qk, v, [(index, where, regions[:1], bias)], 1.0)
 
 
 def test_gather_map_gradients_match_finite_differences():
     # Through both orientations of a padded, shifted geometry: the gradients
     # of q, k and v are scattered back through the slot maps and the adjoint
-    # of the reflect pad, and each bias gets its own.
+    # of the reflect pad, and reach x and the Q|K weight and bias; each bias
+    # gets its own.
     spec = WindowSpec.regular(2, 4)
     geometries = [resolve_geometry(spec, o, 3, 5, shifted=True) for o in (HORIZONTAL, VERTICAL)]
     assert all(g.pad_h or g.pad_w for g in geometries) and all(g.shifted for g in geometries)
     maps = [window_maps(g) for g in geometries]
-    arrays = {"qk": rand((1, 3, 5, 8), 72, 1.0), "v": rand((1, 3, 5, 4), 73, 1.0)}
+    arrays = {
+        "x": rand((1, 3, 5, 2), 72, 1.0),
+        "w": rand((2, 8), 70, 0.7),
+        "b": rand((8,), 71, 0.5),
+        "v": rand((1, 3, 5, 4), 73, 1.0),
+    }
     for i, g in enumerate(geometries):
         arrays[f"b{i}"] = rand((g.window_pixels, 1, g.window_pixels), 74 + i, 1.0)
     assert_grads_match_fd(
-        lambda t: ad.window_attention(t["qk"], t["v"], [m + (t[f"b{i}"],) for i, m in enumerate(maps)], 0.7),
+        lambda t: ad.window_attention(
+            t["x"], t["w"], t["b"], t["v"], [m + (t[f"b{i}"],) for i, m in enumerate(maps)], 0.7
+        ),
         arrays,
     )
 
@@ -432,6 +451,7 @@ def test_take_windows_rejects_a_map_outside_the_input():
     # Maps of a 4x4 map read pixels a 2x4 input does not have.
     index, where, regions = window_maps(resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4))
     windows = [(index, where, regions, Tensor(np.zeros((4, 1, 4))))]
+    qk = _projection(2, 2)
     with pytest.raises(ValueError):
-        ad.window_attention(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 4, 2))), windows, 1.0)
-    ad.window_attention(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((1, 4, 4, 2))), windows, 1.0)
+        ad.window_attention(Tensor(np.zeros((1, 2, 4, 2))), *qk, Tensor(np.zeros((1, 2, 4, 2))), windows, 1.0)
+    ad.window_attention(Tensor(np.zeros((1, 4, 4, 2))), *qk, Tensor(np.zeros((1, 4, 4, 2))), windows, 1.0)
