@@ -39,8 +39,6 @@ from .windowing import (
     resolve_geometry,
 )
 from .attention import (
-    AttentionParams,
-    PositionBiasParams,
     locality_complement,
     relative_position_bias,
     rwin_self_attention,

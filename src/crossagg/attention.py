@@ -10,6 +10,12 @@ evaluated on the relative offset between the two pixels, normalized to
 kernel, a 3x3 depthwise convolution of the full-resolution value map is added
 to the merged head outputs before the final projection.
 
+The functions read their tensors from the model's name -> Tensor dict under
+the names of :func:`model.parameter_schema`: a block's ``{prefix}.attn.qkv``,
+``.proj`` and, if present, ``.lcm`` weight and bias, and the position-bias
+network ``posbias.fc{1,2,3}`` that every block shares. The head count is the
+output width of ``posbias.fc3``.
+
 Values are projected into a V map by one GEMM against a column slice of the
 stored fused qkv weight; queries and keys are projected inside the per-window
 primitive, :func:`autodiff.window_attention`, from the block input and the
@@ -36,7 +42,7 @@ convolved it; no map exists in the window layout at full size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -53,78 +59,15 @@ from .windowing import (
 
 __all__ = [
     "POS_HIDDEN",
-    "PositionBiasParams",
-    "AttentionParams",
+    "POS_NAMES",
     "relative_position_bias",
     "locality_complement",
     "rwin_self_attention",
 ]
 
 POS_HIDDEN = 96
-
-
-@dataclass(frozen=True)
-class PositionBiasParams:
-    """Three affine layers (Delta y, Delta x) -> hidden -> hidden -> per-head bias."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    w3: Tensor
-    b3: Tensor
-
-    def __post_init__(self):
-        if self.w1.shape[0] != 2:
-            raise ValueError(f"position bias net expects 2 offset inputs, got {self.w1.shape}")
-        if self.w1.shape[1] != self.w2.shape[0] or self.w2.shape[1] != self.w3.shape[0]:
-            raise ValueError("position bias net layer widths do not chain")
-
-    @property
-    def heads(self) -> int:
-        return self.w3.shape[1]
-
-
-@dataclass(frozen=True)
-class AttentionParams:
-    """Weights for one attention block.
-
-    The query/key/value projections are stored fused as one [C, 3C] map; the
-    position-bias network may be shared between blocks (it is a function of
-    normalized offsets only, so one network serves every window geometry).
-    """
-
-    qkv_weight: Tensor
-    qkv_bias: Tensor
-    proj_weight: Tensor
-    proj_bias: Tensor
-    lcm_weight: Tensor | None
-    lcm_bias: Tensor | None
-    pos_net: PositionBiasParams
-    heads: int
-
-    def __post_init__(self):
-        c = self.channels
-        if self.heads < 2 or self.heads % 2 != 0:
-            raise ValueError(f"head count must be even and >= 2, got {self.heads}")
-        if c % self.heads != 0:
-            raise ValueError(f"channels {c} not divisible by {self.heads} heads")
-        if self.qkv_weight.shape != (c, 3 * c):
-            raise ValueError(f"fused qkv weight must be [C, 3C], got {self.qkv_weight.shape}")
-        if self.proj_weight.shape != (c, c):
-            raise ValueError(f"output projection must be [C, C], got {self.proj_weight.shape}")
-        if self.pos_net.heads != self.heads:
-            raise ValueError(
-                f"position bias net emits {self.pos_net.heads} biases for {self.heads} heads"
-            )
-
-    @property
-    def channels(self) -> int:
-        return self.qkv_weight.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.channels // self.heads
+# The shared position-bias network: (Delta y, Delta x) -> hidden -> hidden -> per-head bias.
+POS_NAMES = tuple(f"posbias.fc{i}.{kind}" for i in (1, 2, 3) for kind in ("weight", "bias"))
 
 
 def _offset_table(sh: int, sw: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -145,68 +88,77 @@ def _offset_table(sh: int, sw: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return offsets, index.ravel()
 
 
-def relative_position_bias(g: WindowGeometry, net: PositionBiasParams, first: int, heads: int) -> Tensor:
-    """Heads [first, first + heads) of the additive bias, keys-major
-    [n_k, heads, n_q], the layout window_attention adds; entry (j, m, i)
-    depends only on the relative offset of query pixel i from key pixel j."""
-    offsets, index = _offset_table(g.sh, g.sw, net.w1.dtype)
-    h = ad.relu(ad.linear(Tensor(offsets, dtype=net.w1.dtype), net.w1, net.b1))
-    h = ad.relu(ad.linear(h, net.w2, net.b2))
-    out = ad.narrow(ad.linear(h, net.w3, net.b3), 1, first, heads)
+def relative_position_bias(g: WindowGeometry, store: Mapping[str, Tensor], first: int, heads: int) -> Tensor:
+    """Heads [first, first + heads) of the additive bias of the shared
+    ``posbias.fc{1,2,3}`` network, keys-major [n_k, heads, n_q], the layout
+    window_attention adds; entry (j, m, i) depends only on the relative
+    offset of query pixel i from key pixel j."""
+    w1, b1, w2, b2, w3, b3 = (store[name] for name in POS_NAMES)
+    offsets, index = _offset_table(g.sh, g.sw, w1.dtype)
+    h = ad.relu(ad.linear(Tensor(offsets, dtype=w1.dtype), w1, b1))
+    h = ad.relu(ad.linear(h, w2, b2))
+    out = ad.narrow(ad.linear(h, w3, b3), 1, first, heads)
     n = g.window_pixels
     table = ad.reshape(ad.gather(out, index, axis=0), (n, n, heads))  # query-major
     return ad.transpose(table, (1, 2, 0))
 
 
-def locality_complement(v: Tensor, params: AttentionParams) -> Tensor:
-    """Depthwise 3x3 convolution of the full-resolution value map."""
-    if params.lcm_weight is None:
-        raise ValueError("attention params carry no locality-complement kernel")
-    return ad.conv2d_3x3(v, params.lcm_weight, params.lcm_bias, depthwise=True)
+def locality_complement(v: Tensor, store: Mapping[str, Tensor], prefix: str) -> Tensor:
+    """Depthwise 3x3 convolution of the full-resolution value map by the
+    ``{prefix}.attn.lcm`` kernel."""
+    return ad.conv2d_3x3(v, store[f"{prefix}.attn.lcm.weight"], store[f"{prefix}.attn.lcm.bias"], depthwise=True)
 
 
 def rwin_self_attention(
     x: Tensor,
-    params: AttentionParams,
+    store: Mapping[str, Tensor],
+    prefix: str,
     spec: WindowSpec,
     shifted: bool = False,
     cache: dict | None = None,
     probe: dict | None = None,
 ) -> Tensor:
-    """Rectangle-window self-attention over [N, H, W, C].
+    """Rectangle-window self-attention over [N, H, W, C] with the weights
+    ``{prefix}.attn.{qkv,proj}.*`` of ``store`` (e.g. ``body.group0.block1``)
+    and its shared position-bias network ``posbias.fc{1,2,3}.*``, whose
+    output width is the head count.
 
-    The locality complement is applied iff ``params.lcm_weight`` is set.
-    ``cache`` memoizes the gather maps per window geometry and, per
-    orientation and window extent, that orientation's heads of the position
-    bias, keys-major [n_k, heads/2, n_q]. A bias is keyed on the ``uid`` of
-    every pos-net tensor and of the active tape as well, so a cache reused
-    after the weights change (e.g. across an Adam step) or under a new tape
-    rebuilds it instead of returning stale values or a bias the tape cannot
-    differentiate. Both orientations' cache entries are filled before the
-    V projection, so that these long-lived arrays are allocated before the
-    block's largest transients; ``x`` is released once window attention,
-    which projects Q and K from it a chunk at a time, returns. ``probe``, if
-    given, receives the attention weights and the geometry of each
-    orientation.
+    The locality complement is applied iff ``store`` holds
+    ``{prefix}.attn.lcm.weight``. ``cache`` memoizes the gather maps per
+    window geometry and, per orientation and window extent, that
+    orientation's heads of the position bias, keys-major [n_k, heads/2,
+    n_q]. A bias is keyed on the ``uid`` of every ``posbias`` tensor and of
+    the active tape as well, so a cache reused after the weights change (e.g.
+    across an Adam step) or under a new tape rebuilds it instead of returning
+    stale values or a bias the tape cannot differentiate. Both orientations'
+    cache entries are filled before the V projection, so that these
+    long-lived arrays are allocated before the block's largest transients;
+    ``x`` is released once window attention, which projects Q and K from it
+    a chunk at a time, returns. ``probe``, if given, receives the attention
+    weights and the geometry of each orientation.
     """
     if x.ndim != 4:
         raise ValueError(f"attention expects rank 4 input, got {x.shape}")
-    c = params.channels
-    if x.shape[-1] != c:
-        raise ValueError(f"input channels {x.shape[-1]} do not match parameters ({c})")
+    c = x.shape[-1]
+    w, b = store[f"{prefix}.attn.qkv.weight"], store[f"{prefix}.attn.qkv.bias"]
+    proj_w, proj_b = store[f"{prefix}.attn.proj.weight"], store[f"{prefix}.attn.proj.bias"]
+    if w.shape != (c, 3 * c) or b.shape != (3 * c,) or proj_w.shape != (c, c):
+        raise ValueError(
+            f"{prefix}.attn: qkv {w.shape}, {b.shape} and proj {proj_w.shape} do not fit {c} input channels"
+        )
+    heads = store["posbias.fc3.weight"].shape[1]
+    if heads < 2 or heads % 2 or c % heads:
+        raise ValueError(f"head count must be even, >= 2 and divide {c} channels, got {heads}")
     if cache is None:
         cache = {}
     _, height, width, _ = x.shape
-    heads = params.heads // 2  # per orientation
-    d = params.head_dim
-    scale = 1.0 / math.sqrt(d)
+    scale = 1.0 / math.sqrt(c // heads)
+    heads //= 2  # per orientation
 
-    # A cached bias is valid only for the pos-net tensors it was built from
+    # A cached bias is valid only for the posbias tensors it was built from
     # and the tape it was recorded on.
     tape = ad._tape()
-    owner = (tape.uid if tape is not None else 0,) + tuple(
-        getattr(params.pos_net, f.name).uid for f in fields(params.pos_net)
-    )
+    owner = (tape.uid if tape is not None else 0,) + tuple(store[name].uid for name in POS_NAMES)
     geometries, biases = [], []
     for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, height, width, shifted)
@@ -215,7 +167,7 @@ def rwin_self_attention(
         bias_key = ("bias", orientation, g.sh, g.sw, str(x.dtype))
         held = cache.get(bias_key)
         if held is None or held[0] != owner:
-            held = cache[bias_key] = (owner, relative_position_bias(g, params.pos_net, oi * heads, heads))
+            held = cache[bias_key] = (owner, relative_position_bias(g, store, oi * heads, heads))
         geometries.append(g)
         biases.append(held[1])
 
@@ -223,7 +175,6 @@ def rwin_self_attention(
     # reads its windows from and the locality complement convolves; the op
     # projects Q and K itself, a chunk of windows at a time, from x and the
     # Q|K columns.
-    w, b = params.qkv_weight, params.qkv_bias
     v = ad.linear(x, ad.narrow(w, 1, 2 * c, c), ad.narrow(b, 0, 2 * c, c))
     qk = (ad.narrow(w, 1, 0, 2 * c), ad.narrow(b, 0, 0, 2 * c))
     windows = [cache[("maps", g)] + (bias,) for g, bias in zip(geometries, biases)]
@@ -235,9 +186,9 @@ def rwin_self_attention(
             probe.setdefault("weights", {})[g.orientation] = p
             probe.setdefault("geometries", {})[g.orientation] = g
     del x
-    if params.lcm_weight is not None:
-        lcm = locality_complement(v, params)
+    if f"{prefix}.attn.lcm.weight" in store:
+        lcm = locality_complement(v, store, prefix)
         del v
         y = ad.add(y, lcm)
         del lcm
-    return ad.linear(y, params.proj_weight, params.proj_bias)
+    return ad.linear(y, proj_w, proj_b)

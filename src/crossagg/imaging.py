@@ -9,6 +9,7 @@ BT.601 full-to-limited mapping, so Y always lies in [16, 235].
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -188,10 +189,18 @@ def _load_png(buf: bytes) -> ImageU8:
     if comp != 0 or filt != 0:
         raise ImageFormatError("unsupported PNG compression/filter method")
     channels = 1 if color == 0 else 3
+    # Inflate at most one byte past the expected payload: a small file whose
+    # stream inflates far beyond it is rejected without buffering the rest.
+    # (IHDR extents near 2**31 can ask for more than sys.maxsize bytes.)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(b"".join(idat))
+        raw = inflater.decompress(b"".join(idat), min(height * (width * channels + 1) + 1, sys.maxsize))
     except zlib.error as e:
         raise ImageFormatError(f"corrupt PNG pixel data: {e}") from None
+    if inflater.unconsumed_tail or inflater.unused_data:
+        raise ImageFormatError("PNG pixel payload has the wrong length")
+    if not inflater.eof:
+        raise ImageFormatError("corrupt PNG pixel data: incomplete or truncated stream")
     return ImageU8(_unfilter(raw, height, width, channels))
 
 

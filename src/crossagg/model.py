@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attention import POS_HIDDEN, AttentionParams, PositionBiasParams, rwin_self_attention
+from .attention import POS_HIDDEN, rwin_self_attention
 from .windowing import WindowSpec
 
 __all__ = [
@@ -269,21 +269,9 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, T
 # ---------------------------------------------------------------------------
 
 
-def _pos_net(store: Mapping[str, Tensor]) -> PositionBiasParams:
-    return PositionBiasParams(
-        w1=store["posbias.fc1.weight"],
-        b1=store["posbias.fc1.bias"],
-        w2=store["posbias.fc2.weight"],
-        b2=store["posbias.fc2.bias"],
-        w3=store["posbias.fc3.weight"],
-        b3=store["posbias.fc3.bias"],
-    )
-
-
 def catb_forward(
     x: Tensor,
     store: Mapping[str, Tensor],
-    config: ModelConfig,
     prefix: str,
     spec: WindowSpec,
     shifted: bool,
@@ -291,21 +279,11 @@ def catb_forward(
 ) -> Tensor:
     """One attention block, its tensors read from ``store`` under ``prefix``
     (e.g. ``body.group0.block1``): attention and MLP branches, each residual."""
-    attn = AttentionParams(
-        qkv_weight=store[f"{prefix}.attn.qkv.weight"],
-        qkv_bias=store[f"{prefix}.attn.qkv.bias"],
-        proj_weight=store[f"{prefix}.attn.proj.weight"],
-        proj_bias=store[f"{prefix}.attn.proj.bias"],
-        lcm_weight=store[f"{prefix}.attn.lcm.weight"] if config.use_lcm else None,
-        lcm_bias=store[f"{prefix}.attn.lcm.bias"] if config.use_lcm else None,
-        pos_net=_pos_net(store),
-        heads=config.num_heads,
-    )
     # The LN1 output is passed unnamed, so that attention can free it once
     # window attention, its last reader, returns; the attention output lives
     # only until the add.
     norm1 = (store[f"{prefix}.norm1.gamma"], store[f"{prefix}.norm1.beta"])
-    x = ad.add(rwin_self_attention(ad.layer_norm(x, *norm1), attn, spec, shifted=shifted, cache=cache), x)
+    x = ad.add(rwin_self_attention(ad.layer_norm(x, *norm1), store, prefix, spec, shifted=shifted, cache=cache), x)
     h = ad.layer_norm(x, store[f"{prefix}.norm2.gamma"], store[f"{prefix}.norm2.beta"])
     mlp = [store[f"{prefix}.mlp.{name}"] for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]
     return ad.add(_mlp(h, *mlp), x)
@@ -349,13 +327,15 @@ def residual_group_forward(
     y = [x]
     for j in range(config.blocks_per_group):
         prefix = f"body.group{group}.block{j}"
-        y.append(catb_forward(y.pop(), store, config, prefix, spec, shifted=(j % 2 == 1), cache=cache))
+        y.append(catb_forward(y.pop(), store, prefix, spec, shifted=(j % 2 == 1), cache=cache))
     y = ad.conv2d_3x3(y.pop(), store[f"body.group{group}.conv.weight"], store[f"body.group{group}.conv.bias"])
     return ad.add(y, x)
 
 
 def cat_forward(img: Tensor, store: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
-    """Full model: [N, H, W, in_channels] image in [0, 1] to restored output."""
+    """Full model: [N, H, W, in_channels] image in [0, 1] to restored output.
+    ``store`` must hold exactly the entries of ``parameter_schema(config)``,
+    each of its shape and all of one dtype."""
     if config.num_groups < 1:
         raise ConfigError("a runnable model needs at least one residual group")
     if img.ndim != 4 or img.shape[-1] != config.in_channels:
@@ -363,6 +343,7 @@ def cat_forward(img: Tensor, store: Mapping[str, Tensor], config: ModelConfig) -
             f"input shape {img.shape} does not match configured in_channels={config.in_channels}"
         )
     schema = parameter_schema(config)
+    _check_names(store, (name for name, _, _ in schema))
     dtype = Counter(store[name].dtype for name, _, _ in schema).most_common(1)[0][0]
     for name, shape, _ in schema:
         if store[name].shape != shape:
@@ -460,14 +441,20 @@ def load_weights(path: str, expected_names=None) -> dict[str, Tensor]:
     if r.off != r.size:
         raise WeightFormatError(f"{r.size - r.off} trailing bytes after last entry")
     if expected_names is not None:
-        expected = set(expected_names)
-        extra = sorted(set(entries) - expected)
-        if extra:
-            raise WeightFormatError(f"unknown extra entry '{extra[0]}'")
-        missing = sorted(expected - set(entries))
-        if missing:
-            raise WeightFormatError(f"missing entry '{missing[0]}'")
+        _check_names(entries, expected_names)
     return entries
+
+
+def _check_names(entries: Mapping[str, Tensor], expected_names) -> None:
+    """Reject ``entries`` unless it holds exactly ``expected_names``, naming
+    the first unknown extra entry, else the first missing one."""
+    expected = set(expected_names)
+    extra = sorted(set(entries) - expected)
+    if extra:
+        raise WeightFormatError(f"unknown extra entry '{extra[0]}'")
+    missing = sorted(expected - set(entries))
+    if missing:
+        raise WeightFormatError(f"missing entry '{missing[0]}'")
 
 
 # ---------------------------------------------------------------------------

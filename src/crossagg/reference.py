@@ -41,14 +41,19 @@ def oriented_window_dims(spec: WindowSpec, orientation: str, height: int, width:
     return (height, min(spec.sl, width))
 
 
-def _pos_net(net: dict[str, np.ndarray], offsets: np.ndarray) -> np.ndarray:
-    """The offset network on [K, 2] normalized offsets: [K, M] biases."""
-    h = np.maximum(offsets @ net["w1"] + net["b1"], 0.0)
-    h = np.maximum(h @ net["w2"] + net["b2"], 0.0)
-    return h @ net["w3"] + net["b3"]
+def _pos_net(weights: dict[str, np.ndarray], offsets: np.ndarray) -> np.ndarray:
+    """The offset network ``posbias.fc{1,2,3}`` on [K, 2] normalized offsets:
+    [K, M] biases."""
+
+    def fc(i, h):
+        return h @ weights[f"posbias.fc{i}.weight"] + weights[f"posbias.fc{i}.bias"]
+
+    h = np.maximum(fc(1, offsets), 0.0)
+    h = np.maximum(fc(2, h), 0.0)
+    return fc(3, h)
 
 
-def position_bias_table(net: dict[str, np.ndarray], sh: int, sw: int) -> np.ndarray:
+def position_bias_table(weights: dict[str, np.ndarray], sh: int, sw: int) -> np.ndarray:
     """Bias [M, n, n] by evaluating the offset network on every pixel pair."""
     ys, xs = np.meshgrid(np.arange(sh), np.arange(sw), indexing="ij")
     pos = np.stack([ys.ravel(), xs.ravel()], axis=1).astype(np.float64)
@@ -56,7 +61,7 @@ def position_bias_table(net: dict[str, np.ndarray], sh: int, sw: int) -> np.ndar
     delta[..., 0] /= max(sh - 1, 1)
     delta[..., 1] /= max(sw - 1, 1)
     n = sh * sw
-    return _pos_net(net, delta.reshape(-1, 2)).reshape(n, n, -1).transpose(2, 0, 1)
+    return _pos_net(weights, delta.reshape(-1, 2)).reshape(n, n, -1).transpose(2, 0, 1)
 
 
 def naive_depthwise_conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -75,23 +80,21 @@ def naive_depthwise_conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray)
     return out
 
 
-def full_attention_oracle(
-    x: np.ndarray,
-    params: dict[str, np.ndarray],
-    spec: WindowSpec,
-    heads: int,
-    lcm: bool,
-) -> np.ndarray:
+def full_attention_oracle(x: np.ndarray, weights: dict[str, np.ndarray], prefix: str, spec: WindowSpec) -> np.ndarray:
     """Unshifted rectangle-window attention computed as dense full-image
     attention with MASK_VALUE added to every cross-window pixel pair.
 
-    ``x`` is [H, W, C]; ``params`` holds numpy copies of the block weights
-    (qkv_w/qkv_b/proj_w/proj_b, lcm_w/lcm_b, and the pos net w1..b3). Window
+    ``x`` is [H, W, C]; ``weights`` holds numpy copies of the model's
+    tensors under its names: the block's ``{prefix}.attn.qkv``, ``.proj``
+    and, if present, ``.lcm`` weight and bias, and the position-bias network
+    ``posbias.fc{1,2,3}``, whose output width is the head count. Window
     extents must divide the resolution.
     """
     h, w, c = x.shape
+    a = f"{prefix}.attn"
+    heads = weights["posbias.fc3.weight"].shape[1]
     d = c // heads
-    qkv = x.reshape(-1, c) @ params["qkv_w"] + params["qkv_b"]
+    qkv = x.reshape(-1, c) @ weights[f"{a}.qkv.weight"] + weights[f"{a}.qkv.bias"]
     q, k, v = qkv[:, :c], qkv[:, c : 2 * c], qkv[:, 2 * c :]
 
     coords_y, coords_x = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
@@ -109,7 +112,7 @@ def full_attention_oracle(
         # unmasked pair.
         dy = (coords_y[:, None] - coords_y[None, :]) / max(sh - 1, 1)
         dx = (coords_x[:, None] - coords_x[None, :]) / max(sw - 1, 1)
-        bias_full = _pos_net(params, np.stack([dy.ravel(), dx.ravel()], axis=1))[:, m].reshape(h * w, h * w)
+        bias_full = _pos_net(weights, np.stack([dy.ravel(), dx.ravel()], axis=1))[:, m].reshape(h * w, h * w)
 
         qm = q[:, m * d : (m + 1) * d].astype(np.float64)
         km = k[:, m * d : (m + 1) * d].astype(np.float64)
@@ -117,15 +120,15 @@ def full_attention_oracle(
         logits = qm @ km.T / math.sqrt(d) + bias_full
         logits = np.where(window_id[:, None] == window_id[None, :], logits, logits + MASK_VALUE)
         logits -= logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits)
-        weights /= weights.sum(axis=1, keepdims=True)
-        heads_out.append(weights @ vm)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        heads_out.append(probs @ vm)
     y = np.concatenate(heads_out, axis=1).reshape(h, w, c)
-    if lcm:
+    if f"{a}.lcm.weight" in weights:
         y = y + naive_depthwise_conv3x3(
-            v.reshape(h, w, c).astype(np.float64), params["lcm_w"], params["lcm_b"]
+            v.reshape(h, w, c).astype(np.float64), weights[f"{a}.lcm.weight"], weights[f"{a}.lcm.bias"]
         )
-    out = y.reshape(-1, c) @ params["proj_w"] + params["proj_b"]
+    out = y.reshape(-1, c) @ weights[f"{a}.proj.weight"] + weights[f"{a}.proj.bias"]
     return out.reshape(h, w, c)
 
 

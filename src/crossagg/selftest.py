@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionParams, PositionBiasParams, rwin_self_attention
+from .attention import rwin_self_attention
 from .autodiff import GradientTape, OptimizerHyper, Tensor, adam_step, backward, init_adam_state
 from .analysis import model_flops
 from .harness import dihedral_inverse, dihedral_transform
@@ -40,55 +40,39 @@ from .windowing import (
     window_maps,
 )
 
-__all__ = ["CHECKS", "run_selftests", "tiny_attention_params", "attention_params_numpy"]
+__all__ = ["CHECKS", "run_selftests", "TINY_BLOCK", "tiny_attention_params"]
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+TINY_BLOCK = "body.group0.block0"
+
+
 def tiny_attention_params(
     c=4, heads=2, seed=0, dtype=np.float64, hidden=8, scale=0.1, lcm=True
-) -> AttentionParams:
-    """Small random attention weights, N(0, scale) per element."""
+) -> dict[str, Tensor]:
+    """Small random weights of one attention block, ``TINY_BLOCK``, and of
+    the position-bias network, under the model's names, N(0, scale) per
+    element."""
     r = _rng(seed)
-
-    def t(*shape):
-        return Tensor(r.normal(0.0, scale, size=shape), dtype=dtype)
-
-    net = PositionBiasParams(
-        w1=t(2, hidden), b1=t(hidden), w2=t(hidden, hidden), b2=t(hidden), w3=t(hidden, heads), b3=t(heads)
-    )
-    return AttentionParams(
-        qkv_weight=t(c, 3 * c),
-        qkv_bias=t(3 * c),
-        proj_weight=t(c, c),
-        proj_bias=t(c),
-        lcm_weight=t(3, 3, c, 1) if lcm else None,
-        lcm_bias=t(c) if lcm else None,
-        pos_net=net,
-        heads=heads,
-    )
-
-
-def attention_params_numpy(p: AttentionParams) -> dict:
-    """The weights as the plain arrays that :mod:`reference` takes."""
-    out = {
-        "qkv_w": p.qkv_weight.numpy(),
-        "qkv_b": p.qkv_bias.numpy(),
-        "proj_w": p.proj_weight.numpy(),
-        "proj_b": p.proj_bias.numpy(),
-        "w1": p.pos_net.w1.numpy(),
-        "b1": p.pos_net.b1.numpy(),
-        "w2": p.pos_net.w2.numpy(),
-        "b2": p.pos_net.b2.numpy(),
-        "w3": p.pos_net.w3.numpy(),
-        "b3": p.pos_net.b3.numpy(),
+    a = f"{TINY_BLOCK}.attn"
+    shapes = {
+        "posbias.fc1.weight": (2, hidden),
+        "posbias.fc1.bias": (hidden,),
+        "posbias.fc2.weight": (hidden, hidden),
+        "posbias.fc2.bias": (hidden,),
+        "posbias.fc3.weight": (hidden, heads),
+        "posbias.fc3.bias": (heads,),
+        f"{a}.qkv.weight": (c, 3 * c),
+        f"{a}.qkv.bias": (3 * c,),
+        f"{a}.proj.weight": (c, c),
+        f"{a}.proj.bias": (c,),
     }
-    if p.lcm_weight is not None:
-        out["lcm_w"] = p.lcm_weight.numpy()
-        out["lcm_b"] = p.lcm_bias.numpy()
-    return out
+    if lcm:
+        shapes.update({f"{a}.lcm.weight": (3, 3, c, 1), f"{a}.lcm.bias": (c,)})
+    return {name: Tensor(r.normal(0.0, scale, size=shape), dtype=dtype) for name, shape in shapes.items()}
 
 
 def check_softmax_rows():
@@ -179,8 +163,8 @@ def check_attention_bruteforce():
         h, w, c = shape
         params = tiny_attention_params(c=c, heads=2, seed=7)
         x = _rng(8).normal(size=(h, w, c))
-        got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec).numpy()[0]
-        want = full_attention_oracle(x, attention_params_numpy(params), spec, heads=2, lcm=True)
+        got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, TINY_BLOCK, spec).numpy()[0]
+        want = full_attention_oracle(x, {name: t.numpy() for name, t in params.items()}, TINY_BLOCK, spec)
         assert np.max(np.abs(got - want)) <= 1e-9, spec
 
 
@@ -190,7 +174,7 @@ def check_shifted_attention_support():
     params = tiny_attention_params(c=c, heads=2, seed=9, lcm=False)
     x = Tensor(_rng(10).normal(scale=0.5, size=(1, 6, 8, c)), dtype=np.float64)
     probe: dict = {}
-    rwin_self_attention(x, params, spec, shifted=True, probe=probe)
+    rwin_self_attention(x, params, TINY_BLOCK, spec, shifted=True, probe=probe)
     for orientation in (HORIZONTAL, VERTICAL):
         g = probe["geometries"][orientation]
         weights = probe["weights"][orientation]
@@ -211,30 +195,26 @@ def check_gradient_small():
     c, heads = 4, 2
     params = tiny_attention_params(c=c, heads=heads, seed=11, hidden=6)
     x = Tensor(_rng(12).normal(size=(1, 4, 4, c)), dtype=np.float64)
-    # Each probed weight with the parameters that swap it for a bumped copy.
-    probes = [
-        (params.qkv_weight, lambda t: replace(params, qkv_weight=t)),
-        (params.pos_net.w3, lambda t: replace(params, pos_net=replace(params.pos_net, w3=t))),
-        (params.lcm_bias, lambda t: replace(params, lcm_bias=t)),
-    ]
+    probes = [f"{TINY_BLOCK}.attn.qkv.weight", "posbias.fc3.weight", f"{TINY_BLOCK}.attn.lcm.bias"]
     tape = GradientTape()
-    tape.watch([pt for pt, _ in probes])
+    tape.watch([params[name] for name in probes])
     with tape:
-        y = rwin_self_attention(x, params, spec, shifted=True)
+        y = rwin_self_attention(x, params, TINY_BLOCK, spec, shifted=True)
         loss = ad.sum_all(ad.mul(y, y))
     grads = backward(tape, loss)
 
-    def loss_at(pt: Tensor, swap, flat_idx: int, delta: float) -> float:
-        data = pt.numpy()
+    def loss_at(name: str, flat_idx: int, delta: float) -> float:
+        data = params[name].numpy()
         data.flat[flat_idx] += delta
-        out = rwin_self_attention(x, swap(Tensor(data, dtype=np.float64)), spec, shifted=True)
+        bumped = {**params, name: Tensor(data, dtype=np.float64)}
+        out = rwin_self_attention(x, bumped, TINY_BLOCK, spec, shifted=True)
         return ad.sum_all(ad.mul(out, out)).item()
 
     step = 1e-4
-    for pt, swap in probes:
-        g = grads[pt].numpy()
-        for flat_idx in range(0, pt.size, max(1, pt.size // 5)):
-            fd = (loss_at(pt, swap, flat_idx, step) - loss_at(pt, swap, flat_idx, -step)) / (2 * step)
+    for name in probes:
+        g = grads[params[name]].numpy()
+        for flat_idx in range(0, g.size, max(1, g.size // 5)):
+            fd = (loss_at(name, flat_idx, step) - loss_at(name, flat_idx, -step)) / (2 * step)
             an = g.flat[flat_idx]
             assert abs(fd - an) <= 1e-3 * max(1.0, abs(fd), abs(an)), (fd, an)
 

@@ -1,4 +1,4 @@
-"""Shared test utilities: small random parameter sets, numpy views of them,
+"""Shared test utilities: small random weight dicts, numpy copies of them,
 a finite-difference gradient checker, and the float32-against-float64 drift
 of a model forward."""
 
@@ -8,11 +8,10 @@ from pathlib import Path
 import numpy as np
 
 from crossagg import autodiff as ad
-from crossagg.attention import AttentionParams
 from crossagg.autodiff import GradientTape, Tensor, backward
 from crossagg.model import cat_forward, init_params, preset_config
 from crossagg.reference import _pos_net
-from crossagg.selftest import attention_params_numpy, tiny_attention_params  # noqa: F401 - re-exported
+from crossagg.selftest import TINY_BLOCK, tiny_attention_params  # noqa: F401 - re-exported
 
 
 def repo_root() -> Path:
@@ -23,9 +22,21 @@ def rand(shape, seed, scale=0.1, dtype=np.float64) -> np.ndarray:
     return np.random.default_rng(seed).normal(0.0, scale, size=shape).astype(dtype)
 
 
-def eval_pos_net_numpy(p: AttentionParams, offsets: np.ndarray) -> np.ndarray:
+def numpy_weights(store: dict) -> dict:
+    """The tensors of a weight dict as the plain arrays that
+    :mod:`crossagg.reference` takes, under the same names."""
+    return {name: t.numpy() for name, t in store.items()}
+
+
+def without_lcm(store: dict) -> dict:
+    """A weight dict without its locality-complement kernels, which
+    attention then skips."""
+    return {name: t for name, t in store.items() if ".attn.lcm." not in name}
+
+
+def eval_pos_net_numpy(store: dict, offsets: np.ndarray) -> np.ndarray:
     """Directly evaluate the offset network on [K, 2] normalized offsets."""
-    return _pos_net(attention_params_numpy(p), offsets)
+    return _pos_net(numpy_weights(store), offsets)
 
 
 def assert_grads_match_fd(build, arrays: dict, step=1e-4, rtol=1e-3, atol=1e-6):

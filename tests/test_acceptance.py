@@ -36,14 +36,9 @@ from crossagg.windowing import (
     partition,
     resolve_geometry,
 )
-from crossagg.attention import (
-    AttentionParams,
-    PositionBiasParams,
-    _offset_table,
-    rwin_self_attention,
-)
+from crossagg.attention import POS_NAMES, _offset_table, rwin_self_attention
 
-from helpers import attention_params_numpy, rand
+from helpers import TINY_BLOCK, numpy_weights, rand, without_lcm
 
 
 @contextmanager
@@ -115,21 +110,17 @@ def test_criterion_3_window_size_sweep():
 # ---------------------------------------------------------------------------
 
 
-def _random_attention_params(c, heads, rng, dtype):
-    def t(*shape):
-        return Tensor(rng.normal(0.0, 0.15, size=shape).astype(dtype), dtype=dtype)
+ATTN = f"{TINY_BLOCK}.attn"
 
-    net = PositionBiasParams(w1=t(2, 8), b1=t(8), w2=t(8, 8), b2=t(8), w3=t(8, heads), b3=t(heads))
-    return AttentionParams(
-        qkv_weight=t(c, 3 * c),
-        qkv_bias=t(3 * c),
-        proj_weight=t(c, c),
-        proj_bias=t(c),
-        lcm_weight=t(3, 3, c, 1),
-        lcm_bias=t(c),
-        pos_net=net,
-        heads=heads,
-    )
+
+def _random_attention_params(c, heads, rng, dtype):
+    """The position-bias network and one block's attention weights under the
+    model's names, N(0, 0.15) per element."""
+    shapes = dict(zip(POS_NAMES, [(2, 8), (8,), (8, 8), (8,), (8, heads), (heads,)]))
+    shapes |= {f"{ATTN}.qkv.weight": (c, 3 * c), f"{ATTN}.qkv.bias": (3 * c,)}
+    shapes |= {f"{ATTN}.proj.weight": (c, c), f"{ATTN}.proj.bias": (c,)}
+    shapes |= {f"{ATTN}.lcm.weight": (3, 3, c, 1), f"{ATTN}.lcm.bias": (c,)}
+    return {name: Tensor(rng.normal(0.0, 0.15, size=s).astype(dtype), dtype=dtype) for name, s in shapes.items()}
 
 
 def _divisible_size(rng, *extent_steps):
@@ -151,15 +142,12 @@ def test_criterion_4_attention_matches_bruteforce():
                     h = _divisible_size(rng, spec.sl)
                     w = _divisible_size(rng, spec.sl)
                 c = int(rng.choice([4, 8]))
-                lcm = bool(rep % 2)
                 params = _random_attention_params(c, 2, rng, np.float32)
-                if not lcm:
-                    params = dataclasses.replace(params, lcm_weight=None, lcm_bias=None)
+                if rep % 2 == 0:  # every other case without the locality complement
+                    params = without_lcm(params)
                 x = rng.normal(0.0, 0.5, size=(h, w, c)).astype(np.float32)
-                got = rwin_self_attention(Tensor(x[None], dtype=np.float32), params, spec).numpy()[0]
-                want = full_attention_oracle(
-                    x.astype(np.float64), attention_params_numpy(params), spec, heads=2, lcm=lcm
-                )
+                got = rwin_self_attention(Tensor(x[None], dtype=np.float32), params, TINY_BLOCK, spec).numpy()[0]
+                want = full_attention_oracle(x.astype(np.float64), numpy_weights(params), TINY_BLOCK, spec)
                 assert np.max(np.abs(got - want)) <= 1e-5, (spec, h, w, c)
                 cases += 1
         assert cases >= 100
@@ -202,9 +190,9 @@ def test_criterion_5_shifted_attention_mask_oracle():
             params = _random_attention_params(c, 2, rng, np.float64)
             x = rng.normal(0.0, 0.4, size=(h, w, c))
             probe = {}
-            rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec, shifted=True, probe=probe)
-            np_params = attention_params_numpy(params)
-            qkv = x.reshape(-1, c) @ np_params["qkv_w"] + np_params["qkv_b"]
+            rwin_self_attention(Tensor(x[None], dtype=np.float64), params, TINY_BLOCK, spec, shifted=True, probe=probe)
+            np_params = numpy_weights(params)
+            qkv = x.reshape(-1, c) @ np_params[f"{ATTN}.qkv.weight"] + np_params[f"{ATTN}.qkv.bias"]
             q_full, k_full = qkv[:, :c], qkv[:, c : 2 * c]
             d = c // 2
 
@@ -301,7 +289,7 @@ def test_criterion_6_full_block_gradients_match_finite_differences():
     probe = Tensor(probe_dir, dtype=np.float64)
 
     def forward(st: dict[str, Tensor]) -> Tensor:
-        return catb_forward(x, st, config, prefix, spec, shifted=True)
+        return catb_forward(x, st, prefix, spec, shifted=True)
 
     with criterion(6, "full block gradients match central differences on every tensor", 60.0):
         tape = GradientTape()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +6,7 @@ import pytest
 
 from crossagg.attention import (
     POS_HIDDEN,
-    AttentionParams,
-    PositionBiasParams,
+    POS_NAMES,
     locality_complement,
     relative_position_bias,
     rwin_self_attention,
@@ -26,32 +24,33 @@ from crossagg.reference import (
 from crossagg.windowing import HORIZONTAL, VERTICAL, WindowSpec, resolve_geometry, window_maps
 
 from helpers import (
+    TINY_BLOCK,
     assert_grads_match_fd,
-    attention_params_numpy,
     eval_pos_net_numpy,
+    numpy_weights,
     rand,
     tiny_attention_params,
+    without_lcm,
 )
+
+ATTN = f"{TINY_BLOCK}.attn"
+
+
+def _pos_net_shapes(heads, hidden):
+    return [(2, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, heads), (heads,)]
 
 
 def _zero_net(heads, hidden=4, dtype=np.float64):
-    z = lambda *s: Tensor(np.zeros(s), dtype=dtype)
-    return PositionBiasParams(
-        w1=z(2, hidden), b1=z(hidden), w2=z(hidden, hidden), b2=z(hidden), w3=z(hidden, heads), b3=z(heads)
-    )
+    return {name: Tensor(np.zeros(s), dtype=dtype) for name, s in zip(POS_NAMES, _pos_net_shapes(heads, hidden))}
 
 
-def _structured_params(c, heads, qkv, proj, net=None, lcm=None, dtype=np.float64):
-    return AttentionParams(
-        qkv_weight=Tensor(qkv, dtype=dtype),
-        qkv_bias=Tensor(np.zeros(3 * c), dtype=dtype),
-        proj_weight=Tensor(proj, dtype=dtype),
-        proj_bias=Tensor(np.zeros(c), dtype=dtype),
-        lcm_weight=Tensor(lcm, dtype=dtype) if lcm is not None else None,
-        lcm_bias=Tensor(np.zeros(c), dtype=dtype) if lcm is not None else None,
-        pos_net=net if net is not None else _zero_net(heads, dtype=dtype),
-        heads=heads,
-    )
+def _structured_params(c, heads, qkv, proj, lcm=None, dtype=np.float64):
+    """Block weights with zero biases and a zero position bias."""
+    arrays = {f"{ATTN}.qkv.weight": qkv, f"{ATTN}.qkv.bias": np.zeros(3 * c)}
+    arrays.update({f"{ATTN}.proj.weight": proj, f"{ATTN}.proj.bias": np.zeros(c)})
+    if lcm is not None:
+        arrays.update({f"{ATTN}.lcm.weight": lcm, f"{ATTN}.lcm.bias": np.zeros(c)})
+    return _zero_net(heads, dtype=dtype) | {name: Tensor(a, dtype=dtype) for name, a in arrays.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +58,10 @@ def _structured_params(c, heads, qkv, proj, net=None, lcm=None, dtype=np.float64
 # ---------------------------------------------------------------------------
 
 
-def _query_major_bias(g, net):
+def _query_major_bias(g, store):
     """Every head of the bias as [M, n_q, n_k]."""
-    return relative_position_bias(g, net, 0, net.heads).numpy().transpose(1, 2, 0)
+    heads = store["posbias.fc3.weight"].shape[1]
+    return relative_position_bias(g, store, 0, heads).numpy().transpose(1, 2, 0)
 
 
 def test_bias_zero_net_gives_zero_bias():
@@ -73,7 +73,7 @@ def test_bias_zero_net_gives_zero_bias():
 def test_bias_diagonal_entries_all_equal():
     g = resolve_geometry(WindowSpec.regular(2, 3), HORIZONTAL, 4, 6)
     params = tiny_attention_params(c=4, heads=2, seed=1)
-    bias = _query_major_bias(g, params.pos_net)
+    bias = _query_major_bias(g, params)
     diag = np.diagonal(bias, axis1=1, axis2=2)
     assert np.allclose(diag, diag[:, :1])
 
@@ -81,7 +81,7 @@ def test_bias_diagonal_entries_all_equal():
 def test_bias_1x2_window_uses_signed_offsets():
     g = resolve_geometry(WindowSpec.regular(1, 2), HORIZONTAL, 1, 2)
     params = tiny_attention_params(c=4, heads=2, seed=2)
-    bias = _query_major_bias(g, params.pos_net)
+    bias = _query_major_bias(g, params)
     want_01 = eval_pos_net_numpy(params, np.array([[0.0, -1.0]]))[0]
     want_10 = eval_pos_net_numpy(params, np.array([[0.0, 1.0]]))[0]
     assert np.allclose(bias[:, 0, 1], want_01, atol=1e-12)
@@ -92,7 +92,7 @@ def test_bias_1x2_window_uses_signed_offsets():
 def test_bias_is_function_of_offset_only():
     g = resolve_geometry(WindowSpec.regular(2, 3), HORIZONTAL, 4, 6)
     params = tiny_attention_params(c=4, heads=2, seed=3)
-    bias = _query_major_bias(g, params.pos_net)
+    bias = _query_major_bias(g, params)
     ys, xs = np.meshgrid(np.arange(2), np.arange(3), indexing="ij")
     pos = np.stack([ys.ravel(), xs.ravel()], axis=1)
     n = pos.shape[0]
@@ -108,18 +108,18 @@ def test_bias_is_function_of_offset_only():
 def test_bias_matches_reference_table():
     g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 4, 8)
     params = tiny_attention_params(c=4, heads=2, seed=4)
-    got = _query_major_bias(g, params.pos_net)
-    want = position_bias_table(attention_params_numpy(params), 2, 4)
+    got = _query_major_bias(g, params)
+    want = position_bias_table(numpy_weights(params), 2, 4)
     assert np.allclose(got, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [WindowSpec.regular(2, 4), WindowSpec.axial(2)], ids=["regular", "axial"])
 def test_each_orientation_bias_is_its_heads_of_the_reference_keys_major(spec):
     params = tiny_attention_params(c=8, heads=4, seed=5)
-    np_params, half = attention_params_numpy(params), 2
+    np_params, half = numpy_weights(params), 2
     for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, 6, 8)
-        got = relative_position_bias(g, params.pos_net, oi * half, half).numpy()
+        got = relative_position_bias(g, params, oi * half, half).numpy()
         want = position_bias_table(np_params, g.sh, g.sw)[oi * half : (oi + 1) * half].transpose(2, 0, 1)
         assert got.shape == (g.window_pixels, half, g.window_pixels), orientation
         assert np.allclose(got, want, atol=1e-12), orientation
@@ -135,8 +135,8 @@ def test_bias_build_memory_is_one_orientations_heads():
     g = resolve_geometry(spec, HORIZONTAL, 96, 96, shifted=True)
     rng = np.random.default_rng(6)
     m = config.num_heads
-    shapes = [(2, POS_HIDDEN), (POS_HIDDEN,), (POS_HIDDEN, POS_HIDDEN), (POS_HIDDEN,), (POS_HIDDEN, m), (m,)]
-    net = PositionBiasParams(*(Tensor(rng.normal(0.0, 0.02, s).astype(np.float32)) for s in shapes))
+    shapes = _pos_net_shapes(m, POS_HIDDEN)
+    net = {name: Tensor(rng.normal(0.0, 0.02, s).astype(np.float32)) for name, s in zip(POS_NAMES, shapes)}
     tracemalloc.start()
     try:
         bias = relative_position_bias(g, net, 0, m // 2)
@@ -154,19 +154,10 @@ def test_bias_build_memory_is_one_orientations_heads():
 
 def test_zero_projections_give_broadcast_output_bias():
     c = 4
-    params = tiny_attention_params(c=c, heads=2, seed=5, lcm=False)
-    params = AttentionParams(
-        qkv_weight=Tensor(np.zeros((c, 3 * c))),
-        qkv_bias=Tensor(np.zeros(3 * c)),
-        proj_weight=Tensor(np.zeros((c, c))),
-        proj_bias=Tensor(np.array([1.0, -2.0, 3.0, 4.0])),
-        lcm_weight=None,
-        lcm_bias=None,
-        pos_net=_zero_net(2),
-        heads=2,
-    )
+    params = _structured_params(c, 2, np.zeros((c, 3 * c)), np.zeros((c, c)))
+    params[f"{ATTN}.proj.bias"] = Tensor(np.array([1.0, -2.0, 3.0, 4.0]))
     x = Tensor(rand((1, 4, 8, c), 6), dtype=np.float64)
-    out = rwin_self_attention(x, params, WindowSpec.regular(2, 4)).numpy()
+    out = rwin_self_attention(x, params, TINY_BLOCK, WindowSpec.regular(2, 4)).numpy()
     assert np.allclose(out, np.broadcast_to([1.0, -2.0, 3.0, 4.0], out.shape))
 
 
@@ -176,7 +167,7 @@ def test_uniform_attention_averages_each_window():
     qkv[:, 2 * c :] = np.eye(c)  # V = X, Q = K = 0
     params = _structured_params(c, heads, qkv, np.eye(c))
     x = rand((1, 4, 8, c), 7)
-    out = rwin_self_attention(Tensor(x, dtype=np.float64), params, WindowSpec.regular(2, 4)).numpy()
+    out = rwin_self_attention(Tensor(x, dtype=np.float64), params, TINY_BLOCK, WindowSpec.regular(2, 4)).numpy()
 
     expect = np.zeros_like(x)
     for y in range(4):
@@ -200,8 +191,8 @@ def test_uniform_attention_averages_each_window():
 def test_matches_bruteforce_full_attention(spec, h, w, c):
     params = tiny_attention_params(c=c, heads=2, seed=h * 10 + w)
     x = rand((h, w, c), seed=42 + h)
-    got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec).numpy()[0]
-    want = full_attention_oracle(x, attention_params_numpy(params), spec, heads=2, lcm=True)
+    got = rwin_self_attention(Tensor(x[None], dtype=np.float64), params, TINY_BLOCK, spec).numpy()[0]
+    want = full_attention_oracle(x, numpy_weights(params), TINY_BLOCK, spec)
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
@@ -220,8 +211,8 @@ def test_window_permutation_equivariance():
         return b
 
     spec = WindowSpec.regular(s, s)
-    base = rwin_self_attention(Tensor(x, dtype=np.float64), params, spec).numpy()
-    permuted = rwin_self_attention(Tensor(permute_windows(x), dtype=np.float64), params, spec).numpy()
+    base = rwin_self_attention(Tensor(x, dtype=np.float64), params, TINY_BLOCK, spec).numpy()
+    permuted = rwin_self_attention(Tensor(permute_windows(x), dtype=np.float64), params, TINY_BLOCK, spec).numpy()
     assert np.allclose(permuted, permute_windows(base), atol=1e-12)
 
 
@@ -229,7 +220,7 @@ def test_head_split_law_geometries():
     probe = {}
     params = tiny_attention_params(c=4, heads=2, seed=10)
     x = Tensor(rand((1, 4, 8, 4), 11), dtype=np.float64)
-    rwin_self_attention(x, params, WindowSpec.regular(4, 2), probe=probe)
+    rwin_self_attention(x, params, TINY_BLOCK, WindowSpec.regular(4, 2), probe=probe)
     gh, gv = probe["geometries"][HORIZONTAL], probe["geometries"][VERTICAL]
     assert (gh.sh, gh.sw) == (2, 4) and gh.sh <= gh.sw
     assert (gv.sh, gv.sw) == (4, 2) and gv.sh >= gv.sw
@@ -239,7 +230,7 @@ def test_attention_rows_are_convex_weights():
     params = tiny_attention_params(c=4, heads=2, seed=12)
     x = Tensor(rand((2, 4, 8, 4), 13), dtype=np.float64)
     probe = {}
-    rwin_self_attention(x, params, WindowSpec.regular(2, 4), shifted=True, probe=probe)
+    rwin_self_attention(x, params, TINY_BLOCK, WindowSpec.regular(2, 4), shifted=True, probe=probe)
     for orientation in (HORIZONTAL, VERTICAL):
         w = probe["weights"][orientation]
         assert np.all(w >= 0.0)
@@ -253,9 +244,9 @@ def test_shifted_interior_windows_match_translated_grid():
     params = tiny_attention_params(c=c, heads=heads, seed=14)
     x = rand((h, w, c), 15, scale=0.5)
     probe = {}
-    rwin_self_attention(Tensor(x[None], dtype=np.float64), params, spec, shifted=True, probe=probe)
-    np_params = attention_params_numpy(params)
-    qkv = x.reshape(-1, c) @ np_params["qkv_w"] + np_params["qkv_b"]
+    rwin_self_attention(Tensor(x[None], dtype=np.float64), params, TINY_BLOCK, spec, shifted=True, probe=probe)
+    np_params = numpy_weights(params)
+    qkv = x.reshape(-1, c) @ np_params[f"{ATTN}.qkv.weight"] + np_params[f"{ATTN}.qkv.bias"]
     q_full, k_full = qkv[:, :c], qkv[:, c : 2 * c]
     d = c // heads
 
@@ -294,20 +285,11 @@ def test_shifted_interior_windows_match_translated_grid():
 def test_lcm_zero_kernel_is_noop():
     c = 4
     base = tiny_attention_params(c=c, heads=2, seed=16)
-    zeroed = AttentionParams(
-        qkv_weight=base.qkv_weight,
-        qkv_bias=base.qkv_bias,
-        proj_weight=base.proj_weight,
-        proj_bias=base.proj_bias,
-        lcm_weight=Tensor(np.zeros((3, 3, c, 1))),
-        lcm_bias=Tensor(np.zeros(c)),
-        pos_net=base.pos_net,
-        heads=2,
-    )
+    zeroed = base | {f"{ATTN}.lcm.weight": Tensor(np.zeros((3, 3, c, 1))), f"{ATTN}.lcm.bias": Tensor(np.zeros(c))}
     x = Tensor(rand((1, 4, 4, c), 17), dtype=np.float64)
-    no_kernel = dataclasses.replace(zeroed, lcm_weight=None, lcm_bias=None)
-    with_lcm = rwin_self_attention(x, zeroed, WindowSpec.regular(2, 2)).numpy()
-    without = rwin_self_attention(x, no_kernel, WindowSpec.regular(2, 2)).numpy()
+    no_kernel = without_lcm(zeroed)
+    with_lcm = rwin_self_attention(x, zeroed, TINY_BLOCK, WindowSpec.regular(2, 2)).numpy()
+    without = rwin_self_attention(x, no_kernel, TINY_BLOCK, WindowSpec.regular(2, 2)).numpy()
     assert np.array_equal(with_lcm, without)
 
 
@@ -319,9 +301,9 @@ def test_lcm_identity_kernel_adds_value_map():
     ident[1, 1, :, 0] = 1.0
     params = _structured_params(c, heads, qkv, np.eye(c), lcm=ident)
     x = rand((1, 4, 4, c), 19)
-    no_kernel = dataclasses.replace(params, lcm_weight=None, lcm_bias=None)
-    on = rwin_self_attention(Tensor(x, dtype=np.float64), params, WindowSpec.regular(2, 2)).numpy()
-    off = rwin_self_attention(Tensor(x, dtype=np.float64), no_kernel, WindowSpec.regular(2, 2)).numpy()
+    no_kernel = without_lcm(params)
+    on = rwin_self_attention(Tensor(x, dtype=np.float64), params, TINY_BLOCK, WindowSpec.regular(2, 2)).numpy()
+    off = rwin_self_attention(Tensor(x, dtype=np.float64), no_kernel, TINY_BLOCK, WindowSpec.regular(2, 2)).numpy()
     v = x @ qkv[:, 2 * c :]  # value map, since qkv bias is zero and proj is identity
     assert np.allclose(on - off, v, atol=1e-10)
 
@@ -329,7 +311,7 @@ def test_lcm_identity_kernel_adds_value_map():
 def test_locality_complement_channel_mismatch():
     params = tiny_attention_params(c=4, heads=2, seed=20)
     with pytest.raises(ValueError):
-        locality_complement(Tensor(np.zeros((1, 2, 2, 6))), params)
+        locality_complement(Tensor(np.zeros((1, 2, 2, 6))), params, TINY_BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -338,52 +320,58 @@ def test_locality_complement_channel_mismatch():
 
 
 def test_odd_head_count_rejected():
+    params = tiny_attention_params(c=3, heads=3)
+    with pytest.raises(ValueError, match="head count"):
+        rwin_self_attention(Tensor(np.zeros((1, 4, 4, 3))), params, TINY_BLOCK, WindowSpec.regular(2, 2))
+
+
+def test_head_count_not_dividing_channels_rejected():
+    params = tiny_attention_params(c=6, heads=4)
+    with pytest.raises(ValueError, match="head count"):
+        rwin_self_attention(Tensor(np.zeros((1, 4, 4, 6))), params, TINY_BLOCK, WindowSpec.regular(2, 2))
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        (f"{ATTN}.qkv.weight", (4, 13)),
+        (f"{ATTN}.qkv.weight", (5, 12)),
+        (f"{ATTN}.qkv.bias", (13,)),
+        (f"{ATTN}.proj.weight", (4, 5)),
+        (f"{ATTN}.proj.weight", (5, 4)),
+        ("posbias.fc1.weight", (3, 8)),  # not 2 offset inputs
+        ("posbias.fc2.weight", (8, 7)),  # widths that do not chain
+    ],
+)
+def test_misshaped_weight_rejected(name, shape):
+    params = tiny_attention_params(c=4, heads=2, seed=21)
+    params[name] = Tensor(np.zeros(shape))
     with pytest.raises(ValueError):
-        tiny_attention_params(c=3, heads=3)
+        rwin_self_attention(Tensor(np.zeros((1, 4, 4, 4))), params, TINY_BLOCK, WindowSpec.regular(2, 2))
 
 
 def test_channel_mismatch_rejected():
     params = tiny_attention_params(c=4, heads=2, seed=21)
     with pytest.raises(ValueError):
-        rwin_self_attention(Tensor(np.zeros((1, 4, 4, 6))), params, WindowSpec.regular(2, 2))
+        rwin_self_attention(Tensor(np.zeros((1, 4, 4, 6))), params, TINY_BLOCK, WindowSpec.regular(2, 2))
 
 
 def test_gradients_through_shifted_attention():
     c, heads, hidden = 4, 2, 6
     x = rand((1, 4, 4, c), 22, scale=0.5)
 
-    def build(t):
-        net = PositionBiasParams(
-            w1=t["w1"], b1=t["b1"], w2=t["w2"], b2=t["b2"], w3=t["w3"], b3=t["b3"]
-        )
-        params = AttentionParams(
-            qkv_weight=t["qkv_w"],
-            qkv_bias=t["qkv_b"],
-            proj_weight=t["proj_w"],
-            proj_bias=t["proj_b"],
-            lcm_weight=t["lcm_w"],
-            lcm_bias=t["lcm_b"],
-            pos_net=net,
-            heads=heads,
-        )
-        return rwin_self_attention(t["x"], params, WindowSpec.regular(2, 4), shifted=True)
-
+    # The store holds "x" next to the weights; attention reads only its own names.
     assert_grads_match_fd(
-        build,
+        lambda t: rwin_self_attention(t["x"], t, TINY_BLOCK, WindowSpec.regular(2, 4), shifted=True),
         {
             "x": x,
-            "qkv_w": rand((c, 3 * c), 23),
-            "qkv_b": rand((3 * c,), 24),
-            "proj_w": rand((c, c), 25),
-            "proj_b": rand((c,), 26),
-            "lcm_w": rand((3, 3, c, 1), 27),
-            "lcm_b": rand((c,), 28),
-            "w1": rand((2, hidden), 29),
-            "b1": rand((hidden,), 30),
-            "w2": rand((hidden, hidden), 31),
-            "b2": rand((hidden,), 32),
-            "w3": rand((hidden, heads), 33),
-            "b3": rand((heads,), 34),
+            f"{ATTN}.qkv.weight": rand((c, 3 * c), 23),
+            f"{ATTN}.qkv.bias": rand((3 * c,), 24),
+            f"{ATTN}.proj.weight": rand((c, c), 25),
+            f"{ATTN}.proj.bias": rand((c,), 26),
+            f"{ATTN}.lcm.weight": rand((3, 3, c, 1), 27),
+            f"{ATTN}.lcm.bias": rand((c,), 28),
+            **{name: rand(s, 29 + i) for i, (name, s) in enumerate(zip(POS_NAMES, _pos_net_shapes(heads, hidden)))},
         },
     )
 
@@ -392,9 +380,9 @@ def test_cache_is_reused_and_output_stable():
     params = tiny_attention_params(c=4, heads=2, seed=35)
     x = Tensor(rand((1, 4, 8, 4), 36), dtype=np.float64)
     cache = {}
-    first = rwin_self_attention(x, params, WindowSpec.regular(2, 4), shifted=True, cache=cache).numpy()
+    first = rwin_self_attention(x, params, TINY_BLOCK, WindowSpec.regular(2, 4), shifted=True, cache=cache).numpy()
     populated = dict(cache)
-    second = rwin_self_attention(x, params, WindowSpec.regular(2, 4), shifted=True, cache=cache).numpy()
+    second = rwin_self_attention(x, params, TINY_BLOCK, WindowSpec.regular(2, 4), shifted=True, cache=cache).numpy()
     assert np.array_equal(first, second)
     assert cache.keys() == populated.keys()
     assert any(k[0] == "bias" for k in cache)
@@ -406,11 +394,11 @@ def test_cached_bias_is_its_orientations_heads_in_their_own_buffer():
     params = tiny_attention_params(c=8, heads=4, seed=43)
     spec, (h, w), half = WindowSpec.regular(2, 4), (4, 8), 2
     cache = {}
-    rwin_self_attention(Tensor(rand((1, h, w, 8), 44)), params, spec, shifted=True, cache=cache)
+    rwin_self_attention(Tensor(rand((1, h, w, 8), 44)), params, TINY_BLOCK, spec, shifted=True, cache=cache)
     for oi, orientation in enumerate((HORIZONTAL, VERTICAL)):
         g = resolve_geometry(spec, orientation, h, w, shifted=True)
         bias = cache[("bias", orientation, g.sh, g.sw, "float64")][1].data
-        want = relative_position_bias(g, params.pos_net, oi * half, half).data
+        want = relative_position_bias(g, params, oi * half, half).data
         assert bias.shape == want.shape and np.array_equal(bias, want), orientation
         assert bias.base is None, orientation
 
@@ -421,14 +409,14 @@ def test_cache_shared_by_shifted_and_unshifted_calls_matches_fresh_caches():
     x = Tensor(rand((1, 6, 8, 8), 46))
     cache = {}
     for shifted in (True, False, True, False):
-        out = rwin_self_attention(x, params, spec, shifted=shifted, cache=cache).data
-        fresh = rwin_self_attention(x, params, spec, shifted=shifted, cache={}).data
+        out = rwin_self_attention(x, params, TINY_BLOCK, spec, shifted=shifted, cache=cache).data
+        fresh = rwin_self_attention(x, params, TINY_BLOCK, spec, shifted=shifted, cache={}).data
         assert np.array_equal(out, fresh), shifted
     assert sum(k[0] == "bias" for k in cache) == 2  # one per orientation, shared by both shifts
 
 
-def _pos_net_dict(params: AttentionParams) -> dict:
-    return {f.name: getattr(params.pos_net, f.name) for f in dataclasses.fields(params.pos_net)}
+def _pos_net_dict(params: dict) -> dict:
+    return {name: params[name] for name in POS_NAMES}
 
 
 def _taped_pos_net_grads(x, params, spec, cache, probe):
@@ -436,7 +424,7 @@ def _taped_pos_net_grads(x, params, spec, cache, probe):
     tape = GradientTape()
     tape.watch(net.values())
     with tape:
-        out = rwin_self_attention(x, params, spec, shifted=True, cache=cache)
+        out = rwin_self_attention(x, params, TINY_BLOCK, spec, shifted=True, cache=cache)
         loss = ad.sum_all(ad.mul(out, probe))
     grads = backward(tape, loss)
     return out.numpy(), {name: grads[t] for name, t in net.items()}
@@ -451,7 +439,7 @@ def test_bias_cache_follows_weight_updates_across_adam_step():
     _, grads = _taped_pos_net_grads(x, params, spec, cache, probe)
     net = _pos_net_dict(params)
     new_net, _ = adam_step(net, grads, init_adam_state(net), OptimizerHyper(learning_rate=0.1))
-    stepped = dataclasses.replace(params, pos_net=PositionBiasParams(**new_net))
+    stepped = params | new_net
 
     out, grads = _taped_pos_net_grads(x, stepped, spec, cache, probe)
     fresh_out, fresh_grads = _taped_pos_net_grads(x, stepped, spec, {}, probe)
@@ -467,7 +455,7 @@ def test_bias_cache_built_without_tape_is_rebuilt_under_tape():
     x = Tensor(rand((1, 4, 8, 4), 41), dtype=np.float64)
     probe = Tensor(rand((1, 4, 8, 4), 42, scale=1.0), dtype=np.float64)
     cache = {}
-    rwin_self_attention(x, params, spec, shifted=True, cache=cache)
+    rwin_self_attention(x, params, TINY_BLOCK, spec, shifted=True, cache=cache)
     _, grads = _taped_pos_net_grads(x, params, spec, cache, probe)
     _, fresh_grads = _taped_pos_net_grads(x, params, spec, {}, probe)
     for name, g in fresh_grads.items():
@@ -676,16 +664,17 @@ def test_window_attention_rejects_bad_shapes():
 
 
 def test_untaped_axial_attention_peaks_below_one_logits_tensor():
-    params = tiny_attention_params(c=8, heads=2, seed=90, dtype=np.float32)
+    heads = 2
+    params = tiny_attention_params(c=8, heads=heads, seed=90, dtype=np.float32)
     spec = WindowSpec.axial(4)
     x = Tensor(rand((1, 64, 64, 8), 91, scale=1.0), dtype=np.float32)
     cache = {}
-    rwin_self_attention(x, params, spec, shifted=True, cache=cache)  # builds the cached bias
+    rwin_self_attention(x, params, TINY_BLOCK, spec, shifted=True, cache=cache)  # builds the cached bias
     g = resolve_geometry(spec, HORIZONTAL, 64, 64, shifted=True)
-    logits_bytes = g.num_windows * (params.heads // 2) * g.window_pixels**2 * 4
+    logits_bytes = g.num_windows * (heads // 2) * g.window_pixels**2 * 4
     tracemalloc.start()
     try:
-        rwin_self_attention(x, params, spec, shifted=True, cache=cache)
+        rwin_self_attention(x, params, TINY_BLOCK, spec, shifted=True, cache=cache)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

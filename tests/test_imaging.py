@@ -187,6 +187,47 @@ def test_png_filtered_rows_decode():
     assert np.array_equal(got.data, img)
 
 
+def _gray_png(height, width, idat):
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+    return b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", idat) + _png_chunk(b"IEND", b"")
+
+
+def test_png_inflating_past_its_payload_rejected_before_inflating_it(tmp_path):
+    # A 4x4 gray image holds 4 * (1 + 4) = 20 payload bytes; its 65 KB IDAT
+    # inflates to 64 MiB, which inflating the whole stream would buffer first.
+    packer = zlib.compressobj(9)
+    idat = b"".join(packer.compress(bytes(2**20)) for _ in range(64)) + packer.flush()
+    path = tmp_path / "bomb.png"
+    path.write_bytes(_gray_png(4, 4, idat))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageFormatError, match="wrong length"):
+            load_image(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [
+        (zlib.compress(bytes(19)), "wrong length"),
+        (zlib.compress(bytes(21)), "wrong length"),
+        (zlib.compress(bytes(20)) + b"\x00", "wrong length"),  # bytes after the end of the stream
+        (zlib.compress(bytes(20))[:-3], "corrupt"),  # the stream stops before its end
+    ],
+    ids=["short", "one_byte_long", "trailing_bytes", "truncated"],
+)
+def test_png_payload_of_the_wrong_length_rejected(tmp_path, stream, message):
+    path = tmp_path / "bad.png"
+    path.write_bytes(_gray_png(4, 4, stream))
+    with pytest.raises(ImageFormatError, match=message):
+        load_image(str(path))
+    path.write_bytes(_gray_png(4, 4, zlib.compress(bytes(20))))
+    assert np.array_equal(load_image(str(path)).data, np.zeros((4, 4, 1), dtype=np.uint8))
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "mystery.bin"
     path.write_bytes(b"GIF89a....")

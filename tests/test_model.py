@@ -67,7 +67,7 @@ def test_catb_zero_weights_is_identity():
     config = _tiny_config()
     store = _zero_store(config, dtype=np.float64)
     x = Tensor(rand((1, 4, 8, 8), 0), dtype=np.float64)
-    out = catb_forward(x, store, config, "body.group0.block0", config.spec_for_group(0), shifted=False)
+    out = catb_forward(x, store, "body.group0.block0", config.spec_for_group(0), shifted=False)
     assert np.array_equal(out.data, x.data)
 
 
@@ -76,7 +76,7 @@ def test_catb_preserves_shape():
     store = init_params(config, seed=0, dtype=np.float64)
     for shape in [(1, 4, 8, 8), (2, 6, 6, 8), (1, 3, 5, 8)]:
         x = Tensor(rand(shape, 1), dtype=np.float64)
-        out = catb_forward(x, store, config, "body.group0.block0", config.spec_for_group(0), shifted=True)
+        out = catb_forward(x, store, "body.group0.block0", config.spec_for_group(0), shifted=True)
         assert out.shape == shape
 
 
@@ -112,7 +112,7 @@ def test_single_block_group_composes_one_unshifted_block():
     got = residual_group_forward(x, store, config, group=0)
     import crossagg.autodiff as ad
 
-    manual = catb_forward(x, store, config, "body.group0.block0", config.spec_for_group(0), shifted=False)
+    manual = catb_forward(x, store, "body.group0.block0", config.spec_for_group(0), shifted=False)
     manual = ad.conv2d_3x3(manual, store["body.group0.conv.weight"], store["body.group0.conv.bias"])
     manual = ad.add(manual, x)
     assert np.array_equal(got.data, manual.data)
@@ -136,10 +136,10 @@ def test_untaped_shifted_axial_block_peak_memory():
     config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
     store, spec = init_params(config, 0), config.spec_for_group(0)
     x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))
-    catb_forward(x, store, config, "body.group0.block1", spec, shifted=True)
+    catb_forward(x, store, "body.group0.block1", spec, shifted=True)
     tracemalloc.start()
     try:
-        catb_forward(x, store, config, "body.group0.block1", spec, shifted=True)
+        catb_forward(x, store, "body.group0.block1", spec, shifted=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,7 +154,7 @@ def test_banded_mlp_is_bit_identical_to_one_band(monkeypatch, dtype):
     store = init_params(config, 0, dtype=dtype)
     x = Tensor(rand((1, 9, 11, 16), 82, 1.0, dtype))
     prefix = "body.group0.block0"
-    one_band = catb_forward(x, store, config, prefix, config.spec_for_group(0), shifted=False).data
+    one_band = catb_forward(x, store, prefix, config.spec_for_group(0), shifted=False).data
     calls, linear = [], ad.linear
 
     def counted(x, *args, **kwargs):
@@ -163,7 +163,7 @@ def test_banded_mlp_is_bit_identical_to_one_band(monkeypatch, dtype):
 
     monkeypatch.setattr(ad, "linear", counted)
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 13 * 32 * np.dtype(dtype).itemsize)
-    banded = catb_forward(x, store, config, prefix, config.spec_for_group(0), shifted=False).data
+    banded = catb_forward(x, store, prefix, config.spec_for_group(0), shifted=False).data
     mlp_rows = [shape[0] for shape in calls if len(shape) == 2 and shape[-1] == 16]
     assert len(mlp_rows) == 8 and sum(mlp_rows) == 99 and min(mlp_rows) == 12, mlp_rows  # fc1 inputs
     assert banded.dtype == dtype and np.array_equal(banded, one_band)
@@ -191,7 +191,7 @@ def test_untaped_group_frees_each_block_input_after_its_attention():
             tracemalloc.stop()
 
     block = max(
-        peak(lambda: catb_forward(x, store, config, f"body.group0.block{j}", spec, shifted=(j % 2 == 1)))
+        peak(lambda: catb_forward(x, store, f"body.group0.block{j}", spec, shifted=(j % 2 == 1)))
         for j in range(2)
     )
     group = peak(lambda: residual_group_forward(x, store, config, 0))
@@ -274,6 +274,24 @@ def test_cat_forward_rejects_mixed_dtype_weights_before_running(monkeypatch):
     with pytest.raises(WeightFormatError, match=r"'body.conv.bias' is float64, the other weights float32"):
         cat_forward(Tensor(np.zeros((1, 8, 8, 3), dtype=np.float32)), store, config)
     assert not ran
+
+
+def test_cat_forward_rejects_an_entry_outside_the_schema_by_name():
+    # Attention applies the locality complement iff the block's kernel is in
+    # the store: a kernel left among the weights of a use_lcm = false model
+    # would change its output unnoticed.
+    config = dataclasses.replace(preset_config("tiny_sr_x2"), use_lcm=False)
+    store = init_params(preset_config("tiny_sr_x2"), seed=0)
+    with pytest.raises(WeightFormatError, match="unknown extra entry 'body.group0.block0.attn.lcm.bias'"):
+        cat_forward(Tensor(np.zeros((1, 8, 8, 3), dtype=np.float32)), store, config)
+
+
+def test_cat_forward_rejects_a_missing_entry_by_name():
+    config = preset_config("tiny_sr_x2")
+    store = init_params(config, seed=0)
+    del store["head.post.bias"]
+    with pytest.raises(WeightFormatError, match="missing entry 'head.post.bias'"):
+        cat_forward(Tensor(np.zeros((1, 8, 8, 3), dtype=np.float32)), store, config)
 
 
 # ---------------------------------------------------------------------------
