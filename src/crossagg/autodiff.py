@@ -645,26 +645,26 @@ def window_attention(
 
     ``x`` is [N, H, W, Cin]; ``q | k = x @ w_qk + b_qk`` with ``w_qk`` [Cin,
     2C] and ``b_qk`` [2C], the queries in the first C columns and the keys in
-    the last C; ``v`` is [N, H, W, C]. ``windows`` holds one ``(index, where,
+    the last C; ``v`` is [N, H, W, C]. ``windows`` holds one ``(index, own,
     regions, bias)`` per orientation, in head order: the maps of
     :func:`windowing.window_maps` and that orientation's bias. ``index``
-    [nw, n] is the pixel each window slot reads; ``where`` [Hp, Wp] the slot
-    of each pixel of the reflect-padded map, whose [:H, :W] corner is each
-    pixel's own slot; ``regions`` [nw, n] (no gradient) the shift-mask region
-    id of each slot. ``bias`` is keys-major, [n_k, heads, n_q] (entry (j, m,
-    i) is head m's bias from query i to key j), is shared by every window,
-    and gets its gradient in the same layout. An orientation owns the heads,
-    of d = C / (all heads) channels each, that follow the previous
-    orientation's. The mask adds MASK_VALUE to the logit of every pixel pair
-    whose region ids differ, through a float mask built per chunk; a chunk in
-    which every window holds one id (as in an unshifted geometry, whose ids
-    are all 0) gets no mask.
+    [nw, n] is the pixel each window slot reads; ``own`` [nw, n] bool marks
+    the one slot per pixel that holds its own copy, the others holding
+    copies reflected by the pad; ``regions`` [nw, n] (no gradient) the
+    shift-mask region id of each slot. ``bias`` is keys-major, [n_k, heads,
+    n_q] (entry (j, m, i) is head m's bias from query i to key j), is shared
+    by every window, and gets its gradient in the same layout. An
+    orientation owns the heads, of d = C / (all heads) channels each, that
+    follow the previous orientation's. The mask adds MASK_VALUE to the logit
+    of every pixel pair whose region ids differ, through a float mask built
+    per chunk; a chunk in which every window holds one id (as in an
+    unshifted geometry, whose ids are all 0) gets no mask.
 
     Per orientation the op takes its heads' Q and K columns of ``w_qk`` and
     ``b_qk`` once. Then, a chunk of windows at a time, it gathers the chunk's
     rows of ``x`` and projects them into chunk-sized scratch with one GEMM
-    plus the bias, gathers the chunk's V from ``v``, and writes the chunk's
-    output into the [N, H, W, C] result at each pixel's own slot; no Q|K map
+    plus the bias, gathers the chunk's V from ``v``, and writes each own
+    slot's output into the [N, H, W, C] result at its pixel; no Q|K map
     and no map in the window layout exists at full size. A reflected pixel
     is projected once per slot that reads it. Each Q and K element is the
     same row-times-column sum as in one GEMM over the whole map, but OpenBLAS
@@ -684,10 +684,11 @@ def window_attention(
     kept only when a tape records the op or ``weights`` is set; then ``(out,
     p_0, p_1, ...)`` is returned, one read-only array per orientation. A tape
     also keeps ``x`` and ``v`` (not Q|K): the backward projects and gathers
-    each chunk again, scatters dq, dk and dv through the adjoint of the
-    reflect pad, and turns the assembled [N, H, W, 2C] dq|dk into the
-    gradients of ``x``, ``w_qk`` and ``b_qk`` with the GEMMs of
-    :func:`linear`'s backward.
+    each chunk again and writes each own slot's dq, dk and dv at its pixel;
+    once every own slot is written, it adds each reflected slot's to the
+    pixel the slot reads (the adjoint of the reflect pad), and turns the
+    assembled [N, H, W, 2C] dq|dk into the gradients of ``x``, ``w_qk`` and
+    ``b_qk`` with the GEMMs of :func:`linear`'s backward.
     """
     if x.ndim != 4 or v.ndim != 4 or x.shape[:3] != v.shape[:3]:
         raise ShapeError(f"window_attention: x {x.shape} and v {v.shape} are not [N, H, W, Cin] and [N, H, W, C]")
@@ -700,13 +701,15 @@ def window_attention(
     heads = [bias.shape[1] if bias.ndim == 3 else 0 for bias in biases]
     if not windows or min(heads) < 1 or c % sum(heads):
         raise ShapeError(f"window_attention: biases {[b.shape for b in biases]} do not split {c} channels into heads")
-    for index, where, regions, bias in windows:
+    for index, own, regions, bias in windows:
         nw, n = index.shape
         if bias.shape != (n, bias.shape[1], n) or regions.shape != index.shape:
             raise ShapeError(f"window_attention: bias {bias.shape} or regions {regions.shape} do not fit {index.shape}")
-        fits = where.size == index.size and where.shape[0] >= h and where.shape[1] >= w
-        if not fits or not 0 <= index.min() <= index.max() < h * w:
-            raise ShapeError(f"window_attention: maps {index.shape} and {where.shape} do not fit a {h}x{w} map")
+        if own.shape != index.shape or not 0 <= index.min() <= index.max() < h * w:
+            raise ShapeError(f"window_attention: maps {index.shape} and {own.shape} do not fit a {h}x{w} map")
+        # The output and the Q|K and V gradients are written once per own slot.
+        if np.count_nonzero(own) != h * w or not np.bincount(index[own], minlength=h * w).all():
+            raise ShapeError(f"window_attention: own does not mark one slot per pixel of a {h}x{w} map")
     _check_same_dtype(x, w_qk, b_qk, v, *biases)
     scale = float(scale)
     dtype, total = v.dtype, sum(heads)
@@ -772,13 +775,12 @@ def _attend_windows(xd, qk_o, vd, out, maps, bias, first, d, scale, probs) -> No
     ``out``; the probabilities go into ``probs`` unless it is None. Its
     scratch dies with the call, before the next orientation allocates its
     own."""
-    index, where, regions = maps
+    index, own, regions = maps
     nb, h, w, c = vd.shape
     (nw, n), m, total, dtype = index.shape, bias.shape[1], c // d, vd.dtype
     b = nb * nw
     # Rows of d channels: v and out hold total of them per pixel.
     x_rows, v_data, out_rows = xd.reshape(-1, xd.shape[3]), vd.reshape(-1, d), out.reshape(-1, total, d)
-    own = _own_pixels(where, h, w, index.shape)
     # A chunk's logits and its gathered and projected rows, n * (m * n + cin +
     # 2 * m * d) elements per window, within the budget.
     step = max(1, WINDOW_CHUNK_BYTES // (n * (m * n + x_rows.shape[1] + 2 * m * d) * dtype.itemsize))
@@ -795,7 +797,7 @@ def _attend_windows(xd, qk_o, vd, out, maps, bias, first, d, scale, probs) -> No
     for start in range(0, b, step):
         stop = min(start + step, b)
         cs = stop - start
-        window, image, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+        window, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
         e = logits[:, :cs]
         q, k = _project_chunk(x_rows, qk_o, pix, xw, proj, m, d)
         np.multiply(q.swapaxes(-1, -2), scale, out=q_t[:cs])
@@ -814,13 +816,11 @@ def _attend_windows(xd, qk_o, vd, out, maps, bias, first, d, scale, probs) -> No
         np.divide(ev[:cs, ..., :d], s, out=y[:cs].transpose(0, 2, 1, 3))
         if probs is not None:
             np.divide(e.transpose(1, 2, 3, 0), s, out=probs[start:stop])
-        slot_pixel = own[window]
-        valid = slot_pixel >= 0
-        dst = slot_pixel + image * (h * w)
-        if valid.all():
-            out_rows[dst.ravel(), first : first + m] = y[:cs].reshape(-1, m, d)
+        mine = own[window]
+        if mine.all():
+            out_rows[pix.ravel(), first : first + m] = y[:cs].reshape(-1, m, d)
         else:
-            out_rows[dst[valid], first : first + m] = y[:cs][valid]
+            out_rows[pix[mine], first : first + m] = y[:cs][mine]
 
 
 def _window_grads(g, xd, qk_o, vd, grads, maps, p, first, d, scale) -> np.ndarray:
@@ -828,23 +828,20 @@ def _window_grads(g, xd, qk_o, vd, grads, maps, p, first, d, scale) -> np.ndarra
     heads [first, first + p.shape[1]) of d channels: writes their channels of
     the Q|K and V gradients into ``grads`` and returns their bias gradient. A
     chunk of windows at a time it projects Q and K and gathers V again, and
-    the output gradient at each slot's own pixel (a reflected copy gets
-    none), and puts each slot's dq, dk and dv at the slot's padded pixel; the
-    adjoint of the reflect pad then folds those onto the map."""
+    the output gradient at each own slot's pixel (a reflected copy gets
+    none), and writes each own slot's dq, dk and dv at its pixel. Those of
+    the reflected slots are added to the pixels they read once every own
+    slot is written: the adjoint of the reflect pad."""
     dqk, dv = grads
-    index, where, _ = maps
+    index, own, _ = maps
     nb, h, w, c = dv.shape
     (nw, n), m, total = index.shape, p.shape[1], c // d
-    hp, wp = where.shape
     g_rows = g.reshape(-1, total, d)
     x_rows, v_data = xd.reshape(-1, xd.shape[3]), vd.reshape(-1, d)
-    own = _own_pixels(where, h, w, index.shape)
-    slot_at = np.empty(where.size, dtype=np.intp)  # the padded pixel of each slot
-    slot_at[where.ravel()] = np.arange(where.size)
-    slot_at = slot_at.reshape(nw, n)
-    # The gradient of each window slot at its padded pixel, [q | k | v] per head.
-    gp = np.empty((nb, hp, wp, 3, m, d), dtype=g.dtype)
-    gp_rows = gp.reshape(-1, 3, m, d)
+    # Its heads' rows of dq, dk and dv, [N * H * W, heads, d] views.
+    qk_rows, heads = dqk.reshape(-1, 2 * total, d), slice(first, first + m)
+    dst = (qk_rows[:, heads], qk_rows[:, total + first : total + first + m], dv.reshape(-1, total, d)[:, heads])
+    reflected = []  # the pixels and the dq, dk and dv of the reflected slots
     dbias = np.zeros((n, m, n), dtype=g.dtype)
     # Chunks of logits alone: the bias gradient is summed chunk by chunk, so
     # this chunking fixes its bits.
@@ -854,13 +851,13 @@ def _window_grads(g, xd, qk_o, vd, grads, maps, p, first, d, scale) -> np.ndarra
     proj = np.empty((chunk * n, 2 * m * d), dtype=g.dtype)
     for start in range(0, nb * nw, step):
         stop = min(start + step, nb * nw)
-        window, image, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+        window, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
         q, k = _project_chunk(x_rows, qk_o, pix, xw, proj, m, d)
         vw = np.take(v_data, v_rows, axis=0)
-        slot_pixel = own[window]
-        valid = slot_pixel >= 0
+        mine = own[window]
+        at = pix[mine]
         gw = np.zeros((stop - start, n, m, d), dtype=g.dtype)
-        gw[valid] = g_rows[(slot_pixel + image * (h * w))[valid], first : first + m]
+        gw[mine] = g_rows[at, heads]
         gw = gw.transpose(0, 2, 1, 3)
         pw = p[start:stop]
         dvw = np.matmul(pw.swapaxes(-1, -2), gw)
@@ -869,37 +866,28 @@ def _window_grads(g, xd, qk_o, vd, grads, maps, p, first, d, scale) -> np.ndarra
         dl *= pw
         dbias += dl.sum(axis=0).transpose(2, 0, 1)  # keys-major, as the bias
         dl *= scale
-        at = slot_at[window] + image * (hp * wp)
-        gp_rows[at, 0] = np.matmul(dl, k).transpose(0, 2, 1, 3)
-        gp_rows[at, 1] = np.matmul(dl.swapaxes(-1, -2), q).transpose(0, 2, 1, 3)
-        gp_rows[at, 2] = dvw.transpose(0, 2, 1, 3)
-    folded = _fold_reflected(gp.reshape(nb, hp, wp, -1), h, w).reshape(nb, h, w, 3, m * d)
-    lo, hi = first * d, (first + m) * d
-    dqk[..., lo:hi] = folded[..., 0, :]
-    dqk[..., c + lo : c + hi] = folded[..., 1, :]
-    dv[..., lo:hi] = folded[..., 2, :]
+        slots = [a.transpose(0, 2, 1, 3) for a in (np.matmul(dl, k), np.matmul(dl.swapaxes(-1, -2), q), dvw)]
+        for rows, a in zip(dst, slots):
+            rows[at] = a[mine]
+        if not mine.all():
+            reflected.append([pix[~mine]] + [a[~mine] for a in slots])
+    if reflected:
+        pixels, *sums = (np.concatenate(parts) for parts in zip(*reflected))
+        for rows, a in zip(dst, sums):
+            np.add.at(rows, pixels, a)
     return dbias
 
 
 def _chunk_rows(index: np.ndarray, start: int, stop: int, pixels: int, total: int, first: int, heads: int):
     """Windows [start, stop) of a batch of ``pixels``-pixel images, each image
-    holding the windows of ``index``: each window's row of the maps, its image
-    (a column), the pixel [windows, n] each of its slots reads, and the rows
-    of d channels, [windows, heads, n], that its V reads for heads [first,
-    first + heads) of ``total`` per pixel."""
+    holding the windows of ``index``: each window's row of the maps, the
+    pixel [windows, n] each of its slots reads, and the rows of d channels,
+    [windows, heads, n], that its V reads for heads [first, first + heads) of
+    ``total`` per pixel."""
     b = np.arange(start, stop)
-    window, image = b % index.shape[0], b[:, None] // index.shape[0]
-    pix = index[window] + image * pixels
-    return window, image, pix, pix[:, None, :] * total + (first + np.arange(heads))[:, None]
-
-
-def _own_pixels(where: np.ndarray, h: int, w: int, shape: tuple[int, int]) -> np.ndarray:
-    """The pixel whose own copy each window slot holds, in the [nw, n] layout
-    ``shape``, or -1 for a slot holding a reflected copy: ``where[:h, :w]``
-    inverted."""
-    own = np.full(where.size, -1, dtype=np.intp)
-    own[where[:h, :w].ravel()] = np.arange(h * w)
-    return own.reshape(shape)
+    window = b % index.shape[0]
+    pix = index[window] + b[:, None] // index.shape[0] * pixels
+    return window, pix, pix[:, None, :] * total + (first + np.arange(heads))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -967,15 +955,6 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
 def _reflect_index(n: int, pad: int) -> np.ndarray:
     idx = np.arange(n + pad)
     return np.where(idx < n, idx, 2 * n - 2 - idx)
-
-
-def _fold_reflected(gp: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Folds a padded gradient [N, Hp, Wp, ...] in place onto [N, h, w, ...]:
-    the adjoint of a bottom/right reflect pad, columns first, then rows."""
-    hp, wp = gp.shape[1:3]
-    np.add.at(gp, (slice(None), slice(None), _reflect_index(w, wp - w)[w:]), gp[:, :, w:])
-    np.add.at(gp, (slice(None), _reflect_index(h, hp - h)[h:], slice(None, w)), gp[:, h:, :w])
-    return gp[:, :h, :w]
 
 
 # ---------------------------------------------------------------------------

@@ -101,45 +101,45 @@ def _save_png(img: ImageU8, path: str) -> None:
         f.write(_png_chunk(b"IEND", b""))
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
+def _unfilter_serial(ftype: int, row: list[int], up: list[int], channels: int) -> list[int]:
+    """Average (3) or Paeth (4) unfiltering of one row of bytes, given the
+    unfiltered row above, on Python ints: each byte is predicted from the
+    byte one pixel to its left, already unfiltered, so the row is stepped
+    in order. Paeth's distances from p = a + b - c are taken directly:
+    |p - a| = |b - c|, |p - b| = |a - c|."""
+    cur, up = [0] * channels + row, [0] * channels + up
+    for i in range(channels, len(cur)):
+        a, b = cur[i - channels], up[i]
+        if ftype == 3:
+            pred = (a + b) >> 1
+        else:
+            c = up[i - channels]
+            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+            pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+        cur[i] = (cur[i] + pred) & 0xFF
+    return cur[channels:]
 
 
 def _unfilter(raw: bytes, height: int, width: int, channels: int) -> np.ndarray:
     stride = width * channels
     if len(raw) != height * (stride + 1):
         raise ImageFormatError("PNG pixel payload has the wrong length")
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     out = np.zeros((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.int64)
-    pos = 0
     for r in range(height):
-        ftype = raw[pos]
-        row = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=pos + 1).astype(np.int64)
-        pos += stride + 1
+        ftype, row = int(rows[r, 0]), rows[r, 1:].astype(np.int64)
         if ftype == 0:
             cur = row
+        elif ftype == 1:  # Sub: a running sum along each channel
+            cur = np.cumsum(row.reshape(width, channels), axis=0).reshape(stride) & 0xFF
         elif ftype == 2:
             cur = (row + prev) & 0xFF
-        elif ftype in (1, 3, 4):
-            cur = np.zeros(stride, dtype=np.int64)
-            for i in range(stride):
-                left = cur[i - channels] if i >= channels else 0
-                up = prev[i]
-                ul = prev[i - channels] if i >= channels else 0
-                if ftype == 1:
-                    pred = left
-                elif ftype == 3:
-                    pred = (left + up) // 2
-                else:
-                    pred = _paeth(left, up, ul)
-                cur[i] = (row[i] + pred) & 0xFF
+        elif ftype in (3, 4):
+            cur = np.array(_unfilter_serial(ftype, row.tolist(), prev.tolist(), channels), dtype=np.int64)
         else:
             raise ImageFormatError(f"unknown PNG filter type {ftype}")
-        out[r] = cur.astype(np.uint8)
+        out[r] = cur
         prev = cur
     return out.reshape(height, width, channels)
 

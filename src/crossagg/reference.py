@@ -142,26 +142,29 @@ def window_gather(x: np.ndarray, index: np.ndarray, start: int, heads: int, d: i
     return windows.reshape(nb * nw, n, heads, d).transpose(0, 2, 1, 3)
 
 
-def window_merge(y: np.ndarray, where: np.ndarray, height: int, width: int) -> np.ndarray:
+def window_merge(y: np.ndarray, index: np.ndarray, own: np.ndarray, height: int, width: int) -> np.ndarray:
     """Inverse of :func:`window_gather`: [N * nw, heads, n, d] windows to an
-    [N, H, W, heads * d] map in which each pixel reads its own slot,
-    ``where[:H, :W]``."""
+    [N, H, W, heads * d] map in which each own slot (``own``) is written at
+    the pixel it reads (``index``); a pixel that no own slot reads stays
+    NaN."""
     _, heads, _, d = y.shape
-    slots = y.transpose(0, 2, 1, 3).reshape(-1, where.size, heads * d)  # [N, slots, heads * d]
-    return slots[:, where[:height, :width]]
+    slots = y.transpose(0, 2, 1, 3).reshape(-1, own.size, heads * d)  # [N, slots, heads * d]
+    out = np.full((slots.shape[0], height * width, heads * d), np.nan, dtype=y.dtype)
+    out[:, index[own]] = slots[:, own.ravel()]
+    return out.reshape(-1, height, width, heads * d)
 
 
 def window_attention_oracle(qk: np.ndarray, v: np.ndarray, windows, scale: float) -> np.ndarray:
     """What ``autodiff.window_attention`` computes, one orientation at a time
     in float64: gather Q, K and V by ``index``, attention per window with the
     bias (keys-major [n_k, heads, n_q]) and MASK_VALUE on every pair of
-    different region ids, softmax over keys, then merge by ``where``. The
+    different region ids, softmax over keys, then merge by ``own``. The
     orientations' heads follow each other along the channels."""
     c = v.shape[-1]
     d = c // sum(bias.shape[1] for *_, bias in windows)
     qk, v = qk.astype(np.float64), v.astype(np.float64)
     outs, first = [], 0
-    for index, where, regions, bias in windows:
+    for index, own, regions, bias in windows:
         heads = bias.shape[1]
         q = window_gather(qk, index, first * d, heads, d)
         k = window_gather(qk, index, c + first * d, heads, d)
@@ -172,6 +175,6 @@ def window_attention_oracle(qk: np.ndarray, v: np.ndarray, windows, scale: float
         logits -= logits.max(axis=-1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=-1, keepdims=True)
-        outs.append(window_merge(p @ vw, where, v.shape[1], v.shape[2]))
+        outs.append(window_merge(p @ vw, index, own, v.shape[1], v.shape[2]))
         first += heads
     return np.concatenate(outs, axis=-1)

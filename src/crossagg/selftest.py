@@ -79,14 +79,14 @@ def check_softmax_rows():
     # The model's attention op on a shifted geometry's windows, two images:
     # each row sums to 1 and pairs of different regions get exactly 0.
     g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 6, 10, shifted=True)
-    index, where, regions = window_maps(g)
+    index, own, regions = window_maps(g)
     heads, n = 2, g.window_pixels
     r = _rng(1)
     c = heads * 3
     x, v = (Tensor(r.normal(scale=3.0, size=(2, 6, 10, c))) for _ in range(2))
     w_qk, b_qk = Tensor(r.normal(scale=c**-0.5, size=(c, 2 * c))), Tensor(r.normal(size=2 * c))
     bias = Tensor(r.normal(size=(n, heads, n)))
-    _, p = ad.window_attention(x, w_qk, b_qk, v, [(index, where, regions, bias)], 1.0, weights=True)
+    _, p = ad.window_attention(x, w_qk, b_qk, v, [(index, own, regions, bias)], 1.0, weights=True)
     assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
     differ = np.broadcast_to(np.tile(regions[:, :, None] != regions[:, None, :], (2, 1, 1))[:, None], p.shape)
     assert differ.any() and np.all(p[differ] == 0.0)
@@ -117,16 +117,18 @@ def check_gelu_float64_erf():
 
 def check_partition_merge_roundtrip():
     # The gather maps of both orientations of a padded, shifted geometry:
-    # windows taken by ``index`` and read back at each pixel's own slot,
-    # ``where[:H, :W]``, give the input back exactly.
+    # windows taken by ``index`` and written back from each own slot to the
+    # pixel it reads give the input back exactly, every pixel once.
     h, w = 5, 7
     x = _rng(2).normal(size=(2, h * w, 3))
     for orientation in (HORIZONTAL, VERTICAL):
         g = resolve_geometry(WindowSpec.regular(2, 4), orientation, h, w, shifted=True)
         assert g.pad_h and g.pad_w and g.shift_down and g.shift_left
-        index, where, _ = window_maps(g)
-        slots = x[:, index].reshape(2, -1, 3)
-        assert np.array_equal(slots[:, where[:h, :w]], x.reshape(2, h, w, 3))
+        index, own, _ = window_maps(g)
+        slots = x[:, index]
+        back = np.full_like(x, np.nan)
+        back[:, index[own]] = slots[:, own]
+        assert np.count_nonzero(own) == h * w and np.array_equal(back, x)
 
 
 def check_pixel_shuffle_bijection():

@@ -218,20 +218,20 @@ def build_shift_mask(g: WindowGeometry) -> np.ndarray:
 
 def window_maps(g: WindowGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only gather maps composing the reflect pad, the cyclic shift and
-    the partition: ``index`` [nw, n], the pixel each window slot reads;
-    ``where`` [padded_h, padded_w], the slot of each padded pixel, whose
-    [:height, :width] corner is the inverse map (each pixel's own copy); and
-    ``regions`` [nw, n] int8, the shift-mask region id of each slot (see
-    :func:`build_shift_mask`): 2 if its content wrapped across the bottom
-    edge, plus 1 if across the left edge."""
+    the partition, each [nw, n]: ``index``, the pixel each window slot reads;
+    ``own`` bool, True where the slot holds its pixel's own copy rather than
+    a reflected one (one slot per pixel); and ``regions`` int8, the
+    shift-mask region id of each slot (see :func:`build_shift_mask`): 2 if
+    its content wrapped across the bottom edge, plus 1 if across the left
+    edge."""
     hp, wp = g.padded_h, g.padded_w
     rows = (np.arange(hp) - g.shift_down) % hp
     cols = (np.arange(wp) + g.shift_left) % wp
     padded = _partition_np(rows[:, None] * wp + cols, g.sh, g.sw)
-    where = np.argsort(padded.ravel())  # the inverse permutation
     source = _reflect_index(g.height, g.pad_h)[:, None] * g.width + _reflect_index(g.width, g.pad_w)
+    own = (padded // wp < g.height) & (padded % wp < g.width)
     regions = ((padded // wp >= hp - g.shift_down) * 2 + (padded % wp < g.shift_left)).astype(np.int8)
-    maps = source.ravel()[padded], where.reshape(hp, wp), regions
+    maps = source.ravel()[padded], own, regions
     for a in maps:
         a.setflags(write=False)
     return maps

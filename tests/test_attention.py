@@ -585,8 +585,8 @@ def test_window_attention_taped_untaped_and_weights_outputs_are_equal(monkeypatc
     assert np.array_equal(untaped, probed.data) and np.array_equal(untaped, taped.data)
     # The probabilities are the ones the output was normalized by: P v = out.
     d, v = 4, arrays[3]
-    for o, ((index, where, _, _), p) in enumerate(zip(entries, weights)):
-        merged = window_merge(p @ window_gather(v, index, 2 * o * d, 2, d), where, 24, 16)
+    for o, ((index, own, _, _), p) in enumerate(zip(entries, weights)):
+        merged = window_merge(p @ window_gather(v, index, 2 * o * d, 2, d), index, own, 24, 16)
         part = untaped[..., 2 * o * d : 2 * (o + 1) * d]
         assert np.allclose(merged, part, rtol=0, atol=ORACLE_TOL[dtype] * np.abs(untaped).max())
 
@@ -622,32 +622,35 @@ def test_window_attention_tape_keeps_no_qk_map():
 
 def test_window_attention_gradients_match_finite_differences(monkeypatch):
     # x, the Q|K weight and bias, v and both biases, through both orientations
-    # of a padded, shifted geometry, one window per chunk.
+    # of a geometry padded along both axes, shifted and unshifted, one window
+    # per chunk. Unshifted, the corner pixels' gradients sum their own,
+    # column, row and corner copies.
     spec = WindowSpec.regular(2, 4)
-    geometries = [resolve_geometry(spec, o, 5, 5, shifted=True) for o in (HORIZONTAL, VERTICAL)]
-    assert all(g.pad_h and g.pad_w and g.shifted for g in geometries)
-    maps = [window_maps(g) for g in geometries]
     _chunk_windows(monkeypatch, 1, 1, 8, np.float64, 3, 2)
-    arrays = {
-        "x": rand((2, 5, 5, 3), 70, 1.0),
-        "w": rand((3, 8), 73, 0.5),
-        "b": rand((8,), 74, 0.5),
-        "v": rand((2, 5, 5, 4), 71, 1.0),
-    }
-    for i, g in enumerate(geometries):
-        arrays[f"b{i}"] = rand((g.window_pixels, 1, g.window_pixels), 75 + i, 1.0)
-    assert_grads_match_fd(
-        lambda t: ad.window_attention(
-            t["x"], t["w"], t["b"], t["v"], [m + (t[f"b{i}"],) for i, m in enumerate(maps)], 0.7
-        ),
-        arrays,
-    )
+    for shifted in (True, False):
+        geometries = [resolve_geometry(spec, o, 5, 5, shifted=shifted) for o in (HORIZONTAL, VERTICAL)]
+        assert all(g.pad_h and g.pad_w and g.shifted == shifted for g in geometries)
+        maps = [window_maps(g) for g in geometries]
+        arrays = {
+            "x": rand((2, 5, 5, 3), 70, 1.0),
+            "w": rand((3, 8), 73, 0.5),
+            "b": rand((8,), 74, 0.5),
+            "v": rand((2, 5, 5, 4), 71, 1.0),
+        }
+        for i, g in enumerate(geometries):
+            arrays[f"b{i}"] = rand((g.window_pixels, 1, g.window_pixels), 75 + i, 1.0)
+        assert_grads_match_fd(
+            lambda t, maps=maps: ad.window_attention(
+                t["x"], t["w"], t["b"], t["v"], [m + (t[f"b{i}"],) for i, m in enumerate(maps)], 0.7
+            ),
+            arrays,
+        )
 
 
 def test_window_attention_rejects_bad_shapes():
     arrays, entries = _window_case(WindowSpec.regular(2, 4), 4, 8, 80, np.float64)
     x, w_qk, b_qk, v = arrays
-    index, where, regions, bias = entries[0]
+    index, own, regions, bias = entries[0]
     with pytest.raises(ad.ShapeError):  # w_qk does not map to twice v's channels
         _attend((x, w_qk[:, 1:], b_qk[1:], v), entries, 1.0)
     with pytest.raises(ad.ShapeError):  # w_qk does not read x's channels
@@ -655,9 +658,17 @@ def test_window_attention_rejects_bad_shapes():
     with pytest.raises(ad.ShapeError):  # x and v of different images
         _attend((x[:, 1:], w_qk, b_qk, v), entries, 1.0)
     with pytest.raises(ad.ShapeError):  # a bias that is not [n_k, heads, n_q]
-        _attend(arrays, [(index, where, regions, bias[:, :, :-1]), entries[1]], 1.0)
+        _attend(arrays, [(index, own, regions, bias[:, :, :-1]), entries[1]], 1.0)
     with pytest.raises(ad.ShapeError):  # regions of another window layout
-        _attend(arrays, [(index, where, regions[:, :-1], bias), entries[1]], 1.0)
+        _attend(arrays, [(index, own, regions[:, :-1], bias), entries[1]], 1.0)
+    with pytest.raises(ad.ShapeError):  # an own map that marks one slot too few
+        short = own.copy()
+        short.flat[0] = False
+        _attend(arrays, [(index, short, regions, bias), entries[1]], 1.0)
+    with pytest.raises(ad.ShapeError):  # own slots that read one pixel twice and another never
+        twice = index.copy()
+        twice.flat[0] = twice.flat[1]
+        _attend(arrays, [(twice, own, regions, bias), entries[1]], 1.0)
     with pytest.raises(ad.ShapeError):  # 2 + 3 heads do not split 12 channels
         three = np.concatenate([entries[1][3], entries[1][3][:, :1]], axis=1)
         _attend(arrays, [entries[0], entries[1][:3] + (three,)], 1.0)

@@ -820,22 +820,6 @@ def test_grad_pixel_shuffle():
     assert_grads_match_fd(lambda t: ad.pixel_shuffle(t["x"], 2), {"x": rand((1, 2, 3, 8), 27)})
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pad_reflect_backward_folds_like_sequential_add_at(dtype):
-    # Independent oracle: accumulate every padded column onto its source with
-    # one add.at over all columns, then every row: (own + column copy) +
-    # (row copy + corner copy) for a corner pixel.
-    h, w, ph, pw = 5, 6, 2, 3
-    g = np.random.default_rng(7).normal(size=(2, h + ph, w + pw, 3)).astype(dtype)
-    cols = np.where(np.arange(w + pw) < w, np.arange(w + pw), 2 * w - 2 - np.arange(w + pw))
-    rows = np.where(np.arange(h + ph) < h, np.arange(h + ph), 2 * h - 2 - np.arange(h + ph))
-    acc_w = np.zeros((w, 2, h + ph, 3), dtype=dtype)
-    np.add.at(acc_w, cols, np.moveaxis(g, 2, 0))
-    acc_h = np.zeros((h, 2, w, 3), dtype=dtype)
-    np.add.at(acc_h, rows, np.moveaxis(np.moveaxis(acc_w, 0, 2), 1, 0))
-    assert np.array_equal(ad._fold_reflected(g.copy(), h, w), np.moveaxis(acc_h, 0, 1))
-
-
 def test_grad_roll():
     assert_grads_match_fd(lambda t: cyclic_shift(t["x"], 2, 1), {"x": rand((1, 3, 4, 2), 29)})
 

@@ -146,45 +146,49 @@ def test_png_short_ihdr_rejected(tmp_path):
         load_image(str(path))
 
 
-def test_png_filtered_rows_decode():
-    # exercise Sub/Up/Average/Paeth unfiltering against a reference encoding
-    rng = np.random.default_rng(3)
-    img = rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)
-    rows = []
-    prev = np.zeros(15, dtype=np.int64)
-    for r, ftype in enumerate([1, 2, 3, 4]):
-        cur = img[r].reshape(-1).astype(np.int64)
-        enc = np.zeros(15, dtype=np.int64)
-        for i in range(15):
-            left = cur[i - 3] if i >= 3 else 0
+def _filtered_png(img, types):
+    """A PNG of ``img`` [H, W, C] (C = 1 or 3) whose row r is filtered with
+    type ``types[r]``, encoded a byte at a time as the PNG specification
+    states each filter."""
+    height, width, channels = img.shape
+    rows, prev = [], [0] * (width * channels)
+    for ftype, line in zip(types, img.reshape(height, -1).tolist()):
+        enc = []
+        for i, x in enumerate(line):
+            left = line[i - channels] if i >= channels else 0
             up = prev[i]
-            ul = prev[i - 3] if i >= 3 else 0
-            if ftype == 1:
-                pred = left
-            elif ftype == 2:
-                pred = up
-            elif ftype == 3:
-                pred = (left + up) // 2
-            else:
-                p = left + up - ul
-                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
-                pred = left if pa <= pb and pa <= pc else (up if pb <= pc else ul)
-            enc[i] = (cur[i] - pred) % 256
-        rows.append(bytes([ftype]) + bytes(enc.astype(np.uint8)))
-        prev = cur
-    sig = b"\x89PNG\r\n\x1a\n"
-    ihdr = struct.pack(">IIBBBBB", 5, 4, 8, 2, 0, 0, 0)
-    blob = sig + _png_chunk(b"IHDR", ihdr) + _png_chunk(b"IDAT", zlib.compress(b"".join(rows)))
-    blob += _png_chunk(b"IEND", b"")
-    import os
-    import tempfile
+            ul = prev[i - channels] if i >= channels else 0
+            p = left + up - ul
+            pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
+            paeth = left if pa <= pb and pa <= pc else (up if pb <= pc else ul)
+            enc.append((x - (0, left, up, (left + up) // 2, paeth)[ftype]) % 256)
+        rows.append(bytes([ftype] + enc))
+        prev = line
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0 if channels == 1 else 2, 0, 0, 0)
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        _png_chunk(kind, payload)
+        for kind, payload in ((b"IHDR", ihdr), (b"IDAT", zlib.compress(b"".join(rows))), (b"IEND", b""))
+    )
 
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "f.png")
-        with open(path, "wb") as f:
-            f.write(blob)
-        got = load_image(path)
-    assert np.array_equal(got.data, img)
+
+def test_png_filtered_rows_decode(tmp_path):
+    # exercise Sub/Up/Average/Paeth unfiltering against a reference encoding
+    img = np.random.default_rng(3).integers(0, 256, (4, 5, 3), dtype=np.uint8)
+    path = tmp_path / "f.png"
+    path.write_bytes(_filtered_png(img, [1, 2, 3, 4]))
+    assert np.array_equal(load_image(str(path)).data, img)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_png_random_rows_of_every_filter_type_decode_exactly(tmp_path, channels):
+    # Random bytes, each row under a random filter type: every type four
+    # times, and some twice in a row.
+    rng = np.random.default_rng(11 + channels)
+    types = rng.permutation(np.repeat(np.arange(5), 4)).tolist() + [4, 4, 3, 3, 1, 1]
+    img = rng.integers(0, 256, (len(types), 9, channels), dtype=np.uint8)
+    path = tmp_path / "f.png"
+    path.write_bytes(_filtered_png(img, types))
+    assert np.array_equal(load_image(str(path)).data, img)
 
 
 def _gray_png(height, width, idat):

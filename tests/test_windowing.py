@@ -313,13 +313,19 @@ def _composed_merge(y, g, batch):
 @pytest.mark.parametrize("case", GATHER_CASES)
 def test_window_maps_inverse_reads_each_pixel_back(case):
     g = resolve_geometry(*case[:4], shifted=case[4])
-    index, where, _ = window_maps(g)
-    assert index.shape == (g.num_windows, g.window_pixels)
-    assert where.shape == (g.padded_h, g.padded_w)
-    assert np.array_equal(np.sort(where.ravel()), np.arange(where.size))
-    own = index.ravel()[where[: g.height, : g.width]]
-    assert np.array_equal(own, np.arange(g.height * g.width).reshape(g.height, g.width))
-    assert not index.flags.writeable and not where.flags.writeable
+    index, own, _ = window_maps(g)
+    assert index.shape == own.shape == (g.num_windows, g.window_pixels) and own.dtype == bool
+    # The own slots are a bijection onto the pixels.
+    assert np.array_equal(np.sort(index[own]), np.arange(g.height * g.width))
+    # They are the slots whose padded pixel lies in the unpadded corner: a
+    # mask of that corner through the composed shift and partition.
+    corner = np.zeros((1, g.padded_h, g.padded_w, 1))
+    corner[:, : g.height, : g.width] = 1
+    t = Tensor(corner)
+    if g.shifted:
+        t = cyclic_shift(t, g.shift_down, g.shift_left)
+    assert np.array_equal(own, partition(t, g).data[..., 0] == 1)
+    assert not index.flags.writeable and not own.flags.writeable
 
 
 # Taking windows and merging them back run inside autodiff.window_attention,
@@ -347,12 +353,12 @@ def test_take_windows_is_bit_identical_to_composed_ops(case, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", GATHER_CASES)
 def test_merge_windows_is_bit_identical_to_composed_ops(case, dtype):
-    # Each pixel's own slot, ``where[:H, :W]``, is the composed head merge,
-    # merge, unshift and crop.
+    # Each own slot written at the pixel it reads is the composed head
+    # merge, merge, unshift and crop.
     g = resolve_geometry(*case[:4], shifted=case[4])
-    _, where, _ = window_maps(g)
+    index, own, _ = window_maps(g)
     y = rand((2 * g.num_windows, 2, g.window_pixels, 3), 71, 1.0, dtype)
-    merged = window_merge(y, where, g.height, g.width)
+    merged = window_merge(y, index, own, g.height, g.width)
     composed = _composed_merge(Tensor(y), g, 2).data
     assert merged.dtype == dtype and np.array_equal(merged, composed)
 
@@ -406,27 +412,27 @@ def _projection(cin, c):
     return Tensor(np.zeros((cin, 2 * c))), Tensor(np.zeros(2 * c))
 
 
-def test_merge_windows_rejects_mismatched_window_sets():
+def test_window_attention_rejects_mismatched_window_sets():
     g = resolve_geometry(WindowSpec.regular(2, 4), HORIZONTAL, 4, 8)
-    index, where, regions = window_maps(g)
+    index, own, regions = window_maps(g)
     bias = Tensor(rand((g.window_pixels, 1, g.window_pixels), 77))
     x, v = Tensor(rand((1, 4, 8, 3), 78)), Tensor(rand((1, 4, 8, 2), 79))
     qk = _projection(3, 2)
-    ad.window_attention(x, *qk, v, [(index, where, regions, bias)], 1.0)  # one head of two channels fits
+    ad.window_attention(x, *qk, v, [(index, own, regions, bias)], 1.0)  # one head of two channels fits
     with pytest.raises(ValueError):  # no window set
         ad.window_attention(x, *qk, v, [], 1.0)
-    with pytest.raises(ValueError):  # a slot map of another window set
+    with pytest.raises(ValueError):  # an own map of another window set
         other = window_maps(resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 8))[1]
-        ad.window_attention(x, *qk, v, [(index, other[:2], regions, bias)], 1.0)
+        ad.window_attention(x, *qk, v, [(index, other, regions, bias)], 1.0)
     with pytest.raises(ValueError):  # region ids of another window set
-        ad.window_attention(x, *qk, v, [(index, where, regions[:1], bias)], 1.0)
+        ad.window_attention(x, *qk, v, [(index, own, regions[:1], bias)], 1.0)
 
 
 def test_gather_map_gradients_match_finite_differences():
     # Through both orientations of a padded, shifted geometry: the gradients
-    # of q, k and v are scattered back through the slot maps and the adjoint
-    # of the reflect pad, and reach x and the Q|K weight and bias; each bias
-    # gets its own.
+    # of q, k and v of each own slot and of each reflected copy reach the
+    # pixel the slot reads, and through it x and the Q|K weight and bias;
+    # each bias gets its own.
     spec = WindowSpec.regular(2, 4)
     geometries = [resolve_geometry(spec, o, 3, 5, shifted=True) for o in (HORIZONTAL, VERTICAL)]
     assert all(g.pad_h or g.pad_w for g in geometries) and all(g.shifted for g in geometries)
@@ -447,10 +453,10 @@ def test_gather_map_gradients_match_finite_differences():
     )
 
 
-def test_take_windows_rejects_a_map_outside_the_input():
+def test_window_attention_rejects_a_map_outside_the_input():
     # Maps of a 4x4 map read pixels a 2x4 input does not have.
-    index, where, regions = window_maps(resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4))
-    windows = [(index, where, regions, Tensor(np.zeros((4, 1, 4))))]
+    index, own, regions = window_maps(resolve_geometry(WindowSpec.regular(2, 2), HORIZONTAL, 4, 4))
+    windows = [(index, own, regions, Tensor(np.zeros((4, 1, 4))))]
     qk = _projection(2, 2)
     with pytest.raises(ValueError):
         ad.window_attention(Tensor(np.zeros((1, 2, 4, 2))), *qk, Tensor(np.zeros((1, 2, 4, 2))), windows, 1.0)
