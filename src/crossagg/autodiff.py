@@ -351,7 +351,8 @@ def abs_val(x: Tensor) -> Tensor:
 
 
 # Byte budget of one chunk of window_attention's logits and projected rows,
-# of one band of conv2d_3x3's padded rows and products, or of gelu's scratch.
+# of one band of conv2d_3x3's padded rows and products, of one [rows, hidden]
+# map of the untaped MLP, or of gelu's cdf and scratch in either direction.
 # Chunks and bands are independent, so the size bounds memory without
 # changing a single output bit; 256 KiB to 4 MiB measured the same speed.
 WINDOW_CHUNK_BYTES = 1 << 20
@@ -451,62 +452,66 @@ def _erf_f64(u: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray) -> No
         out[far] = np.copysign(a, uf)
 
 
-def _gelu_into(xd: np.ndarray, out: np.ndarray, keep: bool) -> np.ndarray:
-    """GELU of ``xd`` into ``out`` (which may be ``xd`` itself), a chunk at a
-    time through ``_erf_f64`` or ``_half_erf_f32`` and two scratch arrays;
-    returns the cdf, of xd's size if ``keep`` and one chunk's otherwise."""
+def _gelu_cdf_chunks(xd: np.ndarray):
+    """Yield ``(start, xs, cdf, spare)`` for each chunk of ``xd``: the chunk's
+    flat offset, its elements, their cdf 0.5 * (1 + erf(x / sqrt(2))) through
+    ``_erf_f64`` or ``_half_erf_f32``, and a scratch array of the chunk's
+    size. ``cdf`` and ``spare`` are overwritten by the next chunk."""
     # The chunk's cdf and the erf's two scratch arrays share the budget: the
     # erf's passes then run in L2, about 15% faster than a budget each.
     step = max(1, WINDOW_CHUNK_BYTES // (3 * xd.itemsize))
-    n = min(step, xd.size)
-    cdf = np.empty_like(xd) if keep else np.empty(n, dtype=xd.dtype)
-    scratch = np.empty((2, n), dtype=xd.dtype)
-    lowest = -np.finfo(xd.dtype).max
+    buf = np.empty((3, min(step, xd.size)), dtype=xd.dtype)
     for start in range(0, xd.size, step):
         xs = xd.reshape(-1)[start : start + step]
-        c = cdf.reshape(-1)[start : start + step] if keep else cdf[: xs.size]
+        c, scratch = buf[0, : xs.size], buf[1:, : xs.size]
         if xd.dtype == np.float32:
-            _half_erf_f32(xs, c, *scratch[:, : xs.size])
+            _half_erf_f32(xs, c, *scratch)
             c += 0.5
         else:
             np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
-            _erf_f64(c, c, *scratch[:, : xs.size])
+            _erf_f64(c, c, *scratch)
             c += 1.0
             c *= 0.5
-        # x * cdf, with -inf raised to the lowest finite value so that it
-        # gives -0 and not -inf * 0 = NaN; finite x and NaN pass unchanged.
-        o = out.reshape(-1)[start : start + step]
-        np.maximum(xs, lowest, out=o)
-        o *= c
-    return cdf
+        yield start, xs, c, scratch[0]
 
 
-def _gelu_grad(g: np.ndarray, xd: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """g * gelu'(x) = g * (cdf + x * pdf). The pdf is exactly 0 beyond |x| = 40
-    in both dtypes (exp(-800) underflows), so x clipped there gives the same
-    x * pdf for every finite x, and 0, not inf * 0 = NaN, at x = +-inf. The
-    products and sums are those of the expression, in place in one buffer."""
-    xc = np.clip(xd, -40.0, 40.0)
-    out = -0.5 * xc
-    out *= xc
-    np.exp(out, out=out)
-    out *= xd.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
-    out *= xc
-    out += cdf
-    out *= g
+def _gelu_grad(g: np.ndarray, xd: np.ndarray) -> np.ndarray:
+    """g * gelu'(x) = g * (cdf + x * pdf), a chunk at a time, the cdf rebuilt
+    in the forward's chunks. The pdf is exactly 0 beyond |x| = 40 in both
+    dtypes (exp(-800) underflows), so x clipped there gives the same x * pdf
+    for every finite x, and 0, not inf * 0 = NaN, at x = +-inf."""
+    out = np.empty_like(xd)
+    flat, gf = out.reshape(-1), g.reshape(-1)
+    for start, xs, c, xc in _gelu_cdf_chunks(xd):
+        o = flat[start : start + xs.size]
+        np.clip(xs, -40.0, 40.0, out=xc)
+        np.multiply(xc, -0.5, out=o)
+        o *= xc
+        np.exp(o, out=o)
+        o *= xd.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
+        o *= xc
+        o += c
+        o *= gf[start : start + xs.size]
     return out
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based GELU, x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))), in
-    place a chunk at a time; the full cdf is kept only when a tape records the
-    op. float64 takes the cephes erf of ``_erf_f64`` (scipy's, bit for bit),
-    float32 the rational of ``_half_erf_f32``.
+    """Exact erf-based GELU, x * cdf with cdf = 0.5 * (1 + erf(x / sqrt(2))), a
+    chunk at a time into a fresh output. float64 takes the cephes erf of
+    ``_erf_f64`` (scipy's, bit for bit), float32 the rational of
+    ``_half_erf_f32``. A tape keeps only ``x``: the backward rebuilds each
+    chunk's cdf (the same chunks and passes, so the same bits).
     gelu(-inf) is -0, and the gradient there 0."""
     out = np.empty_like(x.data)
-    cdf = _gelu_into(x.data, out, _recording((x,)))
+    lowest = -np.finfo(x.dtype).max
+    for start, xs, c, _ in _gelu_cdf_chunks(x.data):
+        # x * cdf, with -inf raised to the lowest finite value so that it
+        # gives -0 and not -inf * 0 = NaN; finite x and NaN pass unchanged.
+        o = out.reshape(-1)[start : start + xs.size]
+        np.maximum(xs, lowest, out=o)
+        o *= c
     result = _freeze(out)
-    _record(result, (x,), lambda g, xd=x.data, cdf=cdf: (_gelu_grad(g, xd, cdf),))
+    _record(result, (x,), lambda g, xd=x.data: (_gelu_grad(g, xd),))
     return result
 
 
@@ -584,15 +589,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map over the last dimension: x @ weight + bias, one GEMM into a
     fresh buffer plus an in-place bias add (bit-identical to the composed
-    reshape, matmul, reshape and add). With ``gelu`` the output is
-    GELU(x @ weight + bias), applied in the GEMM's buffer a chunk at a time
-    by the numpy-only erf of :func:`gelu` (bit-identical to :func:`gelu` of the
-    affine map); the pre-activation is kept only when a tape records the
-    op, and the backward rebuilds the cdf from it (the same chunks and
-    passes, so the same bits)."""
+    reshape, matmul, reshape and add)."""
     if weight.ndim != 2:
         raise ShapeError(f"linear: weight must be rank 2, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
@@ -604,20 +604,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, gelu: bool = False) -> Tenso
     out = np.empty(x.shape[:-1] + (cout,), dtype=x.dtype)
     np.matmul(x.data.reshape(-1, cin), weight.data, out=out.reshape(-1, cout))
     out += bias.data
-    pre = None  # the backward keeps it only for GELU
-    if gelu:
-        pre = out
-        if _recording((x, weight, bias)):
-            out = np.empty_like(pre)
-        _gelu_into(pre, out, keep=False)
     result = _freeze(out)
-
-    def bwd(g, xd=x.data, wd=weight.data):
-        if gelu:
-            g = _gelu_grad(g, pre, _gelu_into(pre, np.empty_like(pre), keep=True))
-        return _affine_grads(g, xd, wd)
-
-    _record(result, (x, weight, bias), bwd)
+    _record(result, (x, weight, bias), lambda g, xd=x.data, wd=weight.data: _affine_grads(g, xd, wd))
     return result
 
 

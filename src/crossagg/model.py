@@ -291,15 +291,17 @@ def catb_forward(
 
 def _mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """fc2(GELU(fc1(h))). Untaped, it runs in bands of pixels of near-equal
-    size, each band's [rows, hidden] map within WINDOW_CHUNK_BYTES, and
-    copies each band's fc2 output into one [..., C] result. Rows are
-    independent, so the bands give the bits of one full-size pass; the bands
-    are balanced because a GEMM of a few rows (up to 7 with OpenBLAS) takes
+    size, each band's [rows, hidden] map within WINDOW_CHUNK_BYTES (a band
+    holds two such maps: its fc1 output and its GELU output), and copies
+    each band's fc2 output into one [..., C] result. Rows are independent,
+    so the bands give the bits of one full-size pass; the bands are
+    balanced because a GEMM of a few rows (up to 7 with OpenBLAS) takes
     another kernel, whose sums can differ in the last bit. Under a tape the
-    map is one band: the tape keeps every band's activations anyway, and a
-    band sliced from the input would get a full-size input gradient."""
+    map is one band: the tape keeps every band's activations anyway (the
+    pre-activation in the GELU node, the GELU output in fc2's), and a band
+    sliced from the input would get a full-size input gradient."""
     if ad._recording((h, w1, b1, w2, b2)):
-        return ad.linear(ad.linear(h, w1, b1, gelu=True), w2, b2)
+        return ad.linear(ad.gelu(ad.linear(h, w1, b1)), w2, b2)
     rows = h.data.reshape(-1, h.shape[-1])
     n = rows.shape[0]
     bands = min(n, -(-n * w1.shape[1] * h.dtype.itemsize // ad.WINDOW_CHUNK_BYTES))
@@ -307,7 +309,7 @@ def _mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     for i in range(bands):
         start, stop = i * n // bands, (i + 1) * n // bands
         part = ad._freeze(rows[start:stop])  # a view, not a copy
-        out[start:stop] = ad.linear(ad.linear(part, w1, b1, gelu=True), w2, b2).data
+        out[start:stop] = ad.linear(ad.gelu(ad.linear(part, w1, b1)), w2, b2).data
     return ad._freeze(out.reshape(h.shape[:-1] + (w2.shape[1],)))
 
 

@@ -93,10 +93,17 @@ def check_softmax_rows():
 
 
 def check_gelu_values():
-    for v in (-3.0, -1.0, 0.0, 0.5, 1.0, 4.0):
-        got = ad.gelu(Tensor([v], dtype=np.float64)).numpy()[0]
-        want = 0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0)))
-        assert abs(got - want) < 1e-12, (v, got, want)
+    # Values, and slopes cdf + x * pdf through the backward's rebuilt cdf.
+    x = Tensor([-3.0, -1.0, 0.0, 0.5, 1.0, 4.0], dtype=np.float64)
+    tape = GradientTape()
+    tape.watch(x)
+    with tape:
+        y = ad.gelu(x)
+        loss = ad.sum_all(y)
+    for v, got, slope in zip(x.data.tolist(), y.data.tolist(), backward(tape, loss)[x].data.tolist()):
+        cdf = 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+        pdf = math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+        assert abs(got - v * cdf) < 1e-12 and abs(slope - (cdf + v * pdf)) < 1e-12, (v, got, slope)
 
 
 def check_gelu_float64_erf():

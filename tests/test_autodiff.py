@@ -186,12 +186,20 @@ def test_linear_is_bit_identical_to_composed_ops(dtype, lead):
 
 def test_linear_records_one_tape_node():
     x, w, b = (Tensor(rand(s, 63)) for s in ((2, 3, 4), (4, 5), (5,)))
-    for gelu in (False, True):
-        tape = GradientTape()
-        tape.watch(x)
-        with tape:
-            ad.linear(x, w, b, gelu=gelu)
-        assert len(tape._nodes) == 1, gelu
+    tape = GradientTape()
+    tape.watch(x)
+    with tape:
+        ad.linear(x, w, b)
+    assert len(tape._nodes) == 1
+
+
+def test_gelu_records_one_tape_node():
+    x = Tensor(rand((2, 3, 4), 63))
+    tape = GradientTape()
+    tape.watch(x)
+    with tape:
+        ad.gelu(x)
+    assert len(tape._nodes) == 1
 
 
 def _old_gelu(xd):
@@ -321,62 +329,50 @@ def test_gelu_untaped_allocates_its_output_and_one_chunk():
     assert peak < out.data.nbytes + ad.WINDOW_CHUNK_BYTES + (64 << 10), peak
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("taped", [False, True])
-def test_linear_with_gelu_is_bit_identical_to_gelu_of_linear(monkeypatch, dtype, taped):
-    # 3 * 5 * 7 = 105 outputs in GELU chunks of 4 (the cdf shares the budget
-    # with the erf's two scratch arrays): the last is partial.
-    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 13 * np.dtype(dtype).itemsize)
-    arrays = {"x": rand((3, 5, 6), 90, 1.0, dtype), "w": rand((6, 7), 91, 1.0, dtype), "b": rand((7,), 92, 1.0, dtype)}
-    fused = lambda t: ad.linear(t["x"], t["w"], t["b"], gelu=True)  # noqa: E731
-    composed = lambda t: ad.gelu(ad.linear(t["x"], t["w"], t["b"]))  # noqa: E731
-    if not taped:
-        tensors = {k: Tensor(v) for k, v in arrays.items()}
-        out = fused(tensors).data
-        assert out.dtype == dtype and np.array_equal(out, composed(tensors).data)
-        return
-    out, grads = taped_output_and_grads(fused, arrays)
-    want_out, want_grads = taped_output_and_grads(composed, arrays)
-    assert out.dtype == dtype and np.array_equal(out, want_out)
-    for k in arrays:
-        assert np.array_equal(grads[k], want_grads[k]), k
-
-
-def test_linear_with_gelu_untaped_applies_gelu_in_its_own_buffer():
-    x, w = Tensor(rand((512, 180), 93, 1.0, np.float32)), Tensor(rand((180, 720), 94, 0.1, np.float32))
-    b = Tensor(np.zeros(720, np.float32))
-    tracemalloc.start()
-    out = ad.linear(x, w, b, gelu=True)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < out.data.nbytes + ad.WINDOW_CHUNK_BYTES + (64 << 10), peak
-
-
-def test_linear_with_gelu_taped_keeps_only_its_pre_activation():
-    # The tape holds the output and the pre-activation; the backward
-    # rebuilds the cdf, so no third [rows, hidden] array stays alive.
-    x, w = Tensor(rand((512, 180), 95, 1.0, np.float32)), Tensor(rand((180, 720), 96, 0.1, np.float32))
-    b = Tensor(np.zeros(720, np.float32))
+def test_gelu_taped_keeps_only_its_input():
+    # The node's closure holds the input and no other float array: the
+    # backward rebuilds the cdf, so no second [rows, hidden] array stays alive.
+    x = Tensor(rand((512, 720), 95, 1.0, np.float32))
     tape = GradientTape()
-    tape.watch(x, w, b)
+    tape.watch(x)
     tracemalloc.start()
     with tape:
-        out = ad.linear(x, w, b, gelu=True)
+        out = ad.gelu(x)
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
-    assert held < 2 * out.data.nbytes + (64 << 10), held
+    assert held < out.data.nbytes + (64 << 10), held
+    (node,) = tape._nodes
+    fn = node.backward_fn
+    saved = list(fn.__defaults__ or ()) + [cell.cell_contents for cell in fn.__closure__ or ()]
+    arrays = [v for v in saved if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is x.data
+
+
+def test_gelu_backward_allocates_its_gradient_and_two_chunks():
+    x = Tensor(rand((512, 720), 97, 1.0, np.float32))
+    tape = GradientTape()
+    tape.watch(x)
+    with tape:
+        ad.gelu(x)
+    (node,) = tape._nodes
+    g = rand((512, 720), 98, 1.0, np.float32)
+    tracemalloc.start()
+    (grad,) = node.backward_fn(g)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < grad.nbytes + 2 * ad.WINDOW_CHUNK_BYTES, peak
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_at_infinities(dtype):
     # gelu(-inf) is -0 and gelu(inf) inf; the slope is 0 at -inf and 1 at inf,
-    # through both entry points. The bias -0.0 adds nothing to any value,
-    # the sign of a zero included, so linear's pre-activation is exactly x.
+    # on its own and after a linear map. The bias -0.0 adds nothing to any
+    # value, the sign of a zero included, so linear's output is exactly x.
     x = np.array([-np.inf, np.inf, -1.0, 2.0], dtype=dtype)
     one, neg_zero = Tensor(np.ones((1, 1), dtype)), Tensor(np.full(1, -0.0, dtype))
     entry_points = {
         "gelu": lambda t: ad.gelu(t["x"]),
-        "linear": lambda t: ad.reshape(ad.linear(ad.reshape(t["x"], (4, 1)), one, neg_zero, gelu=True), (4,)),
+        "gelu of linear": lambda t: ad.reshape(ad.gelu(ad.linear(ad.reshape(t["x"], (4, 1)), one, neg_zero)), (4,)),
     }
     probe = np.random.default_rng(7).normal(size=4).astype(dtype)
     for name, build in entry_points.items():
@@ -385,7 +381,7 @@ def test_gelu_at_infinities(dtype):
         assert out[0] == 0 and np.signbit(out[0]) and out[1] == np.inf, name
         assert np.array_equal(ad.gelu(Tensor(x)).data, out), name
         assert np.isfinite(grads["x"]).all() and grads["x"][0] == 0 and grads["x"][1] == probe[1], name
-    untaped = ad.linear(Tensor(x.reshape(4, 1)), one, neg_zero, gelu=True).data.ravel()
+    untaped = ad.gelu(ad.linear(Tensor(x.reshape(4, 1)), one, neg_zero)).data.ravel()
     assert np.array_equal(untaped, out) and np.signbit(untaped[0])
 
 

@@ -14,6 +14,7 @@ from crossagg.model import (
     ModelConfig,
     PRESET_NAMES,
     WeightFormatError,
+    _mlp,
     cat_forward,
     catb_forward,
     count_params,
@@ -144,6 +145,22 @@ def test_untaped_shifted_axial_block_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 13.4 * 2**20, peak / 2**20
+
+
+def test_untaped_mlp_peaks_at_its_output_and_one_band():
+    # A band holds its [rows, 4C] fc1 output, its GELU output and GELU's
+    # scratch, each within WINDOW_CHUNK_BYTES; nothing exists at full size at
+    # the hidden width.
+    h = Tensor(rand((1, 96, 96, 180), 83, 1.0, np.float32))
+    shapes = [(180, 720), (720,), (720, 180), (180,)]
+    weights = [Tensor(rand(s, 84 + i, 0.05, np.float32)) for i, s in enumerate(shapes)]
+    tracemalloc.start()
+    try:
+        out = _mlp(h, *weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + 3 * ad.WINDOW_CHUNK_BYTES + (256 << 10), peak / 2**20
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
