@@ -5,8 +5,10 @@
 Uses the stock weights ``init_params(config, 0)`` and a seeded random RGB
 image. Prints one JSON object: the seconds and the minor page faults of each
 repetition, the peak resident memory of the process in MiB, the BLAS thread
-count, and with ``--hash`` the SHA-256 of the raw float model output, so that
-two checkouts can be compared for bit-identical outputs. With ``--heap`` it
+count, the op worker count (the CPUs the process may run on), and with
+``--hash`` the SHA-256 of the raw float model output, so that two checkouts,
+or two worker counts (``taskset -c 0``), can be compared for bit-identical
+outputs. With ``--heap`` it
 also prints the ``tracemalloc`` peak of one extra untimed forward, so that
 the live numpy bytes and the allocator's share of ``peak_rss_mib`` can be
 told apart; that forward runs after ``peak_rss_mib`` is read. The script pins
@@ -64,6 +66,7 @@ def main():
         "minflt": minflt,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "blas_threads": BLAS_THREADS,
+        "workers": len(os.sched_getaffinity(0)),
     }
     if args.heap:
         tracemalloc.start()

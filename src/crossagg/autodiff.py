@@ -18,6 +18,8 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -61,6 +63,7 @@ _uid_counter = itertools.count(1)
 # glibc's mallopt parameter numbers (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 # Above a stock forward pass's working set, so the op outputs freed between
 # ops stay in the heap for the next op instead of being trimmed and faulted in
 # again.
@@ -71,14 +74,18 @@ _MALLOC_MMAP_THRESHOLD = 32 << 20
 
 
 def _pin_malloc_thresholds() -> None:
-    """Fix glibc's heap-trim and mmap thresholds for this process.
+    """Fix glibc's heap-trim and mmap thresholds, and its arena count, for
+    this process.
 
     With glibc's defaults (a dynamic mmap threshold, and a trim threshold that
     follows it) the op outputs freed between ops are handed back to the OS and
     faulted in again by the next op: about 10^5 minor faults per stock-width
     forward pass, a count that moves with whatever allocation sits at the top
     of the heap. Resident memory now stays at the process's peak heap use
-    instead. Without ``mallopt`` (not glibc) nothing is changed, and a
+    instead. One arena serves every thread: an op's worker threads would
+    otherwise each allocate from an arena of their own, whose freed chunks
+    no other thread reuses (4-6 MiB more resident memory in a stock
+    forward). Without ``mallopt`` (not glibc) nothing is changed, and a
     rejected value is ignored.
     """
     try:
@@ -89,9 +96,102 @@ def _pin_malloc_thresholds() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, _MALLOC_TRIM_THRESHOLD)
     mallopt(_M_MMAP_THRESHOLD, _MALLOC_MMAP_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _pin_malloc_thresholds()
+
+
+# ---------------------------------------------------------------------------
+# Worker threads
+# ---------------------------------------------------------------------------
+
+_POOL = None  # (ThreadPoolExecutor, its thread count), made on first use
+_POOL_LOCK = threading.Lock()
+_POOL_THREAD = threading.local()
+
+
+def _blas_threads() -> int:
+    """The threads OpenBLAS runs a GEMM on, as it reads them when numpy
+    loads: OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else
+    OMP_NUM_THREADS; 0 when none is set and it takes one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return 0
+
+
+_BLAS_THREADS = _blas_threads()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, divided by BLAS's threads per GEMM:
+    every CPU for the ops when BLAS runs one thread, and one when BLAS takes
+    every CPU (op threads beside BLAS's own slowed the forward)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, cpus // min(cpus, _BLAS_THREADS or cpus))
+
+
+def _workers() -> int:
+    """The threads an op splits its work over: ``_cpus()``, and one on a
+    pool thread, so that a pool thread never waits on its own pool."""
+    return 1 if getattr(_POOL_THREAD, "marked", False) else _cpus()
+
+
+def _mark_pool_thread() -> None:
+    _POOL_THREAD.marked = True
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's pool threads, and the lock may
+    # have been held by one of its other threads; it makes its own.
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(tasks: int, fn: Callable[[int, int], None]) -> None:
+    """Run ``fn(start, stop)`` over the tasks [0, tasks) in min(tasks,
+    _workers()) contiguous shares of near-equal size: the calling thread
+    runs the first share and a pool thread each other one. It returns once
+    every share has finished, and then re-raises the first exception that
+    a share raised. With one share, ``fn`` runs inline. The pool, and
+    ``concurrent.futures``, are made on first use."""
+    global _POOL
+    workers = min(tasks, _workers()) if tasks > 1 else 1
+    if workers < 2:
+        fn(0, tasks)
+        return
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[1] < workers - 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            # A smaller pool this replaces ends its threads once collected.
+            _POOL = (ThreadPoolExecutor(workers - 1, "crossagg", initializer=_mark_pool_thread), workers - 1)
+        pool = _POOL[0]
+    bounds = [i * tasks // workers for i in range(workers + 1)]
+    futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(0, bounds[1])
+    finally:
+        errors = [f.exception() for f in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _pieces(total: int, most: int, workers: int) -> int:
+    """How many near-equal pieces (piece i spanning [i * total // pieces,
+    (i + 1) * total // pieces)) split ``total`` units with at most ``most``
+    units each: one, or a multiple of ``workers``, so that they balance
+    over the workers, up to one unit per piece."""
+    pieces = -(-total // max(1, most))
+    if pieces < 2:
+        return 1
+    return min(total, -(-pieces // workers) * workers)
 
 
 class ShapeError(ValueError):
@@ -452,37 +552,49 @@ def _erf_f64(u: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray) -> No
         out[far] = np.copysign(a, uf)
 
 
-def _gelu_cdf_chunks(xd: np.ndarray):
-    """Yield ``(start, xs, cdf, spare)`` for each chunk of ``xd``: the chunk's
-    flat offset, its elements, their cdf 0.5 * (1 + erf(x / sqrt(2))) through
-    ``_erf_f64`` or ``_half_erf_f32``, and a scratch array of the chunk's
-    size. ``cdf`` and ``spare`` are overwritten by the next chunk."""
-    # The chunk's cdf and the erf's two scratch arrays share the budget: the
-    # erf's passes then run in L2, about 15% faster than a budget each.
-    step = max(1, WINDOW_CHUNK_BYTES // (3 * xd.itemsize))
-    buf = np.empty((3, min(step, xd.size)), dtype=xd.dtype)
-    for start in range(0, xd.size, step):
-        xs = xd.reshape(-1)[start : start + step]
-        c, scratch = buf[0, : xs.size], buf[1:, : xs.size]
-        if xd.dtype == np.float32:
-            _half_erf_f32(xs, c, *scratch)
-            c += 0.5
-        else:
-            np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
-            _erf_f64(c, c, *scratch)
-            c += 1.0
-            c *= 0.5
-        yield start, xs, c, scratch[0]
+def _gelu_chunks(xd: np.ndarray, body: Callable) -> None:
+    """Call ``body(start, xs, cdf, spare)`` on each chunk of ``xd``: the
+    chunk's flat offset, its elements, their cdf 0.5 * (1 + erf(x /
+    sqrt(2))) through ``_erf_f64`` or ``_half_erf_f32``, and a scratch array
+    of the chunk's size. The chunks are of near-equal size and balanced over
+    the op's workers; each worker has its own cdf and scratch, overwritten
+    by its next chunk. The elementwise passes give the same bits in any
+    chunking."""
+    # The chunk's cdf and the erf's two scratch arrays share the budget (the
+    # workers split it): the erf's passes then run in L2, about 15% faster
+    # than a budget each.
+    workers = _workers()
+    chunks = _pieces(xd.size, WINDOW_CHUNK_BYTES // (3 * xd.itemsize * workers), workers)
+    flat = xd.reshape(-1)
+
+    def run(lo: int, hi: int) -> None:
+        buf = np.empty((3, -(-xd.size // chunks)), dtype=xd.dtype)
+        for i in range(lo, hi):
+            start = i * xd.size // chunks
+            xs = flat[start : (i + 1) * xd.size // chunks]
+            c, scratch = buf[0, : xs.size], buf[1:, : xs.size]
+            if xd.dtype == np.float32:
+                _half_erf_f32(xs, c, *scratch)
+                c += 0.5
+            else:
+                np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
+                _erf_f64(c, c, *scratch)
+                c += 1.0
+                c *= 0.5
+            body(start, xs, c, scratch[0])
+
+    _split(chunks, run)
 
 
 def _gelu_grad(g: np.ndarray, xd: np.ndarray) -> np.ndarray:
     """g * gelu'(x) = g * (cdf + x * pdf), a chunk at a time, the cdf rebuilt
-    in the forward's chunks. The pdf is exactly 0 beyond |x| = 40 in both
-    dtypes (exp(-800) underflows), so x clipped there gives the same x * pdf
-    for every finite x, and 0, not inf * 0 = NaN, at x = +-inf."""
+    in chunks as in the forward. The pdf is exactly 0 beyond |x| = 40 in
+    both dtypes (exp(-800) underflows), so x clipped there gives the same
+    x * pdf for every finite x, and 0, not inf * 0 = NaN, at x = +-inf."""
     out = np.empty_like(xd)
     flat, gf = out.reshape(-1), g.reshape(-1)
-    for start, xs, c, xc in _gelu_cdf_chunks(xd):
+
+    def chunk(start, xs, c, xc):
         o = flat[start : start + xs.size]
         np.clip(xs, -40.0, 40.0, out=xc)
         np.multiply(xc, -0.5, out=o)
@@ -492,6 +604,8 @@ def _gelu_grad(g: np.ndarray, xd: np.ndarray) -> np.ndarray:
         o *= xc
         o += c
         o *= gf[start : start + xs.size]
+
+    _gelu_chunks(xd, chunk)
     return out
 
 
@@ -500,16 +614,19 @@ def gelu(x: Tensor) -> Tensor:
     chunk at a time into a fresh output. float64 takes the cephes erf of
     ``_erf_f64`` (scipy's, bit for bit), float32 the rational of
     ``_half_erf_f32``. A tape keeps only ``x``: the backward rebuilds each
-    chunk's cdf (the same chunks and passes, so the same bits).
+    chunk's cdf (the same passes, so the same bits).
     gelu(-inf) is -0, and the gradient there 0."""
     out = np.empty_like(x.data)
-    lowest = -np.finfo(x.dtype).max
-    for start, xs, c, _ in _gelu_cdf_chunks(x.data):
+    flat, lowest = out.reshape(-1), -np.finfo(x.dtype).max
+
+    def chunk(start, xs, c, _):
         # x * cdf, with -inf raised to the lowest finite value so that it
         # gives -0 and not -inf * 0 = NaN; finite x and NaN pass unchanged.
-        o = out.reshape(-1)[start : start + xs.size]
+        o = flat[start : start + xs.size]
         np.maximum(xs, lowest, out=o)
         o *= c
+
+    _gelu_chunks(x.data, chunk)
     result = _freeze(out)
     _record(result, (x,), lambda g, xd=x.data: (_gelu_grad(g, xd),))
     return result
@@ -537,14 +654,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match channel extent {c}"
         )
     _check_same_dtype(x, gamma, beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    buf = np.multiply(xhat, xhat)
-    var = buf.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat *= inv
-    np.multiply(xhat, gamma.data, out=buf)
-    buf += beta.data
+    rows = x.data.reshape(-1, c)
+    xhat, buf = np.empty_like(x.data), np.empty_like(x.data)
+    inv = np.empty(x.shape[:-1] + (1,), dtype=x.dtype)
+    # Row ranges, split over the workers; each row is normalised on its own.
+    workers = _workers()
+    parts = _pieces(rows.shape[0], WINDOW_CHUNK_BYTES // (workers * c * x.dtype.itemsize), workers)
+
+    def normalise(lo: int, hi: int) -> None:
+        r = slice(lo * rows.shape[0] // parts, hi * rows.shape[0] // parts)
+        xs, xh, o, iv = rows[r], xhat.reshape(-1, c)[r], buf.reshape(-1, c)[r], inv.reshape(-1, 1)[r]
+        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=xh)
+        np.multiply(xh, xh, out=o)
+        np.divide(1.0, np.sqrt(o.mean(axis=-1, keepdims=True) + x.dtype.type(eps)), out=iv)
+        xh *= iv
+        np.multiply(xh, gamma.data, out=o)
+        o += beta.data
+
+    _split(parts, normalise)
     out = _freeze(buf)
 
     def bwd(g, xhat=xhat, inv=inv, gd=gamma.data, c=c):
@@ -589,10 +716,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+# Under a one-thread BLAS a large GEMM runs as this many equal parts of
+# rows, or the first count that leaves each part at least _GEMM_PART_ROWS
+# rows and _GEMM_PART_MACS multiply-adds. Equal parts balance over 2 or 4
+# workers, and cost one worker 1-2% over one GEMM (12 parts cost 5-13%).
+# The count depends on the shape alone: OpenBLAS can round a row of one GEMM
+# shape otherwise than the same row of another (a tail tile, or its kernel
+# for small products), so the part boundaries, not the worker count, fix the
+# bits. A BLAS with threads of its own splits each GEMM itself, so the GEMM
+# runs whole (its bits then follow BLAS's thread count).
+_GEMM_PARTS = (4, 2)
+_GEMM_PART_ROWS = 128
+_GEMM_PART_MACS = 1 << 22
+
+
+def _gemm_parts(rows: int, row_macs: int) -> int:
+    """How many row parts a GEMM of ``rows`` rows of ``row_macs``
+    multiply-adds each runs as."""
+    if _BLAS_THREADS != 1:
+        return 1
+    for parts in _GEMM_PARTS:
+        if rows >= parts * _GEMM_PART_ROWS and rows * row_macs >= parts * _GEMM_PART_MACS:
+            return parts
+    return 1
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map over the last dimension: x @ weight + bias, one GEMM into a
-    fresh buffer plus an in-place bias add (bit-identical to the composed
-    reshape, matmul, reshape and add)."""
+    """Affine map over the last dimension: x @ weight + bias, one GEMM per
+    part of rows (see ``_gemm_parts``), the parts split over the workers,
+    into a fresh buffer plus an in-place bias add. One part is bit-identical
+    to the composed reshape, matmul, reshape and add."""
     if weight.ndim != 2:
         raise ShapeError(f"linear: weight must be rank 2, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
@@ -602,8 +755,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     _check_same_dtype(x, weight, bias)
     cin, cout = weight.shape
     out = np.empty(x.shape[:-1] + (cout,), dtype=x.dtype)
-    np.matmul(x.data.reshape(-1, cin), weight.data, out=out.reshape(-1, cout))
-    out += bias.data
+    rows, out_rows = x.data.reshape(-1, cin), out.reshape(-1, cout)
+    n = rows.shape[0]
+    parts = _gemm_parts(n, cin * cout)
+
+    def affine(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            r = slice(i * n // parts, (i + 1) * n // parts)
+            np.matmul(rows[r], weight.data, out=out_rows[r])
+            out_rows[r] += bias.data
+
+    _split(parts, affine)
     result = _freeze(out)
     _record(result, (x, weight, bias), lambda g, xd=x.data, wd=weight.data: _affine_grads(g, xd, wd))
     return result
@@ -622,6 +784,8 @@ def _affine_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray) -> tuple[np.nda
 # Finite additive mask: large enough to underflow to an exact softmax zero,
 # finite so the stabilizing max subtraction never produces (-inf) - (-inf).
 MASK_VALUE = -1e9
+# The elements of one block of a chunk's shift mask, [keys, windows, n].
+_MASK_ELEMENTS = 1 << 14
 
 
 def window_attention(
@@ -758,11 +922,12 @@ def _project_chunk(x_rows, qk_o, pix, xw, proj, heads, d):
 
 def _attend_windows(xd, qk_o, vd, out, maps, bias, first, d, scale, probs) -> None:
     """One orientation's part of :func:`window_attention`, a chunk of windows
-    at a time: heads [first, first + bias.shape[1]) of d channels, their Q
-    and K projected from ``xd`` by ``qk_o`` (weight, bias), written into
-    ``out``; the probabilities go into ``probs`` unless it is None. Its
-    scratch dies with the call, before the next orientation allocates its
-    own."""
+    at a time, the chunks split over the workers: heads [first, first +
+    bias.shape[1]) of d channels, their Q and K projected from ``xd`` by
+    ``qk_o`` (weight, bias), written into ``out``; the probabilities go into
+    ``probs`` unless it is None. Each worker has its own chunk's scratch,
+    which dies with the call, before the next orientation allocates its
+    own. The chunk size does not depend on the worker count."""
     index, own, regions = maps
     nb, h, w, c = vd.shape
     (nw, n), m, total, dtype = index.shape, bias.shape[1], c // d, vd.dtype
@@ -772,43 +937,51 @@ def _attend_windows(xd, qk_o, vd, out, maps, bias, first, d, scale, probs) -> No
     # A chunk's logits and its gathered and projected rows, n * (m * n + cin +
     # 2 * m * d) elements per window, within the budget.
     step = max(1, WINDOW_CHUNK_BYTES // (n * (m * n + x_rows.shape[1] + 2 * m * d) * dtype.itemsize))
-    chunk = min(step, b)
-    xw = np.empty((chunk * n, x_rows.shape[1]), dtype=dtype)  # gathered rows of x
-    proj = np.empty((chunk * n, 2 * m * d), dtype=dtype)  # their q | k
-    buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered v
-    logits = np.empty((n, chunk, m, n), dtype=dtype)  # keys-major
-    q_t = np.empty((chunk, m, d, n), dtype=dtype)  # scale * q^T
-    v_ones = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [v | 1]
-    v_ones[..., d] = 1
-    ev = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [E v | s]
-    y = np.empty((chunk, n, m, d), dtype=dtype)  # pixel-major, as the output map
-    for start in range(0, b, step):
-        stop = min(start + step, b)
-        cs = stop - start
-        window, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
-        e = logits[:, :cs]
-        q, k = _project_chunk(x_rows, qk_o, pix, xw, proj, m, d)
-        np.multiply(q.swapaxes(-1, -2), scale, out=q_t[:cs])
-        np.matmul(k, q_t[:cs], out=e.transpose(1, 2, 0, 3))
-        e += bias[:, None]
-        r = regions[window]
-        if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
-            # Built as a product: np.where and a masked np.add measured 2-25x slower.
-            e += ((r.T[:, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
-        e -= e.max(axis=0)
-        np.exp(e, out=e)
-        np.take(v_data, v_rows, axis=0, out=buf[:cs], mode="clip")
-        v_ones[:cs, ..., :d] = buf[:cs]
-        np.matmul(e.transpose(1, 2, 3, 0), v_ones[:cs], out=ev[:cs])
-        s = ev[:cs, ..., d:]
-        np.divide(ev[:cs, ..., :d], s, out=y[:cs].transpose(0, 2, 1, 3))
-        if probs is not None:
-            np.divide(e.transpose(1, 2, 3, 0), s, out=probs[start:stop])
-        mine = own[window]
-        if mine.all():
-            out_rows[pix.ravel(), first : first + m] = y[:cs].reshape(-1, m, d)
-        else:
-            out_rows[pix[mine], first : first + m] = y[:cs][mine]
+
+    def attend(lo: int, hi: int) -> None:
+        chunk = min(step, b - lo * step)
+        xw = np.empty((chunk * n, x_rows.shape[1]), dtype=dtype)  # gathered rows of x
+        proj = np.empty((chunk * n, 2 * m * d), dtype=dtype)  # their q | k
+        buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered v
+        logits = np.empty((n, chunk, m, n), dtype=dtype)  # keys-major
+        q_t = np.empty((chunk, m, d, n), dtype=dtype)  # scale * q^T
+        v_ones = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [v | 1]
+        v_ones[..., d] = 1
+        ev = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [E v | s]
+        y = np.empty((chunk, n, m, d), dtype=dtype)  # pixel-major, as the output map
+        for start in range(lo * step, min(hi * step, b), step):
+            stop = min(start + step, b)
+            cs = stop - start
+            window, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+            e = logits[:, :cs]
+            q, k = _project_chunk(x_rows, qk_o, pix, xw, proj, m, d)
+            np.multiply(q.swapaxes(-1, -2), scale, out=q_t[:cs])
+            np.matmul(k, q_t[:cs], out=e.transpose(1, 2, 0, 3))
+            e += bias[:, None]
+            r = regions[window]
+            if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
+                # Built as a product: np.where and a masked np.add measured
+                # 2-25x slower. A block of key rows at a time, so that the
+                # comparison and the product stay small.
+                keys = max(1, _MASK_ELEMENTS // r.size)
+                for j in range(0, n, keys):
+                    e[j : j + keys] += ((r.T[j : j + keys, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
+            e -= e.max(axis=0)
+            np.exp(e, out=e)
+            np.take(v_data, v_rows, axis=0, out=buf[:cs], mode="clip")
+            v_ones[:cs, ..., :d] = buf[:cs]
+            np.matmul(e.transpose(1, 2, 3, 0), v_ones[:cs], out=ev[:cs])
+            s = ev[:cs, ..., d:]
+            np.divide(ev[:cs, ..., :d], s, out=y[:cs].transpose(0, 2, 1, 3))
+            if probs is not None:
+                np.divide(e.transpose(1, 2, 3, 0), s, out=probs[start:stop])
+            mine = own[window]
+            if mine.all():
+                out_rows[pix.ravel(), first : first + m] = y[:cs].reshape(-1, m, d)
+            else:
+                out_rows[pix[mine], first : first + m] = y[:cs][mine]
+
+    _split(-(-b // step), attend)
 
 
 def _window_grads(g, xd, qk_o, vd, grads, maps, p, first, d, scale) -> np.ndarray:
@@ -957,12 +1130,13 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False)
     ``kernel`` is [3, 3, Cin, Cout]; in depthwise mode it is [3, 3, C, 1] and
     each channel is filtered independently (Cin == Cout == C).
 
-    The output is computed a band of rows at a time: each band of input rows
-    plus a one-row halo above and below is copied into a zero-bordered band
-    buffer, and each tap's product with the band goes through one band
-    scratch and is added to the output, in tap order, then the bias. A band's
-    rows and their product scratch hold at most WINDOW_CHUNK_BYTES (one row
-    at least), its halo aside. No zero-padded copy of the whole input and no
+    The output is computed a band of rows at a time, the bands balanced over
+    the workers: each band of input rows plus a one-row halo above and below
+    is copied into the worker's zero-bordered band buffer, and each tap's
+    product with the band goes through the worker's band scratch and is
+    added to the output, in tap order, then the bias. The workers' bands and
+    product scratch hold at most WINDOW_CHUNK_BYTES together (one row each at
+    least), their halos aside. No zero-padded copy of the whole input and no
     full-size product exists, and the output has the bits of a full-size sum
     of taps: a dense tap is one [W, Cin] x [Cin, Cout] GEMM per row, as over
     the whole padded map. Under a tape the op keeps its input; the backward
@@ -991,33 +1165,43 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False)
 
     xd, kd = x.data, kernel.data
     out_data = np.zeros((n, h, w, cout), dtype=x.dtype)
-    rows = min(h, max(1, WINDOW_CHUNK_BYTES // (n * ((w + 2) * cin + w * cout) * x.dtype.itemsize)))
-    band = np.zeros((n, rows + 2, w + 2, cin), dtype=x.dtype)  # its border columns stay zero
+    workers = _workers()
+    row_bytes = n * ((w + 2) * cin + w * cout) * x.dtype.itemsize  # a band row and its product row
+    bands = _pieces(h, WINDOW_CHUNK_BYTES // (workers * row_bytes), workers)
+    rows = -(-h // bands)  # of the largest band
     if depthwise:
         # Rows are viewed as [w * C] runs against the taps tiled to that
         # length, so each product is one long ufunc loop per row rather than
         # one per pixel.
-        scratch = np.empty((n, rows, w * cin), dtype=x.dtype)
-        band_rows, out_rows = band.reshape(n, rows + 2, (w + 2) * cin), out_data.reshape(n, h, w * cin)
+        out_rows = out_data.reshape(n, h, w * cin)
         taps = np.empty((3, 3, w, cin), dtype=x.dtype)
         taps[...] = kd[:, :, None, :, 0]
         taps = taps.reshape(3, 3, w * cin)
-    else:
-        scratch = np.empty((n, rows, w, cout), dtype=x.dtype)
-    for r in range(0, h, rows):
-        m = min(rows, h - r)
-        band[:, 0, 1 : w + 1] = xd[:, r - 1] if r > 0 else 0
-        band[:, 1 : m + 1, 1 : w + 1] = xd[:, r : r + m]
-        band[:, m + 1, 1 : w + 1] = xd[:, r + m] if r + m < h else 0
-        prod, acc = scratch[:, :m], (out_rows if depthwise else out_data)[:, r : r + m]
-        for u in range(3):
-            for v in range(3):
-                if depthwise:
-                    np.multiply(band_rows[:, u : u + m, v * cin : (v + w) * cin], taps[u, v], out=prod)
-                else:
-                    np.matmul(band[:, u : u + m, v : v + w], kd[u, v], out=prod)
-                acc += prod
-        out_data[:, r : r + m] += bias.data
+
+    def convolve(lo: int, hi: int) -> None:
+        band = np.zeros((n, rows + 2, w + 2, cin), dtype=x.dtype)  # its border columns stay zero
+        if depthwise:
+            scratch = np.empty((n, rows, w * cin), dtype=x.dtype)
+            band_rows = band.reshape(n, rows + 2, (w + 2) * cin)
+        else:
+            scratch = np.empty((n, rows, w, cout), dtype=x.dtype)
+        for i in range(lo, hi):
+            r = i * h // bands
+            m = (i + 1) * h // bands - r
+            band[:, 0, 1 : w + 1] = xd[:, r - 1] if r > 0 else 0
+            band[:, 1 : m + 1, 1 : w + 1] = xd[:, r : r + m]
+            band[:, m + 1, 1 : w + 1] = xd[:, r + m] if r + m < h else 0
+            prod, acc = scratch[:, :m], (out_rows if depthwise else out_data)[:, r : r + m]
+            for u in range(3):
+                for v in range(3):
+                    if depthwise:
+                        np.multiply(band_rows[:, u : u + m, v * cin : (v + w) * cin], taps[u, v], out=prod)
+                    else:
+                        np.matmul(band[:, u : u + m, v : v + w], kd[u, v], out=prod)
+                    acc += prod
+            out_data[:, r : r + m] += bias.data
+
+    _split(bands, convolve)
     out = _freeze(out_data)
 
     def bwd(g, xd=xd, kd=kd, depthwise=depthwise):

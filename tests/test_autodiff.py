@@ -1,9 +1,14 @@
 import ctypes
 import dataclasses
+import hashlib
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -1052,3 +1057,118 @@ def test_inference_and_training_need_no_scipy():
     for code in (_FLOAT32_WITHOUT_SCIPY, _FLOAT64_WITHOUT_SCIPY):
         out = _run_fresh(code)
         assert out.returncode == 0, out.stderr
+
+
+# ---------------------------------------------------------------------------
+# Worker threads
+# ---------------------------------------------------------------------------
+
+
+def test_split_runs_a_nested_split_inline_on_a_pool_thread(monkeypatch):
+    # A pool thread that waited on its own pool would never finish.
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    calls = []
+
+    def share(lo, hi):
+        nested = []
+        ad._split(8, lambda a, b: nested.append((a, b, threading.get_ident())))
+        calls.append((lo, hi, threading.get_ident(), nested))
+
+    caller = threading.Thread(target=ad._split, args=(2, share), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and len(calls) == 2
+    caller, pooled = sorted(calls)
+    assert caller[:2] == (0, 1) and pooled[:2] == (1, 2) and pooled[2] != caller[2]
+    assert pooled[3] == [(0, 8, pooled[2])]  # one share, on the pool thread itself
+    assert sorted(s[:2] for s in caller[3]) == [(0, 4), (4, 8)]
+
+
+def test_split_reraises_a_share_error_once_every_share_has_finished(monkeypatch):
+    monkeypatch.setattr(ad, "_cpus", lambda: 3)
+    finished = []
+
+    def share(lo, hi):
+        if lo == 1:
+            raise ValueError("share 1")
+        time.sleep(0.05 if lo == 0 else 0.3)  # the last share finishes last
+        finished.append(lo)
+
+    with pytest.raises(ValueError, match="share 1"):
+        ad._split(3, share)
+    assert sorted(finished) == [0, 2]
+
+
+def test_split_runs_one_share_inline_without_a_pool(monkeypatch):
+    monkeypatch.setattr(ad, "_cpus", lambda: 4)
+    monkeypatch.setattr(ad, "_POOL", None)
+    calls = []
+    ad._split(1, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
+    ad._split(0, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
+    assert calls == [(0, 1, threading.get_ident()), (0, 0, threading.get_ident())] and ad._POOL is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    # The child has none of the parent's pool threads: with the parent's pool
+    # kept, its first split would wait forever on work no thread runs.
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    config = dataclasses.replace(preset_config("cat_r_x2"), num_groups=1, blocks_per_group=1)
+    store = init_params(config, 0)
+    x = Tensor(rand((1, 16, 16, 3), 120, 1.0, np.float32))
+    want = hashlib.sha256(cat_forward(x, store, config).data.tobytes()).digest()
+    assert ad._POOL is not None
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child
+        try:
+            os.close(read)
+            os.write(write, hashlib.sha256(cat_forward(x, store, config).data.tobytes()).digest())
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        ready = select.select([read], [], [], 120)[0]
+        got = os.read(read, 64) if ready else b""
+    finally:
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(read)
+    assert ready, "the forked child's forward did not finish within 120 s"
+    assert got == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_bits_do_not_depend_on_the_worker_count(monkeypatch, dtype):
+    # With OpenBLAS's AVX-512 kernels a float64 GEMM of this shape rounds the
+    # last 4 columns of the last rows of a call otherwise than the same rows
+    # mid-call, so row parts that followed the worker count would move bits.
+    monkeypatch.setattr(ad, "_BLAS_THREADS", 1)
+    x, w, b = rand((2048, 180), 122, 1.0, dtype), rand((180, 540), 123, 1.0, dtype), rand((540,), 124, 1.0, dtype)
+    assert ad._gemm_parts(2048, 180 * 540) == 4
+    outs = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
+        outs.append(ad.linear(Tensor(x), Tensor(w), Tensor(b)).data)
+    assert all(np.array_equal(outs[0], out) for out in outs[1:])
+    parts = [x[i * 512 : (i + 1) * 512] @ w + b for i in range(4)]
+    assert np.array_equal(outs[0], np.concatenate(parts))
+
+
+_OVERFIT_WITHOUT_A_POOL = """
+import sys
+from crossagg import autodiff as ad
+from crossagg.harness import run_overfit
+ad._cpus = lambda: 4
+assert "concurrent.futures" not in sys.modules
+assert len(run_overfit(steps=2).losses) == 2
+assert ad._POOL is None and "concurrent.futures" not in sys.modules
+"""
+
+
+def test_overfit_never_starts_the_pool():
+    # A fresh process, so that no earlier test has made the pool or loaded
+    # concurrent.futures: no op of the tiny model reaches a second task.
+    out = _run_fresh(_OVERFIT_WITHOUT_A_POOL)
+    assert out.returncode == 0, out.stderr

@@ -128,12 +128,10 @@ def test_axial_group_resolves_paired_orientations():
     assert (gv.sh, gv.sw) == (16, 2)
 
 
-def test_untaped_shifted_axial_block_peak_memory():
-    # One stock-width block (C=180, axial sl=4, shifted) at 64x64 peaks at
-    # 12.4 MiB of numpy heap, inside window attention: the LN1 output, V and
-    # the merged attention output, plus one chunk's scratch. No Q|K map and
-    # no zero-padded copy of V exist, and no map exists at full size in the
-    # window layout or at the MLP's hidden width.
+def _shifted_axial_block_peak(monkeypatch, workers):
+    """The numpy heap peak of one untaped stock-width block (C=180, axial
+    sl=4, shifted) at 64x64 on ``workers`` op worker threads."""
+    monkeypatch.setattr(ad, "_cpus", lambda: workers)
     config = dataclasses.replace(preset_config("cat_a_x2"), num_groups=1, blocks_per_group=2, axial_lengths=(4,))
     store, spec = init_params(config, 0), config.spec_for_group(0)
     x = Tensor(rand((1, 64, 64, 180), 80, 1.0, np.float32))
@@ -141,10 +139,27 @@ def test_untaped_shifted_axial_block_peak_memory():
     tracemalloc.start()
     try:
         catb_forward(x, store, "body.group0.block1", spec, shifted=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_untaped_shifted_axial_block_peak_memory(monkeypatch):
+    # On one worker the block peaks at 12.3 MiB of numpy heap, inside window
+    # attention: the LN1 output, V and the merged attention output, plus one
+    # chunk's scratch. No Q|K map and no zero-padded copy of V exist, and no
+    # map exists at full size in the window layout or at the MLP's hidden
+    # width.
+    peak = _shifted_axial_block_peak(monkeypatch, 1)
     assert peak < 13.4 * 2**20, peak / 2**20
+
+
+def test_untaped_shifted_axial_block_peak_memory_on_two_workers(monkeypatch):
+    # Attention keeps its chunk size, so a second worker holds a second
+    # chunk's scratch (13.9 MiB); the other ops split their budget among the
+    # workers.
+    peak = _shifted_axial_block_peak(monkeypatch, 2)
+    assert peak < 13.4 * 2**20 + ad.WINDOW_CHUNK_BYTES, peak / 2**20
 
 
 def test_untaped_mlp_peaks_at_its_output_and_one_band():
@@ -184,6 +199,50 @@ def test_banded_mlp_is_bit_identical_to_one_band(monkeypatch, dtype):
     mlp_rows = [shape[0] for shape in calls if len(shape) == 2 and shape[-1] == 16]
     assert len(mlp_rows) == 8 and sum(mlp_rows) == 99 and min(mlp_rows) == 12, mlp_rows  # fc1 inputs
     assert banded.dtype == dtype and np.array_equal(banded, one_band)
+
+
+def _forward_and_gradients(config, store, x):
+    """The untaped and taped outputs of ``cat_forward`` and the gradients of
+    sum(output * R), R fixed, for every weight, in name order."""
+    untaped = cat_forward(x, store, config).data
+    tape = ad.GradientTape()
+    tape.watch(store.values())
+    with tape:
+        out = cat_forward(x, store, config)
+        probe = Tensor(np.random.default_rng(7).normal(size=out.shape), dtype=out.dtype)
+        loss = ad.sum_all(ad.mul(out, probe))
+    grads = ad.backward(tape, loss)
+    return [untaped, out.data] + [grads[store[name]].data for name in sorted(store)]
+
+
+@pytest.mark.parametrize("case", ["stock", "c48"])
+def test_outputs_and_gradients_do_not_depend_on_the_worker_count(monkeypatch, case):
+    # Stock width at 32 px: several conv bands, GELU chunks, GEMM parts and
+    # attention chunks per op. C = 48 with 8-pixel windows, where the
+    # attention chunk size moves bits, under a smaller budget: many chunks
+    # and bands. Every boundary that can set a bit depends on the shapes
+    # alone; the worker count only assigns the pieces to threads. Eight
+    # workers, more than the cores, under a short switch interval, would
+    # also show a share that is lost or writes outside its rows. BLAS counts
+    # as one-thread, so that the GEMMs run in parts.
+    monkeypatch.setattr(ad, "_BLAS_THREADS", 1)
+    if case == "stock":
+        config, side = dataclasses.replace(preset_config("cat_r_x2"), num_groups=1, blocks_per_group=2), 32
+    else:
+        config, side = _tiny_config(channels=48, num_heads=4, head_width=16), 48
+        monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 1 << 16)
+    store = init_params(config, 0)
+    x = Tensor(rand((1, side, side, 3), 121, 1.0, np.float32))
+    runs, interval = [], sys.getswitchinterval()
+    for workers in (1, 2, 3, 8):
+        monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
+        sys.setswitchinterval(1e-6 if workers == 8 else interval)
+        try:
+            runs.append(_forward_and_gradients(config, store, x))
+        finally:
+            sys.setswitchinterval(interval)
+    for arrays in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], arrays))
 
 
 @pytest.mark.skipif(
