@@ -135,7 +135,8 @@ def _cpus() -> int:
 
 def _workers() -> int:
     """The threads an op splits its work over: ``_cpus()``, and one on a
-    pool thread, so that a pool thread never waits on its own pool."""
+    pool thread or in the calling thread's share of a split, so that no
+    share waits on the pool."""
     return 1 if getattr(_POOL_THREAD, "marked", False) else _cpus()
 
 
@@ -156,9 +157,12 @@ os.register_at_fork(after_in_child=_forget_pool)
 def _split(tasks: int, fn: Callable[[int, int], None]) -> None:
     """Run ``fn(start, stop)`` over the tasks [0, tasks) in min(tasks,
     _workers()) contiguous shares of near-equal size: the calling thread
-    runs the first share and a pool thread each other one. It returns once
-    every share has finished, and then re-raises the first exception that
-    a share raised. With one share, ``fn`` runs inline. The pool, and
+    runs the first share and a pool thread each other one. A split nested
+    in any share runs inline, as the calling thread is marked as a pool
+    thread while it runs its share (else its nested split would queue
+    behind the pool's whole share). It returns once every share has
+    finished, and then re-raises the first exception that a share raised.
+    With one share, ``fn`` runs inline. The pool, and
     ``concurrent.futures``, are made on first use."""
     global _POOL
     workers = min(tasks, _workers()) if tasks > 1 else 1
@@ -174,9 +178,12 @@ def _split(tasks: int, fn: Callable[[int, int], None]) -> None:
         pool = _POOL[0]
     bounds = [i * tasks // workers for i in range(workers + 1)]
     futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    marked = getattr(_POOL_THREAD, "marked", False)
+    _POOL_THREAD.marked = True
     try:
         fn(0, bounds[1])
     finally:
+        _POOL_THREAD.marked = marked
         errors = [f.exception() for f in futures]
     for error in errors:
         if error is not None:
@@ -553,37 +560,32 @@ def _erf_f64(u: np.ndarray, out: np.ndarray, s: np.ndarray, p: np.ndarray) -> No
 
 
 def _gelu_chunks(xd: np.ndarray, body: Callable) -> None:
-    """Call ``body(start, xs, cdf, spare)`` on each chunk of ``xd``: the
-    chunk's flat offset, its elements, their cdf 0.5 * (1 + erf(x /
-    sqrt(2))) through ``_erf_f64`` or ``_half_erf_f32``, and a scratch array
-    of the chunk's size. The chunks are of near-equal size and balanced over
-    the op's workers; each worker has its own cdf and scratch, overwritten
-    by its next chunk. The elementwise passes give the same bits in any
-    chunking."""
-    # The chunk's cdf and the erf's two scratch arrays share the budget (the
-    # workers split it): the erf's passes then run in L2, about 15% faster
-    # than a budget each.
-    workers = _workers()
-    chunks = _pieces(xd.size, WINDOW_CHUNK_BYTES // (3 * xd.itemsize * workers), workers)
+    """Call ``body(start, xs, cdf, spare)`` on each chunk of ``xd``, on the
+    calling thread: the chunk's flat offset, its elements, their cdf 0.5 *
+    (1 + erf(x / sqrt(2))) through ``_erf_f64`` or ``_half_erf_f32``, and a
+    scratch array of the chunk's size. The chunks are of near-equal size;
+    one cdf and scratch buffer is overwritten by each next chunk. The
+    elementwise passes give the same bits in any chunking."""
+    # The chunk's cdf and the erf's two scratch arrays share the budget: the
+    # erf's passes then run in L2, about 15% faster than a budget each. The
+    # chunks are not split over the workers: two threads interleaving these
+    # short passes ran no faster than one.
+    chunks = _pieces(xd.size, WINDOW_CHUNK_BYTES // (3 * xd.itemsize), 1)
     flat = xd.reshape(-1)
-
-    def run(lo: int, hi: int) -> None:
-        buf = np.empty((3, -(-xd.size // chunks)), dtype=xd.dtype)
-        for i in range(lo, hi):
-            start = i * xd.size // chunks
-            xs = flat[start : (i + 1) * xd.size // chunks]
-            c, scratch = buf[0, : xs.size], buf[1:, : xs.size]
-            if xd.dtype == np.float32:
-                _half_erf_f32(xs, c, *scratch)
-                c += 0.5
-            else:
-                np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
-                _erf_f64(c, c, *scratch)
-                c += 1.0
-                c *= 0.5
-            body(start, xs, c, scratch[0])
-
-    _split(chunks, run)
+    buf = np.empty((3, -(-xd.size // chunks)), dtype=xd.dtype)
+    for i in range(chunks):
+        start = i * xd.size // chunks
+        xs = flat[start : (i + 1) * xd.size // chunks]
+        c, scratch = buf[0, : xs.size], buf[1:, : xs.size]
+        if xd.dtype == np.float32:
+            _half_erf_f32(xs, c, *scratch)
+            c += 0.5
+        else:
+            np.divide(xs, np.sqrt(xd.dtype.type(2.0)), out=c)
+            _erf_f64(c, c, *scratch)
+            c += 1.0
+            c *= 0.5
+        body(start, xs, c, scratch[0])
 
 
 def _gelu_grad(g: np.ndarray, xd: np.ndarray) -> np.ndarray:
@@ -769,6 +771,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     result = _freeze(out)
     _record(result, (x, weight, bias), lambda g, xd=x.data, wd=weight.data: _affine_grads(g, xd, wd))
     return result
+
+
+# ``linear`` and ``gelu`` as defined here, for the untaped MLP's pool threads:
+# a tracer that rebinds the module's names (one span stack, kept by the
+# calling thread) leaves a tuple's references alone.
+_PLAIN_OPS = (linear, gelu)
 
 
 def _affine_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

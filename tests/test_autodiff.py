@@ -1064,24 +1064,30 @@ def test_inference_and_training_need_no_scipy():
 # ---------------------------------------------------------------------------
 
 
-def test_split_runs_a_nested_split_inline_on_a_pool_thread(monkeypatch):
-    # A pool thread that waited on its own pool would never finish.
+def test_split_runs_a_nested_split_inline_in_any_share(monkeypatch):
+    # A pool thread that waited on its own pool would never finish; the
+    # calling thread's nested split would queue behind the pool's share.
     monkeypatch.setattr(ad, "_cpus", lambda: 2)
-    calls = []
+    calls, after = [], []
 
     def share(lo, hi):
         nested = []
         ad._split(8, lambda a, b: nested.append((a, b, threading.get_ident())))
         calls.append((lo, hi, threading.get_ident(), nested))
 
-    caller = threading.Thread(target=ad._split, args=(2, share), daemon=True)
+    def split_twice():
+        ad._split(2, share)
+        ad._split(8, lambda a, b: after.append((a, b)))
+
+    caller = threading.Thread(target=split_twice, daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive() and len(calls) == 2
     caller, pooled = sorted(calls)
     assert caller[:2] == (0, 1) and pooled[:2] == (1, 2) and pooled[2] != caller[2]
     assert pooled[3] == [(0, 8, pooled[2])]  # one share, on the pool thread itself
-    assert sorted(s[:2] for s in caller[3]) == [(0, 4), (4, 8)]
+    assert caller[3] == [(0, 8, caller[2])]  # and on the calling thread
+    assert sorted(after) == [(0, 4), (4, 8)]  # the caller's mark is lifted after its share
 
 
 def test_split_reraises_a_share_error_once_every_share_has_finished(monkeypatch):

@@ -162,26 +162,41 @@ def test_untaped_shifted_axial_block_peak_memory_on_two_workers(monkeypatch):
     assert peak < 13.4 * 2**20 + ad.WINDOW_CHUNK_BYTES, peak / 2**20
 
 
-def test_untaped_mlp_peaks_at_its_output_and_one_band():
-    # A band holds its [rows, 4C] fc1 output, its GELU output and GELU's
-    # scratch, each within WINDOW_CHUNK_BYTES; nothing exists at full size at
-    # the hidden width.
+def _untaped_mlp_peak_above_output(monkeypatch, workers):
+    """The numpy heap peak of one untaped stock-width MLP (C=180, hidden
+    720) at 96x96 on ``workers`` op worker threads, above its output."""
+    monkeypatch.setattr(ad, "_cpus", lambda: workers)
     h = Tensor(rand((1, 96, 96, 180), 83, 1.0, np.float32))
     shapes = [(180, 720), (720,), (720, 180), (180,)]
     weights = [Tensor(rand(s, 84 + i, 0.05, np.float32)) for i, s in enumerate(shapes)]
     tracemalloc.start()
     try:
         out = _mlp(h, *weights)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - out.data.nbytes
     finally:
         tracemalloc.stop()
-    assert peak < out.data.nbytes + 3 * ad.WINDOW_CHUNK_BYTES + (256 << 10), peak / 2**20
+
+
+def test_untaped_mlp_peaks_at_its_output_and_one_band(monkeypatch):
+    # A band holds its [rows, 4C] fc1 output, its GELU output and GELU's
+    # scratch, each within WINDOW_CHUNK_BYTES; nothing exists at full size at
+    # the hidden width.
+    peak = _untaped_mlp_peak_above_output(monkeypatch, 1)
+    assert peak < 3 * ad.WINDOW_CHUNK_BYTES + (256 << 10), peak / 2**20
+
+
+def test_untaped_mlp_on_two_workers_holds_one_band_per_worker(monkeypatch):
+    peak = _untaped_mlp_peak_above_output(monkeypatch, 2)
+    assert peak < 2 * (3 * ad.WINDOW_CHUNK_BYTES + (256 << 10)), peak / 2**20
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_banded_mlp_is_bit_identical_to_one_band(monkeypatch, dtype):
     # 99 pixels in bands of 12-13 rows (a hidden row is 32 elements); bands
     # of 14 would have left a 1-row band, whose GEMM may round differently.
+    # One worker, so that every band's fc1 runs through the counted linear;
+    # two workers then give the same bits.
+    monkeypatch.setattr(ad, "_cpus", lambda: 1)
     config = _tiny_config(channels=16, mlp_ratio=2.0)
     store = init_params(config, 0, dtype=dtype)
     x = Tensor(rand((1, 9, 11, 16), 82, 1.0, dtype))
@@ -199,6 +214,9 @@ def test_banded_mlp_is_bit_identical_to_one_band(monkeypatch, dtype):
     mlp_rows = [shape[0] for shape in calls if len(shape) == 2 and shape[-1] == 16]
     assert len(mlp_rows) == 8 and sum(mlp_rows) == 99 and min(mlp_rows) == 12, mlp_rows  # fc1 inputs
     assert banded.dtype == dtype and np.array_equal(banded, one_band)
+    monkeypatch.setattr(ad, "linear", linear)
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    assert np.array_equal(catb_forward(x, store, prefix, config.spec_for_group(0), shifted=False).data, one_band)
 
 
 def _forward_and_gradients(config, store, x):

@@ -4,11 +4,13 @@ rows of ``analysis.model_flops``. A rename or deletion in the package that
 breaks either would otherwise show only in a ``--trace 1`` benchmark run."""
 
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from crossagg import autodiff as ad
 from crossagg import harness
 from crossagg.imaging import ImageU8
 from crossagg.model import init_params, preset_config
@@ -70,3 +72,40 @@ def test_traced_training_steps_join_every_cost_row():
     metrics, problems = tracer.per_layer(preset_config("tiny_sr_x2"))
     assert problems == []
     assert metrics["autodiff.backward.ms"] > 0 and metrics["autodiff.adam_step.ms"] > 0
+
+
+def test_traced_banded_mlp_enters_no_traced_op_off_the_calling_thread(monkeypatch):
+    # Two workers and a budget of an eighth of a 16 x 16 tiny_sr_x2 MLP's
+    # hidden map: the untaped MLP runs its 8 bands in two shares, the second
+    # on a pool thread. The tracer keeps one span stack, so an op entered by
+    # name on the pool thread would nest its spans into the calling thread's.
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "_BLAS_THREADS", 1)
+    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 1 << 12)
+    config = preset_config("tiny_sr_x2")
+    img = ImageU8.from_array(np.random.default_rng(0).integers(0, 256, (16, 16, 3), dtype=np.uint8))
+    store = init_params(config, 0)
+    named, plain = [], []
+
+    def recorded(threads, fn):
+        def shim(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return shim
+
+    monkeypatch.setattr(ad, "_PLAIN_OPS", tuple(recorded(plain, fn) for fn in ad._PLAIN_OPS))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for name in ("linear", "gelu"):  # the installed wrappers; uninstall puts the originals back
+            setattr(ad, name, recorded(named, getattr(ad, name)))
+        tracer.request = 0
+        harness.restore_image(store, config, img)
+    finally:
+        tracer.uninstall()
+    metrics, problems = tracer.per_layer(config)
+    assert problems == []
+    assert metrics["analysis.mlp.ms"] > 0
+    assert set(named) == {threading.get_ident()}
+    assert plain and threading.get_ident() not in plain  # the pool thread ran bands
