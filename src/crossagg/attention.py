@@ -16,16 +16,16 @@ the names of :func:`model.parameter_schema`: a block's ``{prefix}.attn.qkv``,
 network ``posbias.fc{1,2,3}`` that every block shares. The head count is the
 output width of ``posbias.fc3``.
 
-Values are projected into a V map by one GEMM against a column slice of the
-stored fused qkv weight; queries and keys are projected inside the per-window
-primitive, :func:`autodiff.window_attention`, from the block input and the
-Q|K column slices of that weight. For both orientations, a chunk of windows
-at a time, it gathers the chunk's input rows through one cached map per
-geometry (pad, shift and partition in one) and projects them into Q and K by
-one GEMM, gathers the chunk's V, holds the logits keys-major, divides by the
-softmax normaliser after the PV GEMM, which matches the composed ops within
-float rounding, and writes the chunk's output straight into the merged [N, H,
-W, C] map. The full [windows, heads, n, n] probabilities exist only when a
+Values are projected into a V map, a band of pixels at a time, by GEMMs
+against a column slice of the stored fused qkv weight; queries and keys are
+projected inside the per-window primitive, :func:`autodiff.window_attention`,
+from the block input and the Q|K column slices of that weight. For both
+orientations, a chunk of windows at a time, it gathers the chunk's input rows
+through one cached map per geometry (pad, shift and partition in one) and
+projects them into Q and K by one GEMM, gathers the chunk's V, holds the
+logits keys-major, divides by the softmax normaliser after the PV GEMM, which
+matches the composed ops within float rounding, and writes the chunk's output
+straight into the merged [N, H, W, C] map. The full [windows, heads, n, n] probabilities exist only when a
 tape records the op or a probe asks for the weights.
 
 What one call holds, untaped: the per-forward cache keeps the gather maps of
@@ -174,8 +174,10 @@ def rwin_self_attention(
     # V is one map from a column slice of the fused weight, which the op
     # reads its windows from and the locality complement convolves; the op
     # projects Q and K itself, a chunk of windows at a time, from x and the
-    # Q|K columns.
-    v = ad.linear(x, ad.narrow(w, 1, 2 * c, c), ad.narrow(b, 0, 2 * c, c))
+    # Q|K columns. V and the output projection run in bands of pixels, each
+    # band reading C and writing C elements a pixel.
+    wv = (ad.narrow(w, 1, 2 * c, c), ad.narrow(b, 0, 2 * c, c))
+    v = ad._bands(x, wv, 2 * c, lambda rows, linear, gelu: linear(rows, *wv))
     qk = (ad.narrow(w, 1, 0, 2 * c), ad.narrow(b, 0, 0, 2 * c))
     windows = [cache[("maps", g)] + (bias,) for g, bias in zip(geometries, biases)]
     if probe is None:
@@ -191,4 +193,4 @@ def rwin_self_attention(
         del v
         y = ad.add(y, lcm)
         del lcm
-    return ad.linear(y, proj_w, proj_b)
+    return ad._bands(y, (proj_w, proj_b), 2 * c, lambda rows, linear, gelu: linear(rows, proj_w, proj_b))

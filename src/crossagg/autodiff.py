@@ -135,8 +135,7 @@ def _cpus() -> int:
 
 def _workers() -> int:
     """The threads an op splits its work over: ``_cpus()``, and one on a
-    pool thread or in the calling thread's share of a split, so that no
-    share waits on the pool."""
+    pool thread, so that a pool thread never waits on its own pool."""
     return 1 if getattr(_POOL_THREAD, "marked", False) else _cpus()
 
 
@@ -157,12 +156,9 @@ os.register_at_fork(after_in_child=_forget_pool)
 def _split(tasks: int, fn: Callable[[int, int], None]) -> None:
     """Run ``fn(start, stop)`` over the tasks [0, tasks) in min(tasks,
     _workers()) contiguous shares of near-equal size: the calling thread
-    runs the first share and a pool thread each other one. A split nested
-    in any share runs inline, as the calling thread is marked as a pool
-    thread while it runs its share (else its nested split would queue
-    behind the pool's whole share). It returns once every share has
-    finished, and then re-raises the first exception that a share raised.
-    With one share, ``fn`` runs inline. The pool, and
+    runs the first share and a pool thread each other one. It returns once
+    every share has finished, and then re-raises the first exception that
+    a share raised. With one share, ``fn`` runs inline. The pool, and
     ``concurrent.futures``, are made on first use."""
     global _POOL
     workers = min(tasks, _workers()) if tasks > 1 else 1
@@ -178,12 +174,9 @@ def _split(tasks: int, fn: Callable[[int, int], None]) -> None:
         pool = _POOL[0]
     bounds = [i * tasks // workers for i in range(workers + 1)]
     futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    marked = getattr(_POOL_THREAD, "marked", False)
-    _POOL_THREAD.marked = True
     try:
         fn(0, bounds[1])
     finally:
-        _POOL_THREAD.marked = marked
         errors = [f.exception() for f in futures]
     for error in errors:
         if error is not None:
@@ -458,10 +451,11 @@ def abs_val(x: Tensor) -> Tensor:
 
 
 # Byte budget of one chunk of window_attention's logits and projected rows,
-# of one band of conv2d_3x3's padded rows and products, of one [rows, hidden]
-# map of the untaped MLP, or of gelu's cdf and scratch in either direction.
-# Chunks and bands are independent, so the size bounds memory without
-# changing a single output bit; 256 KiB to 4 MiB measured the same speed.
+# of one band of conv2d_3x3's padded rows and products, of one band of the
+# per-pixel maps ``_bands`` holds at once, or of gelu's cdf and scratch in
+# either direction. Chunks and bands are independent, so the size bounds
+# memory without changing a single output bit; 256 KiB to 4 MiB measured the
+# same speed.
 WINDOW_CHUNK_BYTES = 1 << 20
 
 # float32 erf(x / sqrt(2)) = K u N(s) / D(s) with u = x clipped to +-4 sqrt(2)
@@ -718,36 +712,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-# Under a one-thread BLAS a large GEMM runs as this many equal parts of
-# rows, or the first count that leaves each part at least _GEMM_PART_ROWS
-# rows and _GEMM_PART_MACS multiply-adds. Equal parts balance over 2 or 4
-# workers, and cost one worker 1-2% over one GEMM (12 parts cost 5-13%).
-# The count depends on the shape alone: OpenBLAS can round a row of one GEMM
-# shape otherwise than the same row of another (a tail tile, or its kernel
-# for small products), so the part boundaries, not the worker count, fix the
-# bits. A BLAS with threads of its own splits each GEMM itself, so the GEMM
-# runs whole (its bits then follow BLAS's thread count).
-_GEMM_PARTS = (4, 2)
-_GEMM_PART_ROWS = 128
-_GEMM_PART_MACS = 1 << 22
-
-
-def _gemm_parts(rows: int, row_macs: int) -> int:
-    """How many row parts a GEMM of ``rows`` rows of ``row_macs``
-    multiply-adds each runs as."""
-    if _BLAS_THREADS != 1:
-        return 1
-    for parts in _GEMM_PARTS:
-        if rows >= parts * _GEMM_PART_ROWS and rows * row_macs >= parts * _GEMM_PART_MACS:
-            return parts
-    return 1
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map over the last dimension: x @ weight + bias, one GEMM per
-    part of rows (see ``_gemm_parts``), the parts split over the workers,
-    into a fresh buffer plus an in-place bias add. One part is bit-identical
-    to the composed reshape, matmul, reshape and add."""
+    """Affine map over the last dimension: x @ weight + bias, one GEMM into a
+    fresh buffer plus an in-place bias add, bit-identical to the composed
+    reshape, matmul, reshape and add. The block's per-pixel GEMMs split over
+    the workers through ``_bands``."""
     if weight.ndim != 2:
         raise ShapeError(f"linear: weight must be rank 2, got {weight.shape}")
     if x.shape[-1] != weight.shape[0]:
@@ -757,26 +726,51 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     _check_same_dtype(x, weight, bias)
     cin, cout = weight.shape
     out = np.empty(x.shape[:-1] + (cout,), dtype=x.dtype)
-    rows, out_rows = x.data.reshape(-1, cin), out.reshape(-1, cout)
-    n = rows.shape[0]
-    parts = _gemm_parts(n, cin * cout)
-
-    def affine(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            r = slice(i * n // parts, (i + 1) * n // parts)
-            np.matmul(rows[r], weight.data, out=out_rows[r])
-            out_rows[r] += bias.data
-
-    _split(parts, affine)
+    np.matmul(x.data.reshape(-1, cin), weight.data, out=out.reshape(-1, cout))
+    out += bias.data
     result = _freeze(out)
     _record(result, (x, weight, bias), lambda g, xd=x.data, wd=weight.data: _affine_grads(g, xd, wd))
     return result
 
 
-# ``linear`` and ``gelu`` as defined here, for the untaped MLP's pool threads:
-# a tracer that rebinds the module's names (one span stack, kept by the
-# calling thread) leaves a tuple's references alone.
+# ``linear`` and ``gelu`` as defined here, for ``_bands``'s pool threads: a
+# tracer that rebinds the module's names (one span stack, kept by the calling
+# thread) leaves a tuple's references alone.
 _PLAIN_OPS = (linear, gelu)
+
+
+def _bands(x: Tensor, weights: Sequence[Tensor], width: int, chain: Callable) -> Tensor:
+    """``chain(x, linear, gelu)``: a per-pixel map of ``x`` through the
+    ``linear`` and ``gelu`` it is given, reading ``weights``, the last of
+    which is its output bias. Untaped, it runs in bands of pixels of
+    near-equal size, ``width`` elements per pixel (what a band holds at
+    once) within WINDOW_CHUNK_BYTES, and copies each band's output into one
+    result. The bands split over the workers, whole bands to each, so one
+    band is in flight per worker; ``linear`` is one GEMM and ``gelu`` runs
+    its chunks inline, so no op splits inside a share. The
+    calling thread runs the ops by module name, as a tracer may have
+    rebound them; a pool thread runs ``_PLAIN_OPS``. Rows are independent,
+    and the band count depends on the shape alone, so the bands give the
+    bits of one full-size pass at any worker count; the bands are balanced
+    because a GEMM of a few rows (up to 7 with OpenBLAS) takes another
+    kernel, whose sums can differ in the last bit. Under a tape the map is
+    one call: the tape keeps every band's activations anyway, and a band
+    sliced from the input would get a full-size input gradient."""
+    if _recording((x, *weights)):
+        return chain(x, linear, gelu)
+    rows = x.data.reshape(-1, x.shape[-1])
+    n = rows.shape[0]
+    bands = min(n, -(-n * width * x.dtype.itemsize // WINDOW_CHUNK_BYTES))
+    out = np.empty((n, weights[-1].shape[0]), dtype=x.dtype)
+
+    def run(lo: int, hi: int) -> None:
+        ops = _PLAIN_OPS if getattr(_POOL_THREAD, "marked", False) else (linear, gelu)
+        for i in range(lo, hi):
+            start, stop = i * n // bands, (i + 1) * n // bands
+            out[start:stop] = chain(_freeze(rows[start:stop]), *ops).data  # the band is a view, not a copy
+
+    _split(bands, run)
+    return _freeze(out.reshape(x.shape[:-1] + (out.shape[1],)))
 
 
 def _affine_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

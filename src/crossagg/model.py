@@ -17,7 +17,6 @@ import hashlib
 import math
 import os
 import struct
-import threading
 import typing
 from collections import Counter
 from collections.abc import Mapping
@@ -291,37 +290,13 @@ def catb_forward(
 
 
 def _mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """fc2(GELU(fc1(h))). Untaped, it runs in bands of pixels of near-equal
-    size, each band's [rows, hidden] map within WINDOW_CHUNK_BYTES (a band
-    holds two such maps: its fc1 output and its GELU output), and copies
-    each band's fc2 output into one [..., C] result. The bands split over
-    the workers, whole bands to each, so one band is in flight per worker.
-    Rows are independent, and the band count depends on the shape alone,
-    so the bands give the bits of one full-size pass; the bands are
-    balanced because a GEMM of a few rows (up to 7 with OpenBLAS) takes
-    another kernel, whose sums can differ in the last bit. Under a tape the
-    map is one band: the tape keeps every band's activations anyway (the
-    pre-activation in the GELU node, the GELU output in fc2's), and a band
-    sliced from the input would get a full-size input gradient."""
-    if ad._recording((h, w1, b1, w2, b2)):
-        return ad.linear(ad.gelu(ad.linear(h, w1, b1)), w2, b2)
-    rows = h.data.reshape(-1, h.shape[-1])
-    n = rows.shape[0]
-    bands = min(n, -(-n * w1.shape[1] * h.dtype.itemsize // ad.WINDOW_CHUNK_BYTES))
-    out = np.empty((n, w2.shape[1]), dtype=h.dtype)
-    caller = threading.get_ident()
+    """fc2(GELU(fc1(h))) through ``ad._bands``: untaped, in bands of pixels
+    whose [rows, hidden] map fits WINDOW_CHUNK_BYTES (a band holds two such
+    maps, its fc1 output and its GELU output); taped, as one map."""
+    def chain(rows, linear, gelu):
+        return linear(gelu(linear(rows, w1, b1)), w2, b2)
 
-    def run(lo: int, hi: int) -> None:
-        # A pool thread calls the ops as bound at import: a tracer's span
-        # stack belongs to the calling thread, which calls them by name.
-        linear, gelu = (ad.linear, ad.gelu) if threading.get_ident() == caller else ad._PLAIN_OPS
-        for i in range(lo, hi):
-            start, stop = i * n // bands, (i + 1) * n // bands
-            part = ad._freeze(rows[start:stop])  # a view, not a copy
-            out[start:stop] = linear(gelu(linear(part, w1, b1)), w2, b2).data
-
-    ad._split(bands, run)
-    return ad._freeze(out.reshape(h.shape[:-1] + (w2.shape[1],)))
+    return ad._bands(h, (w1, b1, w2, b2), w1.shape[1], chain)
 
 
 def residual_group_forward(

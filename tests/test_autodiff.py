@@ -1064,30 +1064,23 @@ def test_inference_and_training_need_no_scipy():
 # ---------------------------------------------------------------------------
 
 
-def test_split_runs_a_nested_split_inline_in_any_share(monkeypatch):
-    # A pool thread that waited on its own pool would never finish; the
-    # calling thread's nested split would queue behind the pool's share.
+def test_split_runs_a_nested_split_inline_on_a_pool_thread(monkeypatch):
+    # A pool thread that waited on its own pool would never finish.
     monkeypatch.setattr(ad, "_cpus", lambda: 2)
-    calls, after = [], []
+    calls = []
 
     def share(lo, hi):
         nested = []
         ad._split(8, lambda a, b: nested.append((a, b, threading.get_ident())))
         calls.append((lo, hi, threading.get_ident(), nested))
 
-    def split_twice():
-        ad._split(2, share)
-        ad._split(8, lambda a, b: after.append((a, b)))
-
-    caller = threading.Thread(target=split_twice, daemon=True)
+    caller = threading.Thread(target=ad._split, args=(2, share), daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive() and len(calls) == 2
     caller, pooled = sorted(calls)
     assert caller[:2] == (0, 1) and pooled[:2] == (1, 2) and pooled[2] != caller[2]
     assert pooled[3] == [(0, 8, pooled[2])]  # one share, on the pool thread itself
-    assert caller[3] == [(0, 8, caller[2])]  # and on the calling thread
-    assert sorted(after) == [(0, 4), (4, 8)]  # the caller's mark is lifted after its share
 
 
 def test_split_reraises_a_share_error_once_every_share_has_finished(monkeypatch):
@@ -1149,16 +1142,25 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
 def test_linear_bits_do_not_depend_on_the_worker_count(monkeypatch, dtype):
     # With OpenBLAS's AVX-512 kernels a float64 GEMM of this shape rounds the
     # last 4 columns of the last rows of a call otherwise than the same rows
-    # mid-call, so row parts that followed the worker count would move bits.
-    monkeypatch.setattr(ad, "_BLAS_THREADS", 1)
+    # mid-call, so bands that followed the worker count would move bits. A
+    # band reads 180 and writes 540 elements a pixel: 6 bands in float32, 12
+    # in float64.
     x, w, b = rand((2048, 180), 122, 1.0, dtype), rand((180, 540), 123, 1.0, dtype), rand((540,), 124, 1.0, dtype)
-    assert ad._gemm_parts(2048, 180 * 540) == 4
+    weights, bands = (Tensor(w), Tensor(b)), 12 if dtype == np.float64 else 6
+    bounds = [i * 2048 // bands for i in range(bands + 1)]
     outs = []
     for workers in (1, 2, 3, 4):
         monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
-        outs.append(ad.linear(Tensor(x), Tensor(w), Tensor(b)).data)
+        seen = []
+
+        def chain(rows, linear, gelu):
+            seen.append(rows.shape[0])
+            return linear(rows, *weights)
+
+        outs.append(ad._bands(Tensor(x), weights, 180 + 540, chain).data)
+        assert sorted(seen) == sorted(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     assert all(np.array_equal(outs[0], out) for out in outs[1:])
-    parts = [x[i * 512 : (i + 1) * 512] @ w + b for i in range(4)]
+    parts = [x[lo:hi] @ w + b for lo, hi in zip(bounds, bounds[1:])]
     assert np.array_equal(outs[0], np.concatenate(parts))
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import struct
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -192,10 +193,11 @@ def test_untaped_mlp_on_two_workers_holds_one_band_per_worker(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_banded_mlp_is_bit_identical_to_one_band(monkeypatch, dtype):
-    # 99 pixels in bands of 12-13 rows (a hidden row is 32 elements); bands
-    # of 14 would have left a 1-row band, whose GEMM may round differently.
-    # One worker, so that every band's fc1 runs through the counted linear;
-    # two workers then give the same bits.
+    # 99 pixels in bands of 12-13 rows (a hidden row is 32 elements, and V
+    # and the output projection read and write 16 each); bands of 14 would
+    # have left a 1-row band, whose GEMM may round differently. One worker,
+    # so that every band runs through the counted linear; two workers then
+    # give the same bits.
     monkeypatch.setattr(ad, "_cpus", lambda: 1)
     config = _tiny_config(channels=16, mlp_ratio=2.0)
     store = init_params(config, 0, dtype=dtype)
@@ -204,16 +206,26 @@ def test_banded_mlp_is_bit_identical_to_one_band(monkeypatch, dtype):
     one_band = catb_forward(x, store, prefix, config.spec_for_group(0), shifted=False).data
     calls, linear = [], ad.linear
 
-    def counted(x, *args, **kwargs):
-        calls.append(x.shape)
-        return linear(x, *args, **kwargs)
+    def counted(x, weight, *args, **kwargs):
+        calls.append((weight.shape, x.shape))
+        return linear(x, weight, *args, **kwargs)
+
+    def rows(weight_shape):  # the input shape of each linear call on weights of this shape
+        return [x for w, x in calls if w == weight_shape]
 
     monkeypatch.setattr(ad, "linear", counted)
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 13 * 32 * np.dtype(dtype).itemsize)
     banded = catb_forward(x, store, prefix, config.spec_for_group(0), shifted=False).data
-    mlp_rows = [shape[0] for shape in calls if len(shape) == 2 and shape[-1] == 16]
-    assert len(mlp_rows) == 8 and sum(mlp_rows) == 99 and min(mlp_rows) == 12, mlp_rows  # fc1 inputs
+    mlp_rows = [shape[0] for shape in rows((16, 32))]  # fc1 inputs
+    assert len(mlp_rows) == 8 and sum(mlp_rows) == 99 and min(mlp_rows) == 12, mlp_rows
+    assert sorted(shape[0] for shape in rows((16, 16))) == sorted(2 * mlp_rows)  # V and proj, in the same bands
     assert banded.dtype == dtype and np.array_equal(banded, one_band)
+    calls.clear()
+    with ad.GradientTape() as tape:
+        tape.watch(store.values())
+        taped = catb_forward(x, store, prefix, config.spec_for_group(0), shifted=False).data
+    assert rows((16, 32)) == [(1, 9, 11, 16)] and rows((16, 16)) == 2 * [(1, 9, 11, 16)]
+    assert np.array_equal(taped, one_band)
     monkeypatch.setattr(ad, "linear", linear)
     monkeypatch.setattr(ad, "_cpus", lambda: 2)
     assert np.array_equal(catb_forward(x, store, prefix, config.spec_for_group(0), shifted=False).data, one_band)
@@ -233,24 +245,24 @@ def _forward_and_gradients(config, store, x):
     return [untaped, out.data] + [grads[store[name]].data for name in sorted(store)]
 
 
-@pytest.mark.parametrize("case", ["stock", "c48"])
+@pytest.mark.parametrize("case", ["stock", "c48", "c48_float64"])
 def test_outputs_and_gradients_do_not_depend_on_the_worker_count(monkeypatch, case):
-    # Stock width at 32 px: several conv bands, GELU chunks, GEMM parts and
+    # Stock width at 32 px: several conv bands, per-pixel GEMM bands and
     # attention chunks per op. C = 48 with 8-pixel windows, where the
     # attention chunk size moves bits, under a smaller budget: many chunks
-    # and bands. Every boundary that can set a bit depends on the shapes
-    # alone; the worker count only assigns the pieces to threads. Eight
-    # workers, more than the cores, under a short switch interval, would
-    # also show a share that is lost or writes outside its rows. BLAS counts
-    # as one-thread, so that the GEMMs run in parts.
-    monkeypatch.setattr(ad, "_BLAS_THREADS", 1)
+    # and bands, in float32 and in float64, whose OpenBLAS GEMMs round tail
+    # rows otherwise. Every boundary that can set a bit depends on the
+    # shapes alone; the worker count only assigns the pieces to threads.
+    # Eight workers, more than the cores, under a short switch interval,
+    # would also show a share that is lost or writes outside its rows.
+    dtype = np.float64 if case.endswith("float64") else np.float32
     if case == "stock":
         config, side = dataclasses.replace(preset_config("cat_r_x2"), num_groups=1, blocks_per_group=2), 32
     else:
         config, side = _tiny_config(channels=48, num_heads=4, head_width=16), 48
         monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 1 << 16)
-    store = init_params(config, 0)
-    x = Tensor(rand((1, side, side, 3), 121, 1.0, np.float32))
+    store = init_params(config, 0, dtype=dtype)
+    x = Tensor(rand((1, side, side, 3), 121, 1.0, dtype))
     runs, interval = [], sys.getswitchinterval()
     for workers in (1, 2, 3, 8):
         monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
@@ -261,6 +273,56 @@ def test_outputs_and_gradients_do_not_depend_on_the_worker_count(monkeypatch, ca
             sys.setswitchinterval(interval)
     for arrays in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], arrays))
+
+
+def test_no_split_is_entered_while_a_share_runs(monkeypatch):
+    # The calling thread is not marked while it runs its share, so a split
+    # nested in it would queue its pool share behind the pool's whole outer
+    # share. No op splits inside a share: the per-pixel GEMMs split only
+    # through the band runner, whose bands call ops that do not split.
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    config = dataclasses.replace(preset_config("cat_r_x2"), num_groups=1, blocks_per_group=2)
+    store = init_params(config, 0)
+    x = Tensor(rand((1, 32, 32, 3), 125, 1.0, np.float32))
+    split, runner, lock = ad._split, ad._bands, threading.Lock()
+    running, entered, bands = [0], [], []
+
+    def watched_split(tasks, fn):
+        with lock:
+            entered.append(running[0])
+
+        def share(lo, hi):
+            with lock:
+                running[0] += 1
+            try:
+                fn(lo, hi)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        split(tasks, share)
+
+    def counted_bands(x, weights, width, chain):
+        calls = []
+
+        def counted(rows, linear, gelu):
+            calls.append(rows.shape[0])
+            return chain(rows, linear, gelu)
+
+        out = runner(x, weights, width, counted)
+        bands.append(len(calls))
+        return out
+
+    monkeypatch.setattr(ad, "_split", watched_split)
+    monkeypatch.setattr(ad, "_bands", counted_bands)
+    cat_forward(x, store, config)
+    untaped, bands[:] = bands[:], []
+    with ad.GradientTape() as tape:
+        tape.watch(store.values())
+        cat_forward(x, store, config)
+    assert entered and not any(entered)
+    assert len(untaped) == 6 and min(untaped) > 1, untaped  # V, proj and the MLP of two blocks
+    assert bands == 6 * [1]
 
 
 @pytest.mark.skipif(

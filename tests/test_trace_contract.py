@@ -80,7 +80,6 @@ def test_traced_banded_mlp_enters_no_traced_op_off_the_calling_thread(monkeypatc
     # on a pool thread. The tracer keeps one span stack, so an op entered by
     # name on the pool thread would nest its spans into the calling thread's.
     monkeypatch.setattr(ad, "_cpus", lambda: 2)
-    monkeypatch.setattr(ad, "_BLAS_THREADS", 1)
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 1 << 12)
     config = preset_config("tiny_sr_x2")
     img = ImageU8.from_array(np.random.default_rng(0).integers(0, 256, (16, 16, 3), dtype=np.uint8))
