@@ -16,27 +16,23 @@ the names of :func:`model.parameter_schema`: a block's ``{prefix}.attn.qkv``,
 network ``posbias.fc{1,2,3}`` that every block shares. The head count is the
 output width of ``posbias.fc3``.
 
-Values are projected into a V map, a band of pixels at a time, by GEMMs
-against a column slice of the stored fused qkv weight; queries and keys are
-projected inside the per-window primitive, :func:`autodiff.window_attention`,
-from the block input and the Q|K column slices of that weight. For both
-orientations, a chunk of windows at a time, it gathers the chunk's input rows
-through one cached map per geometry (pad, shift and partition in one) and
-projects them into Q and K by one GEMM, gathers the chunk's V, holds the
-logits keys-major, divides by the softmax normaliser after the PV GEMM, which
-matches the composed ops within float rounding, and writes the chunk's output
-straight into the merged [N, H, W, C] map. The full [windows, heads, n, n] probabilities exist only when a
-tape records the op or a probe asks for the weights.
+V is projected a band of pixels at a time against a column slice of the
+stored fused qkv weight; :func:`autodiff.window_attention` projects Q and K
+itself, a chunk of windows at a time, from rows it gathers through one cached
+map per geometry (pad, shift and partition in one), and writes each chunk's
+output into the merged [N, H, W, C] map. The tail, ``residual + proj(y +
+lcm)`` when the block passes its input as ``residual``, is one banded pass
+that writes each band straight into its rows of the result.
 
-What one call holds, untaped: the per-forward cache keeps the gather maps of
-each geometry and, per orientation, the position bias of that orientation's
-heads, built keys-major ([n_k, heads/2, n_q], the layout the op adds) by one
-call of :func:`relative_position_bias`. Both are filled before the V
-projection, so the long-lived arrays sit below the block's large transients
-in the heap. The input, V and the merged output are the only full-size maps:
-no Q|K map exists, the input is released once attention returns, and V once
-the locality complement, which pads it one band of rows at a time, has
-convolved it; no map exists in the window layout at full size.
+Untaped, the input, V, the merged output, the locality complement and the
+result are the only full-size maps: no Q|K map and no window-layout map
+exists, ``y + lcm`` and its projection exist a band at a time, and the input
+is released once window attention returns and V once it is convolved. The
+per-forward cache (the gather maps of each geometry and, per orientation, its
+heads' position bias, keys-major [n_k, heads/2, n_q]) is filled before the V
+projection, so these long-lived arrays sit below the block's transients in
+the heap. The [windows, heads, n, n] probabilities exist only when a tape
+records the op or a probe asks for the weights.
 """
 
 from __future__ import annotations
@@ -117,6 +113,7 @@ def rwin_self_attention(
     shifted: bool = False,
     cache: dict | None = None,
     probe: dict | None = None,
+    residual: Tensor | None = None,
 ) -> Tensor:
     """Rectangle-window self-attention over [N, H, W, C] with the weights
     ``{prefix}.attn.{qkv,proj}.*`` of ``store`` (e.g. ``body.group0.block1``)
@@ -135,7 +132,8 @@ def rwin_self_attention(
     long-lived arrays are allocated before the block's largest transients;
     ``x`` is released once window attention, which projects Q and K from it
     a chunk at a time, returns. ``probe``, if given, receives the attention
-    weights and the geometry of each orientation.
+    weights and the geometry of each orientation. ``residual``, if given
+    (the block input), is added to the output inside the projection's bands.
     """
     if x.ndim != 4:
         raise ValueError(f"attention expects rank 4 input, got {x.shape}")
@@ -171,13 +169,10 @@ def rwin_self_attention(
         geometries.append(g)
         biases.append(held[1])
 
-    # V is one map from a column slice of the fused weight, which the op
-    # reads its windows from and the locality complement convolves; the op
-    # projects Q and K itself, a chunk of windows at a time, from x and the
-    # Q|K columns. V and the output projection run in bands of pixels, each
-    # band reading C and writing C elements a pixel.
+    # V and the output projection run in bands of pixels, 2C elements a
+    # pixel; the op projects Q and K itself from x and the Q|K columns.
     wv = (ad.narrow(w, 1, 2 * c, c), ad.narrow(b, 0, 2 * c, c))
-    v = ad._bands(x, wv, 2 * c, lambda rows, linear, gelu: linear(rows, *wv))
+    v = ad._bands((x,), wv, 2 * c, lambda ops, rows: ops.linear(rows, *wv))
     qk = (ad.narrow(w, 1, 0, 2 * c), ad.narrow(b, 0, 0, 2 * c))
     windows = [cache[("maps", g)] + (bias,) for g, bias in zip(geometries, biases)]
     if probe is None:
@@ -188,9 +183,10 @@ def rwin_self_attention(
             probe.setdefault("weights", {})[g.orientation] = p
             probe.setdefault("geometries", {})[g.orientation] = g
     del x
-    if f"{prefix}.attn.lcm.weight" in store:
-        lcm = locality_complement(v, store, prefix)
-        del v
-        y = ad.add(y, lcm)
-        del lcm
-    return ad._bands(y, (proj_w, proj_b), 2 * c, lambda rows, linear, gelu: linear(rows, proj_w, proj_b))
+    lcm = (locality_complement(v, store, prefix),) if f"{prefix}.attn.lcm.weight" in store else ()
+    del v
+
+    def chain(ops, y, *lcm):
+        return ops.linear(ops.add(y, *lcm) if lcm else y, proj_w, proj_b)
+
+    return ad._bands((y, *lcm), (proj_w, proj_b), 2 * c, chain, residual)

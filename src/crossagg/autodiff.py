@@ -21,6 +21,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -153,34 +154,40 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _split(tasks: int, fn: Callable[[int, int], None]) -> None:
-    """Run ``fn(start, stop)`` over the tasks [0, tasks) in min(tasks,
-    _workers()) contiguous shares of near-equal size: the calling thread
-    runs the first share and a pool thread each other one. It returns once
-    every share has finished, and then re-raises the first exception that
-    a share raised. With one share, ``fn`` runs inline. The pool, and
-    ``concurrent.futures``, are made on first use."""
+def _split(tasks: int, fn: Callable[[int], None]) -> None:
+    """Run ``fn(i)`` for each task i in [0, tasks) on min(tasks, _workers())
+    workers, the calling thread and pool threads, each pulling the next
+    unstarted task from one counter, so that a worker the host slows holds
+    back one task, not a fixed share. Once a task raises, no worker starts
+    another; it returns when every task in flight has finished, and then
+    re-raises the first exception. On one worker the tasks run inline, in
+    order. The pool, and ``concurrent.futures``, are made on first use."""
     global _POOL
-    workers = min(tasks, _workers()) if tasks > 1 else 1
-    if workers < 2:
-        fn(0, tasks)
-        return
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[1] < workers - 1:
-            from concurrent.futures import ThreadPoolExecutor
+    pending, errors, futures = itertools.count(), [], []
 
-            # A smaller pool this replaces ends its threads once collected.
-            _POOL = (ThreadPoolExecutor(workers - 1, "crossagg", initializer=_mark_pool_thread), workers - 1)
-        pool = _POOL[0]
-    bounds = [i * tasks // workers for i in range(workers + 1)]
-    futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        fn(0, bounds[1])
-    finally:
-        errors = [f.exception() for f in futures]
-    for error in errors:
-        if error is not None:
-            raise error
+    def work() -> None:
+        for i in pending:  # one C call per task, atomic under the GIL
+            if i >= tasks or errors:
+                return
+            try:
+                fn(i)
+            except BaseException as error:
+                errors.append(error)
+
+    workers = min(tasks, _workers())
+    if workers > 1:
+        with _POOL_LOCK:
+            if _POOL is None or _POOL[1] < workers - 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                # A smaller pool this replaces ends its threads once collected.
+                _POOL = (ThreadPoolExecutor(workers - 1, "crossagg", initializer=_mark_pool_thread), workers - 1)
+            futures = [_POOL[0].submit(work) for _ in range(workers - 1)]
+    work()
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[0]
 
 
 def _pieces(total: int, most: int, workers: int) -> int:
@@ -646,9 +653,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Normalize the last (channel) dimension to zero mean / unit variance, then apply affine."""
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match channel extent {c}"
-        )
+        raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match channel extent {c}")
     _check_same_dtype(x, gamma, beta)
     rows = x.data.reshape(-1, c)
     xhat, buf = np.empty_like(x.data), np.empty_like(x.data)
@@ -657,15 +662,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     workers = _workers()
     parts = _pieces(rows.shape[0], WINDOW_CHUNK_BYTES // (workers * c * x.dtype.itemsize), workers)
 
-    def normalise(lo: int, hi: int) -> None:
-        r = slice(lo * rows.shape[0] // parts, hi * rows.shape[0] // parts)
-        xs, xh, o, iv = rows[r], xhat.reshape(-1, c)[r], buf.reshape(-1, c)[r], inv.reshape(-1, 1)[r]
-        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=xh)
-        np.multiply(xh, xh, out=o)
-        np.divide(1.0, np.sqrt(o.mean(axis=-1, keepdims=True) + x.dtype.type(eps)), out=iv)
-        xh *= iv
-        np.multiply(xh, gamma.data, out=o)
-        o += beta.data
+    def normalise(i: int) -> None:
+        r = slice(i * rows.shape[0] // parts, (i + 1) * rows.shape[0] // parts)
+        xh, o, iv = xhat.reshape(-1, c)[r], buf.reshape(-1, c)[r], inv.reshape(-1, 1)[r]
+        _normalise(rows[r], gamma.data, beta.data, eps, xh, o, iv)
 
     _split(parts, normalise)
     out = _freeze(buf)
@@ -675,15 +675,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dbeta = g.sum(axis=lead)
         dgamma = (g * xhat).sum(axis=lead)
         dxhat = g * gd
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return (dx, dgamma, dbeta)
 
     _record(out, (x, gamma, beta), bwd)
     return out
+
+
+def _normalise(xs, gd, bd, eps, xh, o, iv) -> None:
+    """``layer_norm``'s body, row by row: x-hat into ``xh``, 1 / std into ``iv``, the output into ``o``."""
+    np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=xh)
+    np.multiply(xh, xh, out=o)
+    np.divide(1.0, np.sqrt(o.mean(axis=-1, keepdims=True) + xs.dtype.type(eps)), out=iv)
+    xh *= iv
+    np.multiply(xh, gd, out=o)
+    o += bd
+
+
+def _band_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """``layer_norm`` untaped, as one call of its body: no split, same bits."""
+    rows = x.data.reshape(-1, x.shape[-1])
+    out = np.empty_like(rows)
+    _normalise(rows, gamma.data, beta.data, eps, np.empty_like(rows), out, np.empty((len(rows), 1), x.dtype))
+    return _freeze(out.reshape(x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -733,41 +747,50 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return result
 
 
-# ``linear`` and ``gelu`` as defined here, for ``_bands``'s pool threads: a
-# tracer that rebinds the module's names (one span stack, kept by the calling
-# thread) leaves a tuple's references alone.
-_PLAIN_OPS = (linear, gelu)
+# The ops of an untaped band on a pool thread, as defined here: a tracer that
+# rebinds the module's names (one span stack, kept by the calling thread)
+# leaves these references alone. Layer norm is its unsplit body.
+_PLAIN_OPS = SimpleNamespace(linear=linear, gelu=gelu, add=add, layer_norm=_band_layer_norm)
 
 
-def _bands(x: Tensor, weights: Sequence[Tensor], width: int, chain: Callable) -> Tensor:
-    """``chain(x, linear, gelu)``: a per-pixel map of ``x`` through the
-    ``linear`` and ``gelu`` it is given, reading ``weights``, the last of
-    which is its output bias. Untaped, it runs in bands of pixels of
-    near-equal size, ``width`` elements per pixel (what a band holds at
-    once) within WINDOW_CHUNK_BYTES, and copies each band's output into one
-    result. The bands split over the workers, whole bands to each, so one
-    band is in flight per worker; ``linear`` is one GEMM and ``gelu`` runs
-    its chunks inline, so no op splits inside a share. The
-    calling thread runs the ops by module name, as a tracer may have
-    rebound them; a pool thread runs ``_PLAIN_OPS``. Rows are independent,
-    and the band count depends on the shape alone, so the bands give the
-    bits of one full-size pass at any worker count; the bands are balanced
-    because a GEMM of a few rows (up to 7 with OpenBLAS) takes another
-    kernel, whose sums can differ in the last bit. Under a tape the map is
-    one call: the tape keeps every band's activations anyway, and a band
-    sliced from the input would get a full-size input gradient."""
-    if _recording((x, *weights)):
-        return chain(x, linear, gelu)
-    rows = x.data.reshape(-1, x.shape[-1])
-    n = rows.shape[0]
+def _bands(
+    inputs: Sequence[Tensor], weights: Sequence[Tensor], width: int, chain: Callable, residual: Tensor | None = None
+) -> Tensor:
+    """``chain(ops, *inputs)``, plus ``residual`` if given: a per-pixel map
+    through the ``ops`` ``linear``, ``gelu``, ``add`` and ``layer_norm``,
+    reading ``weights``, the last of which is its output bias. Untaped, the
+    workers pull bands of pixels (``_split``) of ``width`` elements a pixel
+    (what a band holds at once) within WINDOW_CHUNK_BYTES, and each band's
+    output plus its rows of ``residual`` goes straight into its rows of the
+    result. No op splits inside a band: ``linear`` is one GEMM, ``gelu``
+    runs its chunks inline and ``layer_norm`` is its unsplit body. The
+    calling thread runs the other ops by module name, as a tracer may have
+    rebound them; a pool thread runs ``_PLAIN_OPS``. The band count depends
+    on the shape alone and rows are independent, so the bits are those of
+    one full-size pass at any worker count; bands are balanced because a
+    GEMM of a few rows (up to 7 with OpenBLAS) takes another kernel. Under a
+    tape the map is one call of the module's ops, then ``add``: the tape
+    keeps every band's activations anyway, and a band sliced from the input
+    would get a full-size input gradient."""
+    x, ops = inputs[0], SimpleNamespace(linear=linear, gelu=gelu, add=add, layer_norm=layer_norm)
+    if _recording((*inputs, *weights, *(() if residual is None else (residual,)))):
+        out = chain(ops, *inputs)
+        return out if residual is None else add(out, residual)
+    ops.layer_norm = _band_layer_norm
+    rows = [t.data.reshape(-1, t.shape[-1]) for t in inputs]
+    n = len(rows[0])
     bands = min(n, -(-n * width * x.dtype.itemsize // WINDOW_CHUNK_BYTES))
     out = np.empty((n, weights[-1].shape[0]), dtype=x.dtype)
+    res = None if residual is None else residual.data.reshape(out.shape)
 
-    def run(lo: int, hi: int) -> None:
-        ops = _PLAIN_OPS if getattr(_POOL_THREAD, "marked", False) else (linear, gelu)
-        for i in range(lo, hi):
-            start, stop = i * n // bands, (i + 1) * n // bands
-            out[start:stop] = chain(_freeze(rows[start:stop]), *ops).data  # the band is a view, not a copy
+    def run(i: int) -> None:
+        band = slice(i * n // bands, (i + 1) * n // bands)
+        here = _PLAIN_OPS if getattr(_POOL_THREAD, "marked", False) else ops
+        y = chain(here, *(_freeze(r[band]) for r in rows)).data  # each band is a view, not a copy
+        if res is None:
+            out[band] = y
+        else:
+            np.add(y, res[band], out=out[band])
 
     _split(bands, run)
     return _freeze(out.reshape(x.shape[:-1] + (out.shape[1],)))
@@ -923,13 +946,12 @@ def _project_chunk(x_rows, qk_o, pix, xw, proj, heads, d):
 
 
 def _attend_windows(xd, qk_o, vd, out, maps, bias, first, d, scale, probs) -> None:
-    """One orientation's part of :func:`window_attention`, a chunk of windows
-    at a time, the chunks split over the workers: heads [first, first +
-    bias.shape[1]) of d channels, their Q and K projected from ``xd`` by
-    ``qk_o`` (weight, bias), written into ``out``; the probabilities go into
-    ``probs`` unless it is None. Each worker has its own chunk's scratch,
-    which dies with the call, before the next orientation allocates its
-    own. The chunk size does not depend on the worker count."""
+    """One orientation's part of :func:`window_attention`, in chunks of
+    windows that the workers pull, each with its own scratch: heads [first,
+    first + bias.shape[1]) of d channels, their Q and K projected from ``xd``
+    by ``qk_o`` (weight, bias), written into ``out``; the probabilities go
+    into ``probs`` unless it is None. The chunk size depends on the shape
+    alone."""
     index, own, regions = maps
     nb, h, w, c = vd.shape
     (nw, n), m, total, dtype = index.shape, bias.shape[1], c // d, vd.dtype
@@ -940,48 +962,43 @@ def _attend_windows(xd, qk_o, vd, out, maps, bias, first, d, scale, probs) -> No
     # 2 * m * d) elements per window, within the budget.
     step = max(1, WINDOW_CHUNK_BYTES // (n * (m * n + x_rows.shape[1] + 2 * m * d) * dtype.itemsize))
 
-    def attend(lo: int, hi: int) -> None:
-        chunk = min(step, b - lo * step)
-        xw = np.empty((chunk * n, x_rows.shape[1]), dtype=dtype)  # gathered rows of x
-        proj = np.empty((chunk * n, 2 * m * d), dtype=dtype)  # their q | k
-        buf = np.empty((chunk, m, n, d), dtype=dtype)  # gathered v
-        logits = np.empty((n, chunk, m, n), dtype=dtype)  # keys-major
-        q_t = np.empty((chunk, m, d, n), dtype=dtype)  # scale * q^T
-        v_ones = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [v | 1]
+    def attend(i: int) -> None:
+        start, stop = i * step, min((i + 1) * step, b)
+        cs = stop - start
+        xw = np.empty((cs * n, x_rows.shape[1]), dtype=dtype)  # gathered rows of x
+        proj = np.empty((cs * n, 2 * m * d), dtype=dtype)  # their q | k
+        e = np.empty((n, cs, m, n), dtype=dtype)  # the logits, keys-major
+        q_t = np.empty((cs, m, d, n), dtype=dtype)  # scale * q^T
+        v_ones = np.empty((cs, m, n, d + 1), dtype=dtype)  # [v | 1]
         v_ones[..., d] = 1
-        ev = np.empty((chunk, m, n, d + 1), dtype=dtype)  # [E v | s]
-        y = np.empty((chunk, n, m, d), dtype=dtype)  # pixel-major, as the output map
-        for start in range(lo * step, min(hi * step, b), step):
-            stop = min(start + step, b)
-            cs = stop - start
-            window, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
-            e = logits[:, :cs]
-            q, k = _project_chunk(x_rows, qk_o, pix, xw, proj, m, d)
-            np.multiply(q.swapaxes(-1, -2), scale, out=q_t[:cs])
-            np.matmul(k, q_t[:cs], out=e.transpose(1, 2, 0, 3))
-            e += bias[:, None]
-            r = regions[window]
-            if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
-                # Built as a product: np.where and a masked np.add measured
-                # 2-25x slower. A block of key rows at a time, so that the
-                # comparison and the product stay small.
-                keys = max(1, _MASK_ELEMENTS // r.size)
-                for j in range(0, n, keys):
-                    e[j : j + keys] += ((r.T[j : j + keys, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
-            e -= e.max(axis=0)
-            np.exp(e, out=e)
-            np.take(v_data, v_rows, axis=0, out=buf[:cs], mode="clip")
-            v_ones[:cs, ..., :d] = buf[:cs]
-            np.matmul(e.transpose(1, 2, 3, 0), v_ones[:cs], out=ev[:cs])
-            s = ev[:cs, ..., d:]
-            np.divide(ev[:cs, ..., :d], s, out=y[:cs].transpose(0, 2, 1, 3))
-            if probs is not None:
-                np.divide(e.transpose(1, 2, 3, 0), s, out=probs[start:stop])
-            mine = own[window]
-            if mine.all():
-                out_rows[pix.ravel(), first : first + m] = y[:cs].reshape(-1, m, d)
-            else:
-                out_rows[pix[mine], first : first + m] = y[:cs][mine]
+        ev = np.empty((cs, m, n, d + 1), dtype=dtype)  # [E v | s]
+        y = np.empty((cs, n, m, d), dtype=dtype)  # pixel-major, as the output map
+        window, pix, v_rows = _chunk_rows(index, start, stop, h * w, total, first, m)
+        q, k = _project_chunk(x_rows, qk_o, pix, xw, proj, m, d)
+        np.multiply(q.swapaxes(-1, -2), scale, out=q_t)
+        np.matmul(k, q_t, out=e.transpose(1, 2, 0, 3))
+        e += bias[:, None]
+        r = regions[window]
+        if np.any(r != r[:, :1]):  # most windows hold one region and need no mask
+            # Built as a product: np.where and a masked np.add measured 2-25x
+            # slower. A block of key rows at a time, so that the comparison
+            # and the product stay small.
+            keys = max(1, _MASK_ELEMENTS // r.size)
+            for j in range(0, n, keys):
+                e[j : j + keys] += ((r.T[j : j + keys, :, None] != r) * dtype.type(MASK_VALUE))[:, :, None]
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        np.take(v_data, v_rows, axis=0, out=v_ones[..., :d], mode="clip")
+        np.matmul(e.transpose(1, 2, 3, 0), v_ones, out=ev)
+        s = ev[..., d:]
+        np.divide(ev[..., :d], s, out=y.transpose(0, 2, 1, 3))
+        if probs is not None:
+            np.divide(e.transpose(1, 2, 3, 0), s, out=probs[start:stop])
+        mine = own[window]
+        if mine.all():
+            out_rows[pix.ravel(), first : first + m] = y.reshape(-1, m, d)
+        else:
+            out_rows[pix[mine], first : first + m] = y[mine]
 
     _split(-(-b // step), attend)
 
@@ -1127,22 +1144,17 @@ def _reflect_index(n: int, pad: int) -> np.ndarray:
 
 def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False) -> Tensor:
     """3x3 cross-correlation with zero padding 1 plus a per-channel bias,
-    preserving spatial size.
+    preserving spatial size. ``kernel`` is [3, 3, Cin, Cout]; in depthwise
+    mode it is [3, 3, C, 1] and each channel is filtered independently.
 
-    ``kernel`` is [3, 3, Cin, Cout]; in depthwise mode it is [3, 3, C, 1] and
-    each channel is filtered independently (Cin == Cout == C).
-
-    The output is computed a band of rows at a time, the bands balanced over
-    the workers: each band of input rows plus a one-row halo above and below
-    is copied into the worker's zero-bordered band buffer, and each tap's
-    product with the band goes through the worker's band scratch and is
-    added to the output, in tap order, then the bias. The workers' bands and
-    product scratch hold at most WINDOW_CHUNK_BYTES together (one row each at
-    least), their halos aside. No zero-padded copy of the whole input and no
-    full-size product exists, and the output has the bits of a full-size sum
-    of taps: a dense tap is one [W, Cin] x [Cin, Cout] GEMM per row, as over
-    the whole padded map. Under a tape the op keeps its input; the backward
-    builds the padded copy only while it runs.
+    The workers pull bands of rows: each band, with a one-row halo, is
+    copied into a zero-bordered buffer, and each tap's product goes through
+    a band of scratch into the output, in tap order, then the bias. The
+    bands in flight and their scratch hold at most WINDOW_CHUNK_BYTES (one
+    row each at least), halos aside, and the output has the bits of a
+    full-size sum of taps: a dense tap is one [W, Cin] x [Cin, Cout] GEMM
+    per row. Under a tape the op keeps its input; the backward builds the
+    padded copy only while it runs.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d_3x3 expects input rank 4, got {x.shape}")
@@ -1151,15 +1163,11 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False)
     n, h, w, cin = x.shape
     if depthwise:
         if kernel.shape[2] != cin or kernel.shape[3] != 1:
-            raise ShapeError(
-                f"conv2d_3x3 depthwise: kernel shape {kernel.shape} does not match input channels {cin}"
-            )
+            raise ShapeError(f"conv2d_3x3 depthwise: kernel shape {kernel.shape} does not match input channels {cin}")
         cout = cin
     else:
         if kernel.shape[2] != cin:
-            raise ShapeError(
-                f"conv2d_3x3: kernel input channels {kernel.shape} do not match input shape {x.shape}"
-            )
+            raise ShapeError(f"conv2d_3x3: kernel input channels {kernel.shape} do not match input shape {x.shape}")
         cout = kernel.shape[3]
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d_3x3: bias shape {bias.shape} does not match output channels {cout}")
@@ -1170,7 +1178,6 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False)
     workers = _workers()
     row_bytes = n * ((w + 2) * cin + w * cout) * x.dtype.itemsize  # a band row and its product row
     bands = _pieces(h, WINDOW_CHUNK_BYTES // (workers * row_bytes), workers)
-    rows = -(-h // bands)  # of the largest band
     if depthwise:
         # Rows are viewed as [w * C] runs against the taps tiled to that
         # length, so each product is one long ufunc loop per row rather than
@@ -1180,28 +1187,25 @@ def conv2d_3x3(x: Tensor, kernel: Tensor, bias: Tensor, depthwise: bool = False)
         taps[...] = kd[:, :, None, :, 0]
         taps = taps.reshape(3, 3, w * cin)
 
-    def convolve(lo: int, hi: int) -> None:
-        band = np.zeros((n, rows + 2, w + 2, cin), dtype=x.dtype)  # its border columns stay zero
+    def convolve(i: int) -> None:
+        r = i * h // bands
+        m = (i + 1) * h // bands - r
+        band = np.zeros((n, m + 2, w + 2, cin), dtype=x.dtype)  # rows r - 1 to r + m, zero outside the map
+        lo, hi = max(r - 1, 0), min(r + m + 1, h)
+        band[:, lo - r + 1 : hi - r + 1, 1 : w + 1] = xd[:, lo:hi]
+        acc = (out_rows if depthwise else out_data)[:, r : r + m]
         if depthwise:
-            scratch = np.empty((n, rows, w * cin), dtype=x.dtype)
-            band_rows = band.reshape(n, rows + 2, (w + 2) * cin)
+            prod, band_rows = np.empty((n, m, w * cin), dtype=x.dtype), band.reshape(n, m + 2, (w + 2) * cin)
         else:
-            scratch = np.empty((n, rows, w, cout), dtype=x.dtype)
-        for i in range(lo, hi):
-            r = i * h // bands
-            m = (i + 1) * h // bands - r
-            band[:, 0, 1 : w + 1] = xd[:, r - 1] if r > 0 else 0
-            band[:, 1 : m + 1, 1 : w + 1] = xd[:, r : r + m]
-            band[:, m + 1, 1 : w + 1] = xd[:, r + m] if r + m < h else 0
-            prod, acc = scratch[:, :m], (out_rows if depthwise else out_data)[:, r : r + m]
-            for u in range(3):
-                for v in range(3):
-                    if depthwise:
-                        np.multiply(band_rows[:, u : u + m, v * cin : (v + w) * cin], taps[u, v], out=prod)
-                    else:
-                        np.matmul(band[:, u : u + m, v : v + w], kd[u, v], out=prod)
-                    acc += prod
-            out_data[:, r : r + m] += bias.data
+            prod = np.empty((n, m, w, cout), dtype=x.dtype)
+        for u in range(3):
+            for v in range(3):
+                if depthwise:
+                    np.multiply(band_rows[:, u : u + m, v * cin : (v + w) * cin], taps[u, v], out=prod)
+                else:
+                    np.matmul(band[:, u : u + m, v : v + w], kd[u, v], out=prod)
+                acc += prod
+        out_data[:, r : r + m] += bias.data
 
     _split(bands, convolve)
     out = _freeze(out_data)

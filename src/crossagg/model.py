@@ -278,25 +278,25 @@ def catb_forward(
     cache: dict | None = None,
 ) -> Tensor:
     """One attention block, its tensors read from ``store`` under ``prefix``
-    (e.g. ``body.group0.block1``): attention and MLP branches, each residual."""
+    (e.g. ``body.group0.block1``): ``x + proj(attn + lcm)``, attention on
+    LN1(x), then ``x + fc2(gelu(fc1(ln2(x))))``. Untaped, the tail is two
+    band passes (``ad._bands``) that add each residual a band at a time."""
     # The LN1 output is passed unnamed, so that attention can free it once
-    # window attention, its last reader, returns; the attention output lives
-    # only until the add.
+    # window attention, its last reader, returns.
     norm1 = (store[f"{prefix}.norm1.gamma"], store[f"{prefix}.norm1.beta"])
-    x = ad.add(rwin_self_attention(ad.layer_norm(x, *norm1), store, prefix, spec, shifted=shifted, cache=cache), x)
-    h = ad.layer_norm(x, store[f"{prefix}.norm2.gamma"], store[f"{prefix}.norm2.beta"])
-    mlp = [store[f"{prefix}.mlp.{name}"] for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]
-    return ad.add(_mlp(h, *mlp), x)
+    x = rwin_self_attention(ad.layer_norm(x, *norm1), store, prefix, spec, shifted=shifted, cache=cache, residual=x)
+    names = ("norm2.gamma", "norm2.beta", "mlp.fc1.weight", "mlp.fc1.bias", "mlp.fc2.weight", "mlp.fc2.bias")
+    return _mlp(x, *(store[f"{prefix}.{name}"] for name in names))
 
 
-def _mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """fc2(GELU(fc1(h))) through ``ad._bands``: untaped, in bands of pixels
-    whose [rows, hidden] map fits WINDOW_CHUNK_BYTES (a band holds two such
-    maps, its fc1 output and its GELU output); taped, as one map."""
-    def chain(rows, linear, gelu):
-        return linear(gelu(linear(rows, w1, b1)), w2, b2)
+def _mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """x + fc2(GELU(fc1(LN(x)))) through ``ad._bands``: untaped, in bands of
+    pixels whose [rows, hidden] map fits WINDOW_CHUNK_BYTES (a band holds
+    two such maps, its fc1 output and its GELU output); taped, as one map."""
+    def chain(ops, rows):
+        return ops.linear(ops.gelu(ops.linear(ops.layer_norm(rows, gamma, beta), w1, b1)), w2, b2)
 
-    return ad._bands(h, (w1, b1, w2, b2), w1.shape[1], chain)
+    return ad._bands((x,), (gamma, beta, w1, b1, w2, b2), w1.shape[1], chain, x)
 
 
 def residual_group_forward(
@@ -310,7 +310,7 @@ def residual_group_forward(
     convolution, and a residual from the group input."""
     spec = config.spec_for_group(group)
     # Each block's input is handed over, not kept, so that the block frees it
-    # after its attention residual add (CPython 3.11+ moves call arguments
+    # once its attention tail returns (CPython 3.11+ moves call arguments
     # into the callee's frame); block 0's input stays as ``x``.
     y = [x]
     for j in range(config.blocks_per_group):

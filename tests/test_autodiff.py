@@ -1065,46 +1065,76 @@ def test_inference_and_training_need_no_scipy():
 
 
 def test_split_runs_a_nested_split_inline_on_a_pool_thread(monkeypatch):
-    # A pool thread that waited on its own pool would never finish.
+    # A pool thread that waited on its own pool would never finish. Both
+    # tasks wait for each other, so the calling thread cannot pull them
+    # both: one runs on the pool thread, whose nested split runs inline.
     monkeypatch.setattr(ad, "_cpus", lambda: 2)
-    calls = []
+    together, calls = threading.Barrier(2, timeout=30), []
 
-    def share(lo, hi):
+    def task(i):
+        together.wait()
         nested = []
-        ad._split(8, lambda a, b: nested.append((a, b, threading.get_ident())))
-        calls.append((lo, hi, threading.get_ident(), nested))
+        ad._split(8, lambda j: nested.append((j, threading.get_ident())))
+        calls.append((i, threading.get_ident(), nested))
 
-    caller = threading.Thread(target=ad._split, args=(2, share), daemon=True)
+    caller = threading.Thread(target=ad._split, args=(2, task), daemon=True)
     caller.start()
     caller.join(timeout=60)
-    assert not caller.is_alive() and len(calls) == 2
-    caller, pooled = sorted(calls)
-    assert caller[:2] == (0, 1) and pooled[:2] == (1, 2) and pooled[2] != caller[2]
-    assert pooled[3] == [(0, 8, pooled[2])]  # one share, on the pool thread itself
+    assert not caller.is_alive() and sorted(call[0] for call in calls) == [0, 1]
+    (pooled,) = [call for call in calls if call[1] != caller.ident]
+    (called,) = [call for call in calls if call[1] == caller.ident]
+    assert pooled[2] == [(j, pooled[1]) for j in range(8)]  # inline on the pool thread, in order
+    assert sorted(j for j, _ in called[2]) == list(range(8))
+
+
+def test_split_runs_each_task_exactly_once(monkeypatch):
+    interval = sys.getswitchinterval()
+    for workers in (2, 3, 4, 8):
+        monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
+        calls, lock = [], threading.Lock()
+
+        def task(i):
+            with lock:
+                calls.append(i)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            ad._split(37, task)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(37)), workers
 
 
 def test_split_reraises_a_share_error_once_every_share_has_finished(monkeypatch):
+    # Tasks 0-2 run at once on the three workers; task 2 raises while 0 and 1
+    # are still in flight. The split waits for them, and no worker starts a
+    # fourth task.
     monkeypatch.setattr(ad, "_cpus", lambda: 3)
-    finished = []
+    together, started, finished = threading.Barrier(3, timeout=30), [], []
 
-    def share(lo, hi):
-        if lo == 1:
-            raise ValueError("share 1")
-        time.sleep(0.05 if lo == 0 else 0.3)  # the last share finishes last
-        finished.append(lo)
+    def task(i):
+        started.append(i)
+        together.wait()
+        if i == 2:
+            raise ValueError("task 2")
+        time.sleep(0.3)
+        finished.append(i)
 
-    with pytest.raises(ValueError, match="share 1"):
-        ad._split(3, share)
-    assert sorted(finished) == [0, 2]
+    with pytest.raises(ValueError, match="task 2"):
+        ad._split(12, task)
+    assert sorted(started) == [0, 1, 2] and sorted(finished) == [0, 1]
 
 
 def test_split_runs_one_share_inline_without_a_pool(monkeypatch):
     monkeypatch.setattr(ad, "_cpus", lambda: 4)
     monkeypatch.setattr(ad, "_POOL", None)
     calls = []
-    ad._split(1, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
-    ad._split(0, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
-    assert calls == [(0, 1, threading.get_ident()), (0, 0, threading.get_ident())] and ad._POOL is None
+    ad._split(1, lambda i: calls.append((i, threading.get_ident())))
+    ad._split(0, lambda i: calls.append((i, threading.get_ident())))
+    monkeypatch.setattr(ad, "_cpus", lambda: 1)
+    ad._split(3, lambda i: calls.append((i, threading.get_ident())))  # one worker: inline, in order
+    here = threading.get_ident()
+    assert calls == [(0, here), (0, here), (1, here), (2, here)] and ad._POOL is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -1153,11 +1183,11 @@ def test_linear_bits_do_not_depend_on_the_worker_count(monkeypatch, dtype):
         monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
         seen = []
 
-        def chain(rows, linear, gelu):
+        def chain(ops, rows):
             seen.append(rows.shape[0])
-            return linear(rows, *weights)
+            return ops.linear(rows, *weights)
 
-        outs.append(ad._bands(Tensor(x), weights, 180 + 540, chain).data)
+        outs.append(ad._bands((Tensor(x),), weights, 180 + 540, chain).data)
         assert sorted(seen) == sorted(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     assert all(np.array_equal(outs[0], out) for out in outs[1:])
     parts = [x[lo:hi] @ w + b for lo, hi in zip(bounds, bounds[1:])]

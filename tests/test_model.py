@@ -4,6 +4,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def _untaped_mlp_peak_above_output(monkeypatch, workers):
     720) at 96x96 on ``workers`` op worker threads, above its output."""
     monkeypatch.setattr(ad, "_cpus", lambda: workers)
     h = Tensor(rand((1, 96, 96, 180), 83, 1.0, np.float32))
-    shapes = [(180, 720), (720,), (720, 180), (180,)]
+    shapes = [(180,), (180,), (180, 720), (720,), (720, 180), (180,)]
     weights = [Tensor(rand(s, 84 + i, 0.05, np.float32)) for i, s in enumerate(shapes)]
     tracemalloc.start()
     try:
@@ -180,8 +181,8 @@ def _untaped_mlp_peak_above_output(monkeypatch, workers):
 
 def test_untaped_mlp_peaks_at_its_output_and_one_band(monkeypatch):
     # A band holds its [rows, 4C] fc1 output, its GELU output and GELU's
-    # scratch, each within WINDOW_CHUNK_BYTES; nothing exists at full size at
-    # the hidden width.
+    # scratch, each within WINDOW_CHUNK_BYTES; LN2 and the residual sum exist
+    # a band at a time, and nothing exists at full size at the hidden width.
     peak = _untaped_mlp_peak_above_output(monkeypatch, 1)
     assert peak < 3 * ad.WINDOW_CHUNK_BYTES + (256 << 10), peak / 2**20
 
@@ -245,6 +246,73 @@ def _forward_and_gradients(config, store, x):
     return [untaped, out.data] + [grads[store[name]].data for name in sorted(store)]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_block_tail_matches_the_composed_ops(monkeypatch, dtype):
+    # The block tail, x + proj(y + lcm) and x + fc2(gelu(fc1(ln2(x)))), in 5
+    # bands a pass (99 pixels, 19-20 rows a band; V, proj and the MLP each
+    # hold 32 elements a pixel) against the same ops on whole maps, the
+    # residual added by its own ``add``: outputs and gradients, untaped and
+    # taped, at 1, 2, 3, 4 and 8 workers.
+    config = _tiny_config(channels=16, mlp_ratio=2.0)
+    store = init_params(config, 0, dtype=dtype)
+    x = Tensor(rand((1, 9, 11, 3), 126, 1.0, dtype))
+    monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 20 * 32 * np.dtype(dtype).itemsize)
+    runner, bands = ad._bands, []
+
+    def whole(inputs, weights, width, chain, residual=None):
+        ops = SimpleNamespace(linear=ad.linear, gelu=ad.gelu, add=ad.add, layer_norm=ad.layer_norm)
+        out = chain(ops, *inputs)
+        return out if residual is None else ad.add(out, residual)
+
+    def counted(inputs, weights, width, chain, residual=None):
+        def band(ops, *rows):
+            bands.append(rows[0].size // rows[0].shape[-1])
+            return chain(ops, *rows)
+
+        return runner(inputs, weights, width, band, residual)
+
+    monkeypatch.setattr(ad, "_cpus", lambda: 1)
+    monkeypatch.setattr(ad, "_bands", whole)
+    want = _forward_and_gradients(config, store, x)
+    monkeypatch.setattr(ad, "_bands", counted)
+    interval = sys.getswitchinterval()
+    for workers in (1, 2, 3, 4, 8):
+        monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
+        sys.setswitchinterval(1e-6 if workers == 8 else interval)
+        try:
+            bands[:] = []
+            got = _forward_and_gradients(config, store, x)
+        finally:
+            sys.setswitchinterval(interval)
+        # Untaped: V, proj and the MLP of two blocks in 5 bands each; taped: one call each.
+        assert sorted(bands) == sorted(6 * [19, 20, 20, 20, 20] + 6 * [99]), (workers, bands)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got)), workers
+
+
+def test_band_pass_with_a_residual_holds_no_full_size_map_besides_its_output(monkeypatch):
+    # Attention's tail at stock width, x + proj(y + lcm) at 96 px: the sum
+    # y + lcm and the projection exist a band at a time (2C elements a
+    # pixel within WINDOW_CHUNK_BYTES), one band per worker, and the residual
+    # is added into the output's rows.
+    y, lcm, x = (Tensor(rand((1, 96, 96, 180), seed, 1.0, np.float32)) for seed in (127, 128, 129))
+    w, b = Tensor(rand((180, 180), 130, 0.05, np.float32)), Tensor(rand((180,), 131, 0.05, np.float32))
+
+    def chain(ops, y, lcm):
+        return ops.linear(ops.add(y, lcm), w, b)
+
+    want = (y.data + lcm.data) @ w.data + b.data + x.data
+    for workers in (1, 2):
+        monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
+        tracemalloc.start()
+        try:
+            out = ad._bands((y, lcm), (w, b), 360, chain, x)
+            peak = tracemalloc.get_traced_memory()[1] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < workers * ad.WINDOW_CHUNK_BYTES + (64 << 10), (workers, peak / 2**20)
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-4)
+
+
 @pytest.mark.parametrize("case", ["stock", "c48", "c48_float64"])
 def test_outputs_and_gradients_do_not_depend_on_the_worker_count(monkeypatch, case):
     # Stock width at 32 px: several conv bands, per-pixel GEMM bands and
@@ -276,53 +344,63 @@ def test_outputs_and_gradients_do_not_depend_on_the_worker_count(monkeypatch, ca
 
 
 def test_no_split_is_entered_while_a_share_runs(monkeypatch):
-    # The calling thread is not marked while it runs its share, so a split
-    # nested in it would queue its pool share behind the pool's whole outer
-    # share. No op splits inside a share: the per-pixel GEMMs split only
-    # through the band runner, whose bands call ops that do not split.
-    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    # The calling thread is not marked while it runs a piece, so a split
+    # nested in it would queue its pieces behind the pool's outer ones. No op
+    # splits inside a piece: the per-pixel GEMMs split only through the band
+    # runner, whose bands call ops that do not split, LN2 among them (at 8
+    # workers a full-map layer norm of an MLP band would split in two).
     config = dataclasses.replace(preset_config("cat_r_x2"), num_groups=1, blocks_per_group=2)
     store = init_params(config, 0)
     x = Tensor(rand((1, 32, 32, 3), 125, 1.0, np.float32))
-    split, runner, lock = ad._split, ad._bands, threading.Lock()
-    running, entered, bands = [0], [], []
+    split, runner, layer_norm, lock = ad._split, ad._bands, ad.layer_norm, threading.Lock()
+    running, entered, bands, norms = [0], [], [], []
 
     def watched_split(tasks, fn):
         with lock:
             entered.append(running[0])
 
-        def share(lo, hi):
+        def share(i):
             with lock:
                 running[0] += 1
             try:
-                fn(lo, hi)
+                fn(i)
             finally:
                 with lock:
                     running[0] -= 1
 
         split(tasks, share)
 
-    def counted_bands(x, weights, width, chain):
+    def counted_bands(inputs, weights, width, chain, residual=None):
         calls = []
 
-        def counted(rows, linear, gelu):
-            calls.append(rows.shape[0])
-            return chain(rows, linear, gelu)
+        def counted(ops, *rows):
+            calls.append(rows[0].shape[0])
+            return chain(ops, *rows)
 
-        out = runner(x, weights, width, counted)
+        out = runner(inputs, weights, width, counted, residual)
         bands.append(len(calls))
         return out
 
+    def counted_norm(*args, **kwargs):
+        norms.append(threading.get_ident())
+        return layer_norm(*args, **kwargs)
+
     monkeypatch.setattr(ad, "_split", watched_split)
     monkeypatch.setattr(ad, "_bands", counted_bands)
-    cat_forward(x, store, config)
-    untaped, bands[:] = bands[:], []
-    with ad.GradientTape() as tape:
-        tape.watch(store.values())
+    monkeypatch.setattr(ad, "layer_norm", counted_norm)
+    for workers in (2, 4, 8):
+        monkeypatch.setattr(ad, "_cpus", lambda workers=workers: workers)
+        entered[:], bands[:], norms[:] = [], [], []
         cat_forward(x, store, config)
-    assert entered and not any(entered)
-    assert len(untaped) == 6 and min(untaped) > 1, untaped  # V, proj and the MLP of two blocks
-    assert bands == 6 * [1]
+        untaped, bands[:] = bands[:], []
+        assert len(norms) == 2, workers  # LN1 of each block; LN2 runs inside the MLP's bands
+        norms[:] = []
+        with ad.GradientTape() as tape:
+            tape.watch(store.values())
+            cat_forward(x, store, config)
+        assert entered and not any(entered), workers
+        assert len(untaped) == 6 and min(untaped) > 1, untaped  # V, proj and the MLP of two blocks
+        assert bands == 6 * [1] and len(norms) == 4, workers  # taped: one call each, LN2 the full-map op
 
 
 @pytest.mark.skipif(

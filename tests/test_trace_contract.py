@@ -6,6 +6,7 @@ breaks either would otherwise show only in a ``--trace 1`` benchmark run."""
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,8 +77,8 @@ def test_traced_training_steps_join_every_cost_row():
 
 def test_traced_banded_mlp_enters_no_traced_op_off_the_calling_thread(monkeypatch):
     # Two workers and a budget of an eighth of a 16 x 16 tiny_sr_x2 MLP's
-    # hidden map: the untaped MLP runs its 8 bands in two shares, the second
-    # on a pool thread. The tracer keeps one span stack, so an op entered by
+    # hidden map: the untaped block tail runs in 8 bands a pass, which the
+    # two workers pull. The tracer keeps one span stack, so an op entered by
     # name on the pool thread would nest its spans into the calling thread's.
     monkeypatch.setattr(ad, "_cpus", lambda: 2)
     monkeypatch.setattr(ad, "WINDOW_CHUNK_BYTES", 1 << 12)
@@ -93,11 +94,12 @@ def test_traced_banded_mlp_enters_no_traced_op_off_the_calling_thread(monkeypatc
 
         return shim
 
-    monkeypatch.setattr(ad, "_PLAIN_OPS", tuple(recorded(plain, fn) for fn in ad._PLAIN_OPS))
+    shims = {name: recorded(plain, fn) for name, fn in vars(ad._PLAIN_OPS).items()}
+    monkeypatch.setattr(ad, "_PLAIN_OPS", SimpleNamespace(**shims))
     tracer = Tracer()
     tracer.install()
     try:
-        for name in ("linear", "gelu"):  # the installed wrappers; uninstall puts the originals back
+        for name in ("linear", "gelu", "add", "layer_norm"):  # the installed wrappers; uninstall puts the originals back
             setattr(ad, name, recorded(named, getattr(ad, name)))
         tracer.request = 0
         harness.restore_image(store, config, img)
